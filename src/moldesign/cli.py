@@ -27,6 +27,7 @@ CONFIG_ERRORS = (
     dataio.AllRowsInvalid,
     checkpoint.CheckpointError,
     loop.ConfigError,
+    gnn.TrainConfigError,
     GrammarError,
     KeyError,
     ValueError,
@@ -76,8 +77,8 @@ def cmd_train_gnn(cfg, seed, out):
 def cmd_fit_ad(cfg, seed, out):
     ensemble, _, payload = checkpoint.load_checkpoint(cfg["checkpoint"])
     data = dataio.ingest_dataset(cfg["dataset"])
-    graphs = [g for g, _ in _dataset_samples(data)]
-    per_model = [[m.fingerprint(g) for g in graphs] for m in ensemble.models]
+    batch = gnn.GraphBatch.of([g for g, _ in _dataset_samples(data)])
+    per_model = [m.forward(batch)[0] for m in ensemble.models]
 
     nu = cfg.get("nu", 0.05)
     gamma = cfg.get("gamma", "scale")

@@ -4,17 +4,31 @@ Each model stacks graph-convolution layers
     h_v' = ReLU(h_v W1 + sum_{u in N(v)} h_u W2),
 sum-pools the final node states into a molecular fingerprint, and feeds
 the fingerprint through a small MLP with three output heads. Training is
-full-batch Adam on a masked MSE (missing labels contribute nothing);
-all gradients are analytic.
+minibatch Adam (32 graphs per step by default, cosine-annealed step size)
+on a masked MSE (missing labels contribute nothing); all gradients are
+analytic.
+
+Training, prediction and fingerprints share one batched pass over a
+GraphBatch: the graphs grouped by atom count, each group a stack of
+feature matrices (b, n, in_dim) and adjacency matrices (b, n, n), with no
+padding. Every matrix product runs per graph on the shapes a one-graph
+pass would use, and sums across graphs run in batch order, so a batched
+result equals the graph-at-a-time result bit for bit. Padding would not:
+BLAS orders its sums by the contracted dimension.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import logging
+import math
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import molgraph
+
+log = logging.getLogger("moldesign")
 
 TASKS = ("ron", "mon", "dcn")
 
@@ -32,6 +46,10 @@ class EmptyEnsemble(GnnError):
 
 
 class EmptyDataset(GnnError):
+    pass
+
+
+class TrainConfigError(GnnError):
     pass
 
 
@@ -67,6 +85,39 @@ class GnnConfig:
     n_tasks: int = 3
 
 
+def graph_arrays(g):
+    """(atom features, dense 0/1 adjacency) of one graph."""
+    adj = np.zeros((g.n_atoms, g.n_atoms))
+    for u, v, _ in g.bonds:
+        adj[u, v] = 1.0
+        adj[v, u] = 1.0
+    return molgraph.atom_features(g), adj
+
+
+class GraphBatch:
+    """Graphs grouped by atom count, without padding.
+
+    groups: one (pos, X, A) per atom count n, where pos holds the batch
+    positions of the group's b graphs in batch order, X their stacked
+    features (b, n, in_dim) and A their adjacency matrices (b, n, n).
+    """
+
+    def __init__(self, arrays):
+        """arrays: one (features, adjacency) pair per graph, in batch order."""
+        by_size = {}
+        for i, (x, _) in enumerate(arrays):
+            by_size.setdefault(len(x), []).append(i)
+        self.n_graphs = len(arrays)
+        self.groups = [(np.array(pos),
+                        np.stack([arrays[i][0] for i in pos]),
+                        np.stack([arrays[i][1] for i in pos]))
+                       for pos in by_size.values()]
+
+    @classmethod
+    def of(cls, graphs):
+        return cls([graph_arrays(g) for g in graphs])
+
+
 class GNN:
     """One message-passing model. Weights live in a flat dict of arrays."""
 
@@ -86,33 +137,45 @@ class GNN:
         self.params["M2"] = _uniform_init(rng, c.mlp_hidden, c.n_tasks)
         self.params["b2"] = np.zeros(c.n_tasks)
 
-    def _forward_cache(self, g):
-        feats = molgraph.atom_features(g)
-        if feats.shape[1] != self.config.in_dim:
-            raise DimensionMismatch("feature dim %d != in_dim %d"
-                                    % (feats.shape[1], self.config.in_dim))
-        adj = np.zeros((g.n_atoms, g.n_atoms))
-        for u, v, _ in g.bonds:
-            adj[u, v] = 1.0
-            adj[v, u] = 1.0
-        cache = {"A": adj, "H": [feats], "Z": []}
-        h = feats
-        for l in range(self.config.n_layers):
-            z = h @ self.params["W1_%d" % l] + adj @ h @ self.params["W2_%d" % l]
-            h = np.maximum(z, 0.0)
-            cache["Z"].append(z)
-            cache["H"].append(h)
-        fp = h.sum(axis=0)
-        a1 = fp @ self.params["M1"] + self.params["b1"]
+    def _forward(self, batch):
+        """Batched forward pass.
+
+        Returns the fingerprints and the head activations a1, h1, out as
+        (n_graphs, ...) rows in batch order, plus per-group layer caches
+        (inputs, A @ inputs, pre-activations) for the backward pass.
+        """
+        p = self.params
+        fp = np.empty((batch.n_graphs, self.config.fp_dim))
+        layers = []
+        for pos, x, adj in batch.groups:
+            if x.shape[2] != self.config.in_dim:
+                raise DimensionMismatch("feature dim %d != in_dim %d"
+                                        % (x.shape[2], self.config.in_dim))
+            h, hs, ahs, zs = x, [], [], []
+            for l in range(self.config.n_layers):
+                ah = adj @ h
+                z = h @ p["W1_%d" % l] + ah @ p["W2_%d" % l]
+                hs.append(h)
+                ahs.append(ah)
+                zs.append(z)
+                h = np.maximum(z, 0.0)
+            fp[pos] = h.sum(axis=1)
+            layers.append((hs, ahs, zs))
+        # (1, d) @ (d, k) per graph, the shapes of a one-graph pass
+        a1 = (fp[:, None, :] @ p["M1"])[:, 0] + p["b1"]
         h1 = np.maximum(a1, 0.0)
-        out = h1 @ self.params["M2"] + self.params["b2"]
-        cache.update(fp=fp, a1=a1, h1=h1, out=out)
-        return cache
+        out = (h1[:, None, :] @ p["M2"])[:, 0] + p["b2"]
+        return fp, a1, h1, out, layers
 
     def forward(self, g):
-        """Returns (fingerprint, raw prediction vector [ron, mon, dcn])."""
-        cache = self._forward_cache(g)
-        return cache["fp"], cache["out"]
+        """Returns (fingerprint, raw prediction vector [ron, mon, dcn]).
+
+        Given a GraphBatch instead of one graph, returns both as
+        (n_graphs, ...) rows in batch order.
+        """
+        batch = g if isinstance(g, GraphBatch) else GraphBatch.of([g])
+        fp, _, _, out, _ = self._forward(batch)
+        return (fp, out) if batch is g else (fp[0], out[0])
 
     def predict(self, g):
         _, out = self.forward(g)
@@ -124,40 +187,47 @@ class GNN:
     def loss_and_grad(self, graphs, labels, mask):
         """Masked MSE over all present labels, plus parameter gradients.
 
-        labels, mask: arrays of shape (n_samples, n_tasks); masked-out
-        entries contribute zero loss and zero gradient.
+        graphs: a list of graphs or a GraphBatch. labels, mask: arrays of
+        shape (n_samples, n_tasks); masked-out entries contribute zero
+        loss and zero gradient.
         """
         labels = np.asarray(labels, dtype=float)
         mask = np.asarray(mask, dtype=float)
         n_present = mask.sum()
         if n_present == 0:
             raise EmptyDataset("no labels present")
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        batch = graphs if isinstance(graphs, GraphBatch) \
+            else GraphBatch.of(graphs)
+        p = self.params
+        fp, a1, h1, out, layers = self._forward(batch)
+        diff = (out - np.where(mask > 0, labels, 0.0)) * mask
+        # The loss and every gradient add up per-graph terms in batch
+        # order, as a loop over one graph at a time would: a different
+        # order changes the rounding, and training amplifies it.
         total = 0.0
-        for g, y, m in zip(graphs, labels, mask):
-            cache = self._forward_cache(g)
-            diff = (cache["out"] - np.where(m > 0, y, 0.0)) * m
-            total += float(diff @ diff)
-            dout = 2.0 * diff / n_present
-            self._backward(cache, dout, grads)
+        for d in diff:
+            total += float(d @ d)
+        dout = 2.0 * diff / n_present
+        grads = {"b2": dout.sum(axis=0),
+                 "M2": (h1[:, :, None] * dout[:, None, :]).sum(axis=0)}
+        da1 = (p["M2"] @ dout[:, :, None])[:, :, 0] * (a1 > 0)
+        grads["b1"] = da1.sum(axis=0)
+        grads["M1"] = (fp[:, :, None] * da1[:, None, :]).sum(axis=0)
+        dfp = (p["M1"] @ da1[:, :, None])[:, :, 0]
+        terms = {k: np.empty((batch.n_graphs,) + p[k].shape)
+                 for k in p if k.startswith("W")}
+        for (pos, _, adj), (hs, ahs, zs) in zip(batch.groups, layers):
+            dh = dfp[pos][:, None, :]  # the pooled gradient reaches every atom
+            for l in reversed(range(self.config.n_layers)):
+                dz = dh * (zs[l] > 0)
+                terms["W1_%d" % l][pos] = hs[l].transpose(0, 2, 1) @ dz
+                terms["W2_%d" % l][pos] = ahs[l].transpose(0, 2, 1) @ dz
+                if l:
+                    dh = dz @ p["W1_%d" % l].T \
+                        + adj.transpose(0, 2, 1) @ dz @ p["W2_%d" % l].T
+        for k, t in terms.items():
+            grads[k] = t.sum(axis=0)
         return total / n_present, grads
-
-    def _backward(self, cache, dout, grads):
-        grads["b2"] += dout
-        grads["M2"] += np.outer(cache["h1"], dout)
-        dh1 = self.params["M2"] @ dout
-        da1 = dh1 * (cache["a1"] > 0)
-        grads["b1"] += da1
-        grads["M1"] += np.outer(cache["fp"], da1)
-        dfp = self.params["M1"] @ da1
-        dh = np.tile(dfp, (cache["A"].shape[0], 1))
-        for l in reversed(range(self.config.n_layers)):
-            dz = dh * (cache["Z"][l] > 0)
-            h_prev = cache["H"][l]
-            grads["W1_%d" % l] += h_prev.T @ dz
-            grads["W2_%d" % l] += (cache["A"] @ h_prev).T @ dz
-            dh = dz @ self.params["W1_%d" % l].T \
-                + cache["A"].T @ dz @ self.params["W2_%d" % l].T
 
     def to_state(self):
         return {
@@ -195,13 +265,15 @@ class GnnEnsemble:
         return len(self.models)
 
     def predict(self, g):
-        outs = np.array([m.forward(g)[1] for m in self.models])
-        mean = outs.mean(axis=0)
+        batch = GraphBatch.of([g])
+        outs = np.array([m.forward(batch)[1] for m in self.models])
+        mean = outs.mean(axis=0).ravel()  # a one-graph batch gives (1, 3)
         return PropertyPrediction(float(mean[0]), float(mean[1]), float(mean[2]))
 
     def fingerprints(self, g):
         """Per-model fingerprints, in model order."""
-        return [m.fingerprint(g) for m in self.models]
+        batch = GraphBatch.of([g])
+        return [m.forward(batch)[0][0] for m in self.models]
 
     def to_state(self):
         return {"seed": self.seed, "models": [m.to_state() for m in self.models]}
@@ -228,6 +300,26 @@ class TrainConfig:
     batch_size: int = 32        # None = full batch
     cosine_decay: bool = True   # anneal the step size to 0 over the run
 
+    def __post_init__(self):
+        def real(x):
+            return isinstance(x, numbers.Real) and math.isfinite(x)
+
+        def count(x):
+            return isinstance(x, numbers.Integral) and x >= 1
+
+        if not count(self.epochs):
+            raise TrainConfigError("epochs must be an integer >= 1")
+        if self.batch_size is not None and not count(self.batch_size):
+            raise TrainConfigError("batch_size must be null or an integer >= 1")
+        if not (real(self.learning_rate) and self.learning_rate > 0):
+            raise TrainConfigError("learning_rate must be finite and > 0")
+        if not (real(self.adam_eps) and self.adam_eps > 0):
+            raise TrainConfigError("adam_eps must be finite and > 0")
+        for name in ("adam_beta1", "adam_beta2"):
+            beta = getattr(self, name)
+            if not (real(beta) and 0 <= beta < 1):
+                raise TrainConfigError("%s must be in [0, 1)" % name)
+
 
 def _prepare_data(data):
     graphs, labels, mask = [], [], []
@@ -244,9 +336,12 @@ def _prepare_data(data):
 
 
 def train_model(model, data, cfg=None):
-    """Full-batch Adam on the masked MSE. Returns the loss history.
+    """Minibatch Adam on the masked MSE. Returns the per-epoch loss history.
 
-    Labels are standardized per task during optimization; the affine
+    Each epoch visits the samples in a fresh shuffled order, cfg.batch_size
+    at a time (all at once when it is None). Each graph is featurised once
+    per call; a minibatch only stacks the cached arrays. Progress goes to
+    the "moldesign" logger at INFO every tenth of the run. Labels are standardized per task during optimization; the affine
     transform is folded back into the output layer afterwards, so the
     trained model predicts in raw units.
     """
@@ -265,6 +360,8 @@ def train_model(model, data, cfg=None):
     m_state = {k: np.zeros_like(v) for k, v in model.params.items()}
     v_state = {k: np.zeros_like(v) for k, v in model.params.items()}
     history = []
+    arrays = [graph_arrays(g) for g in graphs]
+    log_every = max(1, cfg.epochs // 10)
     n = len(graphs)
     bs = n if cfg.batch_size is None else min(cfg.batch_size, n)
     shuffle_rng = np.random.default_rng(model.seed + 10 ** 6)
@@ -276,7 +373,7 @@ def train_model(model, data, cfg=None):
         for lo in range(0, n, bs):
             idx = order[lo:lo + bs]
             loss, grads = model.loss_and_grad(
-                [graphs[i] for i in idx], labels[idx], mask[idx])
+                GraphBatch([arrays[i] for i in idx]), labels[idx], mask[idx])
             if not np.isfinite(loss):
                 raise NonFiniteLoss(epoch)
             epoch_loss += loss * mask[idx].sum()
@@ -293,6 +390,9 @@ def train_model(model, data, cfg=None):
                 v_hat = v_state[k] / (1 - cfg.adam_beta2 ** step)
                 model.params[k] -= lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
         history.append(epoch_loss / mask.sum())
+        if epoch % log_every == 0 or epoch == cfg.epochs:
+            log.info("model seed %d, epoch %d/%d, loss %.6g",
+                     model.seed, epoch, cfg.epochs, history[-1])
     if cfg.normalize_labels:
         model.params["M2"] = model.params["M2"] * scale[None, :]
         model.params["b2"] = model.params["b2"] * scale + shift

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import grammar as grammar_mod
 from . import optimizers
 from .adomain import ad_vote
 from .grammar import DecodeTimeout, NotExpressible, decode, encode
@@ -55,14 +54,16 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in ("bo", "ga"):
             raise ConfigError("method must be 'bo' or 'ga'")
-        if self.max_unique is not None and self.max_unique <= 0:
-            raise ConfigError("max_unique must be positive")
-        if self.max_total is not None and self.max_total <= 0:
-            raise ConfigError("max_total must be positive")
-        if self.time_limit_s is not None and self.time_limit_s <= 0:
-            raise ConfigError("time limit must be positive")
-        if self.bound_expansion < 0:
-            raise ConfigError("bound expansion must be >= 0")
+        # a comparison with NaN is False, so NaN fails each range check
+        if self.max_unique is not None and not 0 < self.max_unique < np.inf:
+            raise ConfigError("max_unique must be positive and finite")
+        if self.max_total is not None and not 0 < self.max_total < np.inf:
+            raise ConfigError("max_total must be positive and finite")
+        if self.time_limit_s is not None \
+                and not 0 < self.time_limit_s < np.inf:
+            raise ConfigError("time limit must be positive and finite")
+        if not 0 <= self.bound_expansion < np.inf:
+            raise ConfigError("bound expansion must be finite and >= 0")
 
     def to_dict(self):
         d = vars(self).copy()

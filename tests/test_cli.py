@@ -101,6 +101,21 @@ class TestTrainAndFit:
         assert "error[E_CONFIG]" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("train", [{"batch_size": -3},
+                                       {"batch_size": 0},
+                                       {"epochs": 0},
+                                       {"learning_rate": float("nan")}])
+    def test_bad_train_config(self, tmp_path, workdir, capsys, train):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"dataset": str(workdir / "dataset.csv"),
+                                   "n_models": 1, "train": train}))
+        rc = main(["train-gnn", "--config", str(cfg),
+                   "--out", str(tmp_path / "gnn.ckpt")])
+        assert rc == 1
+        assert "error[E_CONFIG]" in capsys.readouterr().err
+        assert not (tmp_path / "gnn.ckpt").exists()
+
+
 class TestRunLoop:
     def test_budget_and_outputs(self, workdir, tmp_path):
         rc = main(["run-loop", "--config", loop_config(workdir),
@@ -154,6 +169,23 @@ class TestRunLoop:
                    "--out", str(tmp_path / "run")])
         assert rc == 1
         assert "error[E_CONFIG]" in capsys.readouterr().err
+
+
+    def test_nan_budget_is_config_error(self, workdir, tmp_path, capsys):
+        path = tmp_path / "loop.json"
+        # json.dumps writes the bare NaN token that json.load accepts
+        path.write_text(json.dumps({
+            "checkpoint": str(workdir / "full.ckpt"),
+            "grammar": str(workdir / "grammar.json"),
+            "corpus": str(workdir / "corpus.smi"),
+            "loop": {"method": "ga", "max_total": float("nan"),
+                     "ad_enabled": False}}))
+        assert "NaN" in path.read_text()
+        rc = main(["run-loop", "--config", str(path),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert "error[E_CONFIG]" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestReportAndEnumerate:

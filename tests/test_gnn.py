@@ -1,3 +1,6 @@
+import logging
+import math
+
 import numpy as np
 import pytest
 
@@ -8,17 +11,111 @@ from moldesign.gnn import (
     EmptyDataset,
     GnnConfig,
     GnnEnsemble,
+    GraphBatch,
     PropertyPrediction,
     TrainConfig,
+    TrainConfigError,
     gradient_check,
     train_ensemble,
     train_model,
 )
-from moldesign.molgraph import parse_smiles
+from moldesign.grammar import FragmentGrammar, enumerate_grammar
+from moldesign.molgraph import atom_features, parse_smiles
 
 SMALL = GnnConfig(hidden_dim=8, fp_dim=8, mlp_hidden=4)
 
 MOLECULES = ["C", "CC", "CCO", "COC(C)(C)C", "C1CC1", "CC(C)(C)C=O"]
+
+
+def reference_loss_and_grad(model, graphs, labels, mask):
+    """The graph-at-a-time masked MSE and gradients the batched pass replaces."""
+    p = model.params
+    n_layers = model.config.n_layers
+    n_present = np.asarray(mask).sum()
+    grads = {k: np.zeros_like(v) for k, v in p.items()}
+    total = 0.0
+    for g, y, m in zip(graphs, np.asarray(labels), np.asarray(mask)):
+        adj = np.zeros((g.n_atoms, g.n_atoms))
+        for u, v, _ in g.bonds:
+            adj[u, v] = 1.0
+            adj[v, u] = 1.0
+        h = atom_features(g)
+        hs, zs = [h], []
+        for l in range(n_layers):
+            z = h @ p["W1_%d" % l] + adj @ h @ p["W2_%d" % l]
+            h = np.maximum(z, 0.0)
+            zs.append(z)
+            hs.append(h)
+        fp = h.sum(axis=0)
+        a1 = fp @ p["M1"] + p["b1"]
+        h1 = np.maximum(a1, 0.0)
+        out = h1 @ p["M2"] + p["b2"]
+        diff = (out - np.where(m > 0, y, 0.0)) * m
+        total += float(diff @ diff)
+        dout = 2.0 * diff / n_present
+        grads["b2"] += dout
+        grads["M2"] += np.outer(h1, dout)
+        da1 = (p["M2"] @ dout) * (a1 > 0)
+        grads["b1"] += da1
+        grads["M1"] += np.outer(fp, da1)
+        dh = np.tile(p["M1"] @ da1, (g.n_atoms, 1))
+        for l in reversed(range(n_layers)):
+            dz = dh * (zs[l] > 0)
+            grads["W1_%d" % l] += hs[l].T @ dz
+            grads["W2_%d" % l] += (adj @ hs[l]).T @ dz
+            dh = dz @ p["W1_%d" % l].T + adj.T @ dz @ p["W2_%d" % l].T
+    return total / n_present, grads
+
+
+@pytest.fixture(scope="module")
+def mixed_pool():
+    """Molecules of 1 to 9 atoms, methane (no bonds) first."""
+    mols = enumerate_grammar(FragmentGrammar(n_dims=4))
+    return [parse_smiles("C")] + list(mols.values())
+
+
+class TestBatchedPass:
+    @pytest.mark.parametrize("config", [GnnConfig(), SMALL])
+    def test_loss_and_grad_match_graph_at_a_time(self, mixed_pool, config):
+        rng = np.random.default_rng(0)
+        for trial in range(10):
+            model = GNN(config, seed=trial)
+            size = int(rng.integers(1, 48))
+            graphs = [mixed_pool[i]
+                      for i in rng.integers(0, len(mixed_pool), size=size)]
+            graphs[int(rng.integers(size))] = mixed_pool[0]
+            labels = rng.normal(size=(size, 3))
+            mask = (rng.random((size, 3)) < 0.6).astype(float)
+            mask[0, 0] = 1.0
+            loss, grads = model.loss_and_grad(graphs, labels, mask)
+            ref_loss, ref_grads = reference_loss_and_grad(
+                model, graphs, labels, mask)
+            assert loss == ref_loss
+            assert grads.keys() == ref_grads.keys()
+            for k in grads:
+                assert np.array_equal(grads[k], ref_grads[k]), k
+
+    def test_batch_rows_equal_single_graph_forward(self, mixed_pool):
+        model = GNN(seed=4)
+        graphs = mixed_pool[::7] + mixed_pool[:3]
+        fps, outs = model.forward(GraphBatch.of(graphs))
+        assert fps.shape == (len(graphs), model.config.fp_dim)
+        for g, fp, out in zip(graphs, fps, outs):
+            fp1, out1 = model.forward(g)
+            assert np.array_equal(fp, fp1)
+            assert np.array_equal(out, out1)
+
+    def test_groups_hold_batch_positions(self, mixed_pool):
+        graphs = [mixed_pool[0], mixed_pool[5], mixed_pool[0], mixed_pool[9]]
+        batch = GraphBatch.of(graphs)
+        assert batch.n_graphs == 4
+        seen = []
+        for pos, x, adj in batch.groups:
+            n = x.shape[1]
+            assert {graphs[i].n_atoms for i in pos} == {n}
+            assert adj.shape == (len(pos), n, n)
+            seen.extend(pos.tolist())
+        assert sorted(seen) == [0, 1, 2, 3]
 
 
 class TestForward:
@@ -155,6 +252,57 @@ class TestTraining:
         w0 = ens.models[0].params["M2"]
         w1 = ens.models[1].params["M2"]
         assert not np.allclose(w0, w1)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"epochs": 0},
+        {"epochs": -1},
+        {"epochs": 2.5},
+        {"batch_size": 0},
+        {"batch_size": -3},
+        {"learning_rate": math.nan},
+        {"learning_rate": math.inf},
+        {"learning_rate": 0.0},
+        {"adam_eps": math.nan},
+        {"adam_eps": 0.0},
+        {"adam_beta1": math.nan},
+        {"adam_beta1": 1.0},
+        {"adam_beta2": -0.1},
+        {"adam_beta2": math.inf},
+    ])
+    def test_rejected(self, kwargs):
+        with pytest.raises(TrainConfigError):
+            TrainConfig(**kwargs)
+
+    def test_accepted(self):
+        TrainConfig(epochs=1, batch_size=None)
+        TrainConfig(batch_size=1, adam_beta1=0.0)
+
+    def test_is_gnn_error(self):
+        assert issubclass(TrainConfigError, gnn.GnnError)
+
+
+class TestProgressLog:
+    def test_logs_every_tenth_and_last_epoch(self, caplog):
+        model = GNN(SMALL, seed=6)
+        data = [(parse_smiles(s), {"ron": float(i), "mon": None, "dcn": None})
+                for i, s in enumerate(MOLECULES)]
+        with caplog.at_level(logging.INFO, logger="moldesign"):
+            hist = train_model(model, data, TrainConfig(epochs=25))
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "moldesign"]
+        # every max(1, 25 // 10) = 2 epochs, plus the last one
+        assert len(lines) == 13
+        assert lines[0] == "model seed 6, epoch 2/25, loss %.6g" % hist[1]
+        assert lines[-1] == "model seed 6, epoch 25/25, loss %.6g" % hist[-1]
+
+    def test_quiet_at_warning(self, caplog):
+        model = GNN(SMALL, seed=6)
+        data = [(parse_smiles("CC"), {"ron": 1.0, "mon": None, "dcn": None})]
+        with caplog.at_level(logging.WARNING, logger="moldesign"):
+            train_model(model, data, TrainConfig(epochs=3))
+        assert not caplog.records
 
 
 class TestGradients:

@@ -215,6 +215,13 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(time_limit_s=0.0)
 
+    @pytest.mark.parametrize("field", ["max_unique", "max_total",
+                                       "time_limit_s", "bound_expansion"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            RunConfig(**{field: value})
+
     def test_to_dict_round_trips_ga(self):
         d = RunConfig(method="bo", seed=3).to_dict()
         assert d["method"] == "bo"
