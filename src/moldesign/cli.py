@@ -27,6 +27,7 @@ CONFIG_ERRORS = (
     dataio.AllRowsInvalid,
     checkpoint.CheckpointError,
     loop.ConfigError,
+    gnn.GnnConfigError,
     gnn.TrainConfigError,
     GrammarError,
     KeyError,

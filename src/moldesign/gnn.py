@@ -49,6 +49,10 @@ class EmptyDataset(GnnError):
     pass
 
 
+class GnnConfigError(GnnError):
+    pass
+
+
 class TrainConfigError(GnnError):
     pass
 
@@ -75,14 +79,30 @@ class PropertyPrediction:
         return 2.0 * self.ron - self.mon
 
 
+def _is_count(x):
+    return isinstance(x, numbers.Integral) and x >= 1
+
+
 @dataclass
 class GnnConfig:
-    in_dim: int = 4
+    in_dim: int = molgraph.ATOM_FEATURE_DIM
     hidden_dim: int = 32
     fp_dim: int = 32
     n_layers: int = 3
     mlp_hidden: int = 16
-    n_tasks: int = 3
+    n_tasks: int = len(TASKS)
+
+    def __post_init__(self):
+        for name in ("in_dim", "hidden_dim", "fp_dim", "n_layers",
+                     "mlp_hidden", "n_tasks"):
+            if not _is_count(getattr(self, name)):
+                raise GnnConfigError("%s must be an integer >= 1" % name)
+        if self.in_dim != molgraph.ATOM_FEATURE_DIM:
+            raise GnnConfigError("in_dim must be %d, the atom feature width"
+                                 % molgraph.ATOM_FEATURE_DIM)
+        if self.n_tasks != len(TASKS):
+            raise GnnConfigError("n_tasks must be %d (%s)"
+                                 % (len(TASKS), ", ".join(TASKS)))
 
 
 def graph_arrays(g):
@@ -264,16 +284,22 @@ class GnnEnsemble:
     def n_models(self):
         return len(self.models)
 
-    def predict(self, g):
+    def evaluate(self, g):
+        """(per-model fingerprints in model order, mean prediction), from
+        one forward pass of each model over a one-graph batch."""
         batch = GraphBatch.of([g])
-        outs = np.array([m.forward(batch)[1] for m in self.models])
-        mean = outs.mean(axis=0).ravel()  # a one-graph batch gives (1, 3)
-        return PropertyPrediction(float(mean[0]), float(mean[1]), float(mean[2]))
+        fps, outs = zip(*(m.forward(batch) for m in self.models))
+        mean = np.array(outs).mean(axis=0).ravel()  # (K, 1, 3) -> (3,)
+        return ([fp[0] for fp in fps],
+                PropertyPrediction(float(mean[0]), float(mean[1]),
+                                   float(mean[2])))
+
+    def predict(self, g):
+        return self.evaluate(g)[1]
 
     def fingerprints(self, g):
         """Per-model fingerprints, in model order."""
-        batch = GraphBatch.of([g])
-        return [m.forward(batch)[0][0] for m in self.models]
+        return self.evaluate(g)[0]
 
     def to_state(self):
         return {"seed": self.seed, "models": [m.to_state() for m in self.models]}
@@ -304,12 +330,9 @@ class TrainConfig:
         def real(x):
             return isinstance(x, numbers.Real) and math.isfinite(x)
 
-        def count(x):
-            return isinstance(x, numbers.Integral) and x >= 1
-
-        if not count(self.epochs):
+        if not _is_count(self.epochs):
             raise TrainConfigError("epochs must be an integer >= 1")
-        if self.batch_size is not None and not count(self.batch_size):
+        if self.batch_size is not None and not _is_count(self.batch_size):
             raise TrainConfigError("batch_size must be null or an integer >= 1")
         if not (real(self.learning_rate) and self.learning_rate > 0):
             raise TrainConfigError("learning_rate must be finite and > 0")

@@ -10,7 +10,6 @@ an exact inverse on expressible molecules.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +40,6 @@ class NotExpressible(GrammarError):
 
 
 class TooLarge(GrammarError):
-    pass
-
-
-class DecodeTimeout(GrammarError):
     pass
 
 
@@ -181,16 +176,16 @@ def _attach(atoms, bonds, bond_sums, fragment, max_heavy):
     return atoms, bonds, sums
 
 
-def _build(grammar, choices):
+def decode_cells(cells, grammar):
     """Replay a decision sequence; illegal attachments act as stop."""
-    atoms, bonds = _SCAFFOLD_BUILDERS[grammar.scaffolds[choices[0]]]()
+    atoms, bonds = _SCAFFOLD_BUILDERS[grammar.scaffolds[cells[0]]]()
     atoms = list(atoms)
     bonds = list(bonds)
     sums = [0] * len(atoms)
     for u, v, o in bonds:
         sums[u] += o
         sums[v] += o
-    for c in choices[1:]:
+    for c in cells[1:]:
         if c == 0:
             break
         result = _attach(atoms, bonds, sums, grammar.fragments[c - 1],
@@ -214,45 +209,48 @@ def _as_box(bounds, n):
     return lo, hi
 
 
-def _cells(z, grammar, bounds):
+def decision_cells(z, grammar, bounds):
+    """The decision cell of each latent coordinate, as a list of ints.
+
+    NaN reads as 0 and the point is clamped into the (finite) box, so +-inf
+    fall in the edge cells; a slot of zero width is always cell 0.
+    """
     lo, hi = _as_box(bounds, grammar.n_dims)
-    z = np.nan_to_num(np.asarray(z, dtype=float), nan=0.0)
-    z = np.clip(z, lo, hi)
-    cells = []
-    for i, k in enumerate(grammar.choices_per_slot):
-        width = hi[i] - lo[i]
-        if width <= 0:
-            cells.append(0)
-            continue
-        c = int((z[i] - lo[i]) / width * k)
-        cells.append(min(max(c, 0), k - 1))
-    return cells
+    k = np.array(grammar.choices_per_slot, dtype=float)
+    z = np.asarray(z, dtype=float)
+    z = np.minimum(np.maximum(np.where(np.isnan(z), 0.0, z), lo), hi)
+    width = hi - lo
+    closed = width <= 0
+    c = np.trunc((z - lo) / np.where(closed, 1.0, width) * k)
+    c = np.where(closed, 0.0, np.minimum(np.maximum(c, 0.0), k - 1))
+    if not np.isfinite(c).all():
+        raise GrammarError("latent box too wide for cell arithmetic")
+    return c.astype(int).tolist()
 
 
-def _cell_center(choices, grammar, bounds):
+def cell_center(cells, grammar, bounds):
+    """The latent point at the center of a decision cell sequence; missing
+    trailing slots read as cell 0."""
     lo, hi = _as_box(bounds, grammar.n_dims)
-    z = np.empty(grammar.n_dims)
-    for i, k in enumerate(grammar.choices_per_slot):
-        c = choices[i] if i < len(choices) else 0
-        z[i] = lo[i] + (c + 0.5) * (hi[i] - lo[i]) / k
-    return z
+    c = np.zeros(grammar.n_dims)
+    c[:len(cells)] = cells
+    return lo + (c + 0.5) * (hi - lo) / np.array(grammar.choices_per_slot)
 
 
-def decode(z, grammar, bounds, timeout_s=None):
+def decode(z, grammar, bounds):
     """Map a latent vector to a molecular graph. Total and deterministic."""
-    deadline = None if timeout_s is None else time.monotonic() + timeout_s
-    cells = _cells(z, grammar, bounds)
-    if deadline is not None and time.monotonic() > deadline:
-        raise DecodeTimeout("decode exceeded %.3f s" % timeout_s)
-    return _build(grammar, cells)
+    return decode_cells(decision_cells(z, grammar, bounds), grammar)
 
 
 def encode(g, grammar, bounds):
-    """Inverse of decode on expressible molecules.
+    """Inverse of decode on expressible molecules: the center of the cell
+    that encode_cells returns."""
+    return cell_center(encode_cells(g, grammar), grammar, bounds)
 
-    Returns the center of the cell of the lexicographically smallest
-    decision sequence producing a graph isomorphic to g.
-    """
+
+def encode_cells(g, grammar):
+    """The lexicographically smallest decision sequence producing a graph
+    isomorphic to g (possibly shorter than n_dims)."""
     target = canonical_smiles(g)
     t_atoms = sorted(g.atoms)
     t_rings = g.n_rings
@@ -282,7 +280,7 @@ def encode(g, grammar, bounds):
         seq = _search(grammar, target, compatible, atoms, bonds, sums,
                       n_frag_slots)
         if seq is not None:
-            return _cell_center([s] + seq, grammar, bounds)
+            return [s] + seq
     raise NotExpressible("no decision sequence produces %s" % target)
 
 

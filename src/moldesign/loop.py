@@ -1,9 +1,15 @@
 """The design loop: optimizer -> decode -> AD gate -> predict -> score.
 
-Candidates outside the applicability domain (or failing to decode in
-time) receive the penalty score. Duplicates are scored and logged but do
-not count toward the unique-molecule budget. The objective is
-RON + OS = 2 RON - MON.
+Candidates outside the applicability domain receive the penalty score.
+Duplicates are scored and logged but do not count toward the
+unique-molecule budget. The objective is RON + OS = 2 RON - MON.
+
+The decoder is piecewise constant, so each decision cell sequence is
+decoded, canonicalised and run through the ensemble once per run; later
+points in the same cells reuse that result. The cache is keyed on cells,
+not on SMILES: one molecule reached by different decisions is built with
+a different atom order, and its predictions can then differ in the last
+bit.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ import numpy as np
 
 from . import optimizers
 from .adomain import ad_vote
-from .grammar import DecodeTimeout, NotExpressible, decode, encode
+from .grammar import NotExpressible, cell_center, decision_cells, \
+    decode_cells, encode_cells
 from .molgraph import canonical_smiles
 
 PENALTY = -1000.0
@@ -42,7 +49,6 @@ class RunConfig:
     max_total: int = 2000
     time_limit_s: float = None
     bound_expansion: float = 0.2
-    decode_timeout_s: float = 10.0
     penalty: float = PENALTY
     ad_enabled: bool = True
     pca_target_ratio: float = 0.999
@@ -97,17 +103,26 @@ class RunRecord:
 
 def bounds_from_corpus(corpus, grammar, expansion=0.2):
     """Per-dimension [min, max] over encoded corpus latents, expanded."""
-    lo0 = np.full(grammar.n_dims, 0.0)
-    hi0 = np.full(grammar.n_dims, 1.0)
-    encoded = []
+    return _bounds_from_cells(_corpus_cells(corpus, grammar), grammar,
+                              expansion)
+
+
+def _corpus_cells(corpus, grammar):
+    """Decision cells of every expressible corpus molecule, in order."""
+    out = []
     for g in corpus:
         try:
-            encoded.append(encode(g, grammar, (lo0, hi0)))
+            out.append(encode_cells(g, grammar))
         except NotExpressible:
             continue
-    if not encoded:
+    return out
+
+
+def _bounds_from_cells(cells, grammar, expansion):
+    if not cells:
         raise NoExpressibleMolecules("no corpus molecule is expressible")
-    pts = np.array(encoded)
+    unit = (np.zeros(grammar.n_dims), np.ones(grammar.n_dims))
+    pts = np.array([cell_center(c, grammar, unit) for c in cells])
     return expand_bounds(pts.min(axis=0), pts.max(axis=0), expansion)
 
 
@@ -124,7 +139,7 @@ class EvaluationContext:
     """Shared state for scoring candidates within one run."""
 
     def __init__(self, grammar, bounds, ensemble, ad=None, ad_enabled=True,
-                 penalty=PENALTY, decode_timeout_s=10.0, pca=None):
+                 penalty=PENALTY, pca=None):
         if ad_enabled and ad is None:
             raise ConfigError("AD enabled but no AD ensemble given")
         self.grammar = grammar
@@ -133,11 +148,13 @@ class EvaluationContext:
         self.ad = ad
         self.ad_enabled = ad_enabled
         self.penalty = penalty
-        self.decode_timeout_s = decode_timeout_s
         self.pca = pca
         self.seen = set()      # unique-budget set: non-penalized molecules
         self.observed = set()  # every decoded molecule, for duplicate flags
         self.records = []
+        # decision cells -> (smiles, in_ad, vote_sum, prediction or None
+        # when penalized); at most one entry per record
+        self.cache = {}
 
     @property
     def n_unique(self):
@@ -149,7 +166,11 @@ class EvaluationContext:
 
 
 def evaluate_candidate(z, ctx):
-    """Decode, gate through the AD, predict, and score one latent point."""
+    """Decode, gate through the AD, predict, and score one latent point.
+
+    A point whose decision cells were evaluated before in this run reuses
+    that result; its record is still its own (latent, index, duplicate).
+    """
     z = np.asarray(z, dtype=float)
     if ctx.pca is not None:
         z_reduced = z
@@ -158,77 +179,74 @@ def evaluate_candidate(z, ctx):
         z_reduced = None
         z_full = z
     t0 = time.monotonic()
-    index = len(ctx.records)
+    cells = tuple(decision_cells(z_full, ctx.grammar, ctx.bounds))
+    entry = ctx.cache.get(cells)
+    if entry is None:
+        entry = ctx.cache[cells] = _evaluate_cells(cells, ctx)
+    smiles, in_ad, vote_sum, pred = entry
 
-    def finish(smiles, pred, in_ad, vote_sum, duplicate, penalized):
-        score = ctx.penalty if penalized else pred.score
-        rec = RunRecord(
-            index=index,
-            latent_full=[float(v) for v in z_full],
-            latent_reduced=None if z_reduced is None
-            else [float(v) for v in z_reduced],
-            smiles=smiles,
-            ron=None if penalized else float(pred.ron),
-            mon=None if penalized else float(pred.mon),
-            dcn=None if penalized else float(pred.dcn),
-            os=None if penalized else float(pred.os),
-            score=float(score),
-            in_ad=in_ad,
-            vote_sum=vote_sum,
-            duplicate=duplicate,
-            penalty_applied=penalized,
-            wall_time=time.monotonic() - t0,
-        )
-        ctx.records.append(rec)
-        return rec
-
-    try:
-        g = decode(z_full, ctx.grammar, ctx.bounds,
-                   timeout_s=ctx.decode_timeout_s)
-    except DecodeTimeout:
-        return finish(None, None, None, None, False, True)
-
-    smiles = canonical_smiles(g)
     duplicate = smiles in ctx.observed
     ctx.observed.add(smiles)
+    penalized = pred is None
+    if not penalized:
+        ctx.seen.add(smiles)
+    rec = RunRecord(
+        index=len(ctx.records),
+        latent_full=[float(v) for v in z_full],
+        latent_reduced=None if z_reduced is None
+        else [float(v) for v in z_reduced],
+        smiles=smiles,
+        ron=None if penalized else float(pred.ron),
+        mon=None if penalized else float(pred.mon),
+        dcn=None if penalized else float(pred.dcn),
+        os=None if penalized else float(pred.os),
+        score=float(ctx.penalty if penalized else pred.score),
+        in_ad=in_ad,
+        vote_sum=vote_sum,
+        duplicate=duplicate,
+        penalty_applied=penalized,
+        wall_time=time.monotonic() - t0,
+    )
+    ctx.records.append(rec)
+    return rec
 
-    in_ad, vote_sum = None, None
-    if ctx.ad_enabled:
-        in_ad, vote_sum = ad_vote(ctx.ensemble.fingerprints(g), ctx.ad)
-        if not in_ad:
-            rec = finish(smiles, None, in_ad, vote_sum, duplicate, True)
-            return rec
 
-    ctx.seen.add(smiles)
-    pred = ctx.ensemble.predict(g)
-    return finish(smiles, pred, in_ad, vote_sum, duplicate, False)
+def _evaluate_cells(cells, ctx):
+    """(smiles, in_ad, vote_sum, prediction) of one decision cell sequence,
+    from one ensemble pass; the prediction is None when the AD rejects."""
+    g = decode_cells(cells, ctx.grammar)
+    smiles = canonical_smiles(g)
+    fingerprints, pred = ctx.ensemble.evaluate(g)
+    if not ctx.ad_enabled:
+        return smiles, None, None, pred
+    in_ad, vote_sum = ad_vote(fingerprints, ctx.ad)
+    return smiles, in_ad, vote_sum, pred if in_ad else None
 
 
 def run(config, grammar, ensemble, ad=None, corpus=None, bounds=None):
     """Execute one design-loop run. Returns (records, summary)."""
+    if bounds is None and not corpus:
+        raise ConfigError("need either explicit bounds or a corpus")
+    use_pca = config.use_pca if config.use_pca is not None \
+        else config.method == "bo"
+    if use_pca and not corpus:
+        raise ConfigError("PCA pre-reduction needs a corpus")
+    # each corpus molecule is encoded once; its cells map to both boxes
+    corpus_cells = _corpus_cells(corpus, grammar) \
+        if bounds is None or use_pca else []
     if bounds is None:
-        if not corpus:
-            raise ConfigError("need either explicit bounds or a corpus")
-        bounds = bounds_from_corpus(corpus, grammar, config.bound_expansion)
+        bounds = _bounds_from_cells(corpus_cells, grammar,
+                                    config.bound_expansion)
     lo, hi = bounds
 
     pca = None
     search_bounds = (lo, hi)
     n_dims = grammar.n_dims
-    use_pca = config.use_pca if config.use_pca is not None \
-        else config.method == "bo"
     if use_pca:
-        if not corpus:
-            raise ConfigError("PCA pre-reduction needs a corpus")
-        latents = []
-        for g in corpus:
-            try:
-                latents.append(encode(g, grammar, (lo, hi)))
-            except NotExpressible:
-                continue
-        if len(latents) < 2:
+        if len(corpus_cells) < 2:
             raise NoExpressibleMolecules("not enough expressible molecules "
                                          "for PCA")
+        latents = [cell_center(c, grammar, (lo, hi)) for c in corpus_cells]
         pca = optimizers.pca_fit(latents, config.pca_target_ratio)
         reduced = pca.project(np.array(latents))
         search_bounds = expand_bounds(reduced.min(axis=0),
@@ -238,8 +256,7 @@ def run(config, grammar, ensemble, ad=None, corpus=None, bounds=None):
 
     ctx = EvaluationContext(
         grammar, (lo, hi), ensemble, ad=ad, ad_enabled=config.ad_enabled,
-        penalty=config.penalty, decode_timeout_s=config.decode_timeout_s,
-        pca=pca,
+        penalty=config.penalty, pca=pca,
     )
 
     start = time.monotonic()

@@ -140,9 +140,12 @@ def validate(g):
     return OK
 
 
+ATOM_FEATURE_DIM = 4
+
+
 def atom_features(g):
     """Per-atom feature matrix: [is_C, is_O, implicit_H, degree]."""
-    feats = np.zeros((g.n_atoms, 4))
+    feats = np.zeros((g.n_atoms, ATOM_FEATURE_DIM))
     for i, a in enumerate(g.atoms):
         feats[i, 0] = 1.0 if a == "C" else 0.0
         feats[i, 1] = 1.0 if a == "O" else 0.0

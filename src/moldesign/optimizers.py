@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky
-from scipy.stats import norm
+from scipy.special import ndtr
 
 PENALTY_SCORE = -1000.0
 
@@ -188,9 +188,14 @@ def expected_improvement(s, x, best):
     return out if np.ndim(x) > 1 else float(out[0])
 
 
+_SQRT_2PI = np.sqrt(2 * np.pi)
+
+
 def _ei_closed(mean, sigma, best):
+    # the standard normal cdf and pdf computed as scipy.stats.norm does,
+    # without its per-call argument handling
     u = (mean - best) / sigma
-    return (mean - best) * norm.cdf(u) + sigma * norm.pdf(u)
+    return (mean - best) * ndtr(u) + sigma * (np.exp(-u ** 2 / 2.0) / _SQRT_2PI)
 
 
 def _pattern_search(fn, x0, lo, hi, min_step=1e-4):
@@ -357,6 +362,10 @@ def run_ga(objective, bounds, n_dims, stop, seed=0, cfg=None):
         hi = np.full(n_dims, float(hi))
     history = RunHistory([], [], seed)
     genes = rng.uniform(lo, hi, size=(cfg.population_size, n_dims))
+    # Points already evaluated bit for bit (surviving elites) reuse their
+    # score and are not passed to the objective again, so they add no
+    # record. This cache decides which points reach the objective, so it
+    # stays even though the loop caches by decision cell.
     cache = {}
 
     def evaluate(pop):

@@ -115,6 +115,21 @@ class TestTrainAndFit:
         assert "error[E_CONFIG]" in capsys.readouterr().err
         assert not (tmp_path / "gnn.ckpt").exists()
 
+    @pytest.mark.parametrize("gnn", [{"n_tasks": 2},
+                                     {"hidden_dim": 0},
+                                     {"fp_dim": 2.5},
+                                     {"in_dim": 7}])
+    def test_bad_gnn_config(self, tmp_path, workdir, capsys, gnn):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"dataset": str(workdir / "dataset.csv"),
+                                   "n_models": 1, "gnn": gnn,
+                                   "train": {"epochs": 1}}))
+        rc = main(["train-gnn", "--config", str(cfg),
+                   "--out", str(tmp_path / "gnn.ckpt")])
+        assert rc == 1
+        assert "error[E_CONFIG]" in capsys.readouterr().err
+        assert not (tmp_path / "gnn.ckpt").exists()
+
 
 class TestRunLoop:
     def test_budget_and_outputs(self, workdir, tmp_path):

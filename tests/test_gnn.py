@@ -10,6 +10,7 @@ from moldesign.gnn import (
     DimensionMismatch,
     EmptyDataset,
     GnnConfig,
+    GnnConfigError,
     GnnEnsemble,
     GraphBatch,
     PropertyPrediction,
@@ -156,9 +157,11 @@ class TestForward:
         assert pred.score == 2 * pred.ron - pred.mon
 
     def test_dimension_mismatch(self):
-        model = GNN(GnnConfig(in_dim=7), seed=0)
+        # GnnConfig pins in_dim to the atom feature width, so a mismatch
+        # can only come from a hand-built batch
+        model = GNN(SMALL, seed=0)
         with pytest.raises(DimensionMismatch):
-            model.forward(parse_smiles("CC"))
+            model.forward(GraphBatch([(np.zeros((2, 7)), np.eye(2)[::-1])]))
 
 
 class TestEnsemble:
@@ -178,7 +181,7 @@ class TestEnsemble:
                 self.vals = np.array(vals)
 
             def forward(self, _):
-                return None, self.vals
+                return np.zeros((1, 2)), self.vals
 
         ens.models = [Fixed([100.0, 90.0, 50.0]), Fixed([110.0, 100.0, 60.0])]
         pred = ens.predict(g)
@@ -197,6 +200,22 @@ class TestEnsemble:
     def test_empty_ensemble(self):
         with pytest.raises(gnn.EmptyEnsemble):
             GnnEnsemble(n_models=0)
+
+    @pytest.mark.parametrize("config", [GnnConfig(), SMALL])
+    def test_evaluate_is_fingerprints_and_predict(self, config):
+        ens = GnnEnsemble(n_models=3, config=config, seed=4)
+        for smiles in MOLECULES:
+            g = parse_smiles(smiles)
+            fps, pred = ens.evaluate(g)
+            expected = ens.fingerprints(g)
+            assert len(fps) == len(expected) == 3
+            for a, b, m in zip(fps, expected, ens.models):
+                assert np.array_equal(a, b)
+                assert np.array_equal(a, m.fingerprint(g))
+            assert pred == ens.predict(g)
+            outs = np.array([m.forward(g)[1] for m in ens.models])
+            assert (pred.ron, pred.mon, pred.dcn) == \
+                tuple(float(v) for v in outs.mean(axis=0))
 
 
 class TestTraining:
@@ -281,6 +300,36 @@ class TestTrainConfig:
 
     def test_is_gnn_error(self):
         assert issubclass(TrainConfigError, gnn.GnnError)
+
+
+class TestGnnConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"in_dim": 7},
+        {"in_dim": 0},
+        {"hidden_dim": 0},
+        {"hidden_dim": -4},
+        {"fp_dim": 2.5},
+        {"fp_dim": "8"},
+        {"n_layers": 0},
+        {"mlp_hidden": None},
+        {"n_tasks": 2},
+        {"n_tasks": 4},
+    ])
+    def test_rejected(self, kwargs):
+        with pytest.raises(GnnConfigError):
+            GnnConfig(**kwargs)
+
+    def test_accepted(self):
+        GnnConfig(hidden_dim=1, fp_dim=1, n_layers=1, mlp_hidden=1)
+
+    def test_checkpoint_state_is_checked(self):
+        state = GNN(SMALL, seed=0).to_state()
+        state["config"]["n_tasks"] = 2
+        with pytest.raises(GnnConfigError):
+            GNN.from_state(state)
+
+    def test_is_gnn_error(self):
+        assert issubclass(GnnConfigError, gnn.GnnError)
 
 
 class TestProgressLog:

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moldesign import molgraph
 from moldesign.grammar import (
-    DecodeTimeout,
     FragmentGrammar,
     NotExpressible,
     TooLarge,
+    cell_center,
+    decision_cells,
     decode,
     encode,
+    encode_cells,
     enumerate_grammar,
 )
 from moldesign.molgraph import canonical_smiles, is_isomorphic, parse_smiles, validate
@@ -30,13 +33,11 @@ class TestDecode:
         assert canonical_smiles(g) == "C"
 
     def test_same_cell_same_molecule(self, small, unit_bounds):
-        from moldesign.grammar import _cell_center, _cells
-
         rng = np.random.default_rng(7)
         for _ in range(50):
             z = rng.uniform(0, 1, 4)
-            center = _cell_center(_cells(z, small, unit_bounds), small,
-                                  unit_bounds)
+            center = cell_center(decision_cells(z, small, unit_bounds), small,
+                                 unit_bounds)
             a = decode(z, small, unit_bounds)
             b = decode(center, small, unit_bounds)
             assert canonical_smiles(a) == canonical_smiles(b)
@@ -62,9 +63,74 @@ class TestDecode:
             g = decode(rng.uniform(0, 1, 4), small, unit_bounds)
             assert g.n_atoms <= small.max_heavy_atoms
 
-    def test_timeout_signal(self, small, unit_bounds):
-        with pytest.raises(DecodeTimeout):
-            decode(np.zeros(4), small, unit_bounds, timeout_s=-1.0)
+
+def scalar_cells(z, grammar, bounds):
+    """The slot-by-slot cell arithmetic decision_cells replaced."""
+    lo, hi = bounds
+    z = np.clip(np.nan_to_num(np.asarray(z, dtype=float), nan=0.0), lo, hi)
+    cells = []
+    for i, k in enumerate(grammar.choices_per_slot):
+        width = hi[i] - lo[i]
+        if width <= 0:
+            cells.append(0)
+            continue
+        c = int((z[i] - lo[i]) / width * k)
+        cells.append(min(max(c, 0), k - 1))
+    return cells
+
+
+def scalar_center(cells, grammar, bounds):
+    lo, hi = bounds
+    z = np.empty(grammar.n_dims)
+    for i, k in enumerate(grammar.choices_per_slot):
+        c = cells[i] if i < len(cells) else 0
+        z[i] = lo[i] + (c + 0.5) * (hi[i] - lo[i]) / k
+    return z
+
+
+coords = st.floats(allow_nan=True, allow_infinity=True)
+edges = st.floats(min_value=-1e6, max_value=1e6)
+
+
+@st.composite
+def latent_in_box(draw, grammar):
+    """(z, bounds): arbitrary floats mixed with NaN, +-inf and cell edges,
+    where the order of the rounding operations decides the cell."""
+    lo = np.array(draw(st.lists(edges, min_size=grammar.n_dims,
+                                max_size=grammar.n_dims)))
+    # a zero or negative span gives an empty slot, which reads as cell 0
+    span = np.array(draw(st.lists(st.one_of(st.just(0.0), edges),
+                                  min_size=grammar.n_dims,
+                                  max_size=grammar.n_dims)))
+    z = []
+    for i, k in enumerate(grammar.choices_per_slot):
+        j = draw(st.integers(0, k))
+        edge = lo[i] + span[i] * j / k
+        z.append(draw(st.sampled_from([edge, np.nextafter(edge, -np.inf),
+                                       np.nextafter(edge, np.inf), np.nan,
+                                       np.inf, -np.inf])
+                      | coords))
+    return np.array(z), (lo, lo + span)
+
+
+class TestCellArithmetic:
+    @settings(max_examples=500, deadline=None)
+    @given(case=latent_in_box(FragmentGrammar(n_dims=4)))
+    def test_vectorised_equals_scalar_loop(self, small, case):
+        z, bounds = case
+        cells = decision_cells(z, small, bounds)
+        assert cells == scalar_cells(z, small, bounds)
+        assert all(type(c) is int for c in cells)
+        assert np.array_equal(cell_center(cells, small, bounds),
+                              scalar_center(cells, small, bounds))
+
+    def test_nan_and_inf(self, small, unit_bounds):
+        z = np.array([np.nan, np.inf, -np.inf, 0.5])
+        assert decision_cells(z, small, unit_bounds) == [0, 9, 0, 5]
+
+    def test_short_sequence_center_pads_with_stop(self, small, unit_bounds):
+        assert np.array_equal(cell_center([2], small, unit_bounds),
+                              cell_center([2, 0, 0, 0], small, unit_bounds))
 
 
 class TestEncode:
@@ -86,6 +152,17 @@ class TestEncode:
         ten = parse_smiles("CCCCCCCCCC")
         with pytest.raises(NotExpressible):
             encode(ten, small, unit_bounds)
+
+    def test_encode_is_center_of_encoded_cells(self, small, unit_bounds):
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            g = decode(rng.uniform(0, 1, 4), small, unit_bounds)
+            cells = encode_cells(g, small)
+            assert np.array_equal(encode(g, small, unit_bounds),
+                                  cell_center(cells, small, unit_bounds))
+            assert canonical_smiles(decode(cell_center(
+                cells, small, unit_bounds), small, unit_bounds)) \
+                == canonical_smiles(g)
 
     def test_foreign_structure_not_expressible(self, small, unit_bounds):
         # 4-membered ring: no scaffold or fragment builds one

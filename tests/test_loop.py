@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from moldesign.adomain import AdEnsemble
+from moldesign import loop
+from moldesign.adomain import ad_vote, fit_ad_ensemble, scale_gamma
 from moldesign.gnn import GnnConfig, GnnEnsemble, PropertyPrediction
-from moldesign.grammar import FragmentGrammar
+from moldesign.grammar import (
+    FragmentGrammar,
+    decision_cells,
+    decode,
+    enumerate_grammar,
+)
 from moldesign.loop import (
     ConfigError,
     EvaluationContext,
@@ -19,7 +25,7 @@ from moldesign.loop import (
     summarize,
     write_records,
 )
-from moldesign.molgraph import parse_smiles
+from moldesign.molgraph import canonical_smiles, parse_smiles
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +49,9 @@ class _StubEnsemble:
 
     def fingerprints(self, g):
         return [np.zeros(4)] * self.n_models
+
+    def evaluate(self, g):
+        return self.fingerprints(g), self.predict(g)
 
 
 class _StubAd:
@@ -141,12 +150,25 @@ class TestEvaluate:
         assert ctx.n_unique == 1
         assert ctx.n_total == 2
 
-    def test_decode_timeout_penalized(self, grammar):
-        ctx = make_ctx(grammar, decode_timeout_s=-1.0)
-        rec = evaluate_candidate(np.zeros(4), ctx)
-        assert rec.penalty_applied
-        assert rec.smiles is None
-        assert rec.score == PENALTY
+    def test_same_cell_reuses_result(self, grammar):
+        ad = _StubAd([1.0, 1.0, -1.0])
+        ctx = make_ctx(grammar, ad=ad)
+        a = evaluate_candidate(np.full(4, 0.41), ctx)
+        b = evaluate_candidate(np.full(4, 0.42), ctx)  # same cells
+        assert len(ctx.cache) == 1
+        assert b.latent_full == [0.42] * 4
+        assert (b.smiles, b.score, b.vote_sum) == (a.smiles, a.score, a.vote_sum)
+        assert (a.duplicate, b.duplicate) == (False, True)
+        assert (a.index, b.index) == (0, 1)
+
+    def test_rejected_cell_stays_penalized(self, grammar):
+        ctx = make_ctx(grammar, ad=_StubAd([-1.0, -1.0, 1.0]))
+        for _ in range(2):
+            rec = evaluate_candidate(np.zeros(4), ctx)
+            assert rec.penalty_applied and rec.score == PENALTY
+            assert rec.ron is None and rec.vote_sum == -1
+        assert rec.duplicate
+        assert ctx.n_unique == 0
 
     def test_ad_enabled_without_ad_rejected(self, grammar):
         with pytest.raises(ConfigError):
@@ -291,3 +313,120 @@ class TestRecordIo:
         write_records(p1, records)
         write_records(p2, read_records(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def uncached_evaluate(z, ctx):
+    """The evaluation path without the cell cache: decode, canonicalise,
+    AD vote on ensemble.fingerprints, then ensemble.predict, every time."""
+    z = np.asarray(z, dtype=float)
+    z_full = z if ctx.pca is None else ctx.pca.lift(z)
+    g = decode(z_full, ctx.grammar, ctx.bounds)
+    smiles = canonical_smiles(g)
+    duplicate = smiles in ctx.observed
+    ctx.observed.add(smiles)
+    in_ad, vote_sum, pred = None, None, None
+    if ctx.ad_enabled:
+        in_ad, vote_sum = ad_vote(ctx.ensemble.fingerprints(g), ctx.ad)
+    if in_ad is not False:
+        ctx.seen.add(smiles)
+        pred = ctx.ensemble.predict(g)
+    penalized = pred is None
+    rec = RunRecord(
+        index=len(ctx.records),
+        latent_full=[float(v) for v in z_full],
+        latent_reduced=None if ctx.pca is None else [float(v) for v in z],
+        smiles=smiles,
+        ron=None if penalized else float(pred.ron),
+        mon=None if penalized else float(pred.mon),
+        dcn=None if penalized else float(pred.dcn),
+        os=None if penalized else float(pred.os),
+        score=float(ctx.penalty if penalized else pred.score),
+        in_ad=in_ad, vote_sum=vote_sum, duplicate=duplicate,
+        penalty_applied=penalized, wall_time=0.0)
+    ctx.records.append(rec)
+    return rec
+
+
+class _CountingEnsemble:
+    """A real ensemble that logs the molecule of each evaluate call and
+    refuses the two-pass API."""
+
+    def __init__(self, ensemble):
+        self.ensemble = ensemble
+        self.calls = []
+
+    def evaluate(self, g):
+        self.calls.append(canonical_smiles(g))
+        return self.ensemble.evaluate(g)
+
+    def predict(self, g):
+        raise AssertionError("predict called; evaluate serves it")
+
+    def fingerprints(self, g):
+        raise AssertionError("fingerprints called; evaluate serves it")
+
+
+@pytest.fixture(scope="module")
+def real_models(grammar):
+    """A small untrained ensemble and an AD fitted on its fingerprints of
+    every tenth enumerated molecule; the AD rejects some candidates."""
+    ensemble = GnnEnsemble(n_models=3,
+                           config=GnnConfig(hidden_dim=8, fp_dim=8,
+                                            mlp_hidden=4), seed=0)
+    molecules = list(enumerate_grammar(grammar).values())
+    per_model = [[m.fingerprint(g) for g in molecules[::10]]
+                 for m in ensemble.models]
+    ad = fit_ad_ensemble(per_model, nu=0.2,
+                         gamma=5.0 * scale_gamma(np.vstack(per_model)))
+    return ensemble, ad, molecules[:40:5]
+
+
+def _run_both(monkeypatch, tmp_path, cfg, grammar, ensemble, ad, **inputs):
+    cached, _ = run(cfg, grammar, ensemble, ad=ad, **inputs)
+    with monkeypatch.context() as m:
+        m.setattr(loop, "evaluate_candidate", uncached_evaluate)
+        reference, _ = run(cfg, grammar, ensemble, ad=ad, **inputs)
+    paths = tmp_path / "cached.jsonl", tmp_path / "reference.jsonl"
+    write_records(paths[0], cached)
+    write_records(paths[1], reference)
+    return cached, paths[0].read_bytes(), paths[1].read_bytes()
+
+
+class TestCellCache:
+    @pytest.mark.parametrize("ad_enabled", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_ga_records_match_uncached(self, monkeypatch, tmp_path, grammar,
+                                       real_models, ad_enabled, seed):
+        ensemble, ad, _ = real_models
+        cfg = RunConfig(method="ga", seed=seed, max_total=300,
+                        max_unique=1000, ad_enabled=ad_enabled)
+        records, cached, reference = _run_both(
+            monkeypatch, tmp_path, cfg, grammar, ensemble, ad,
+            bounds=(np.zeros(4), np.ones(4)))
+        assert cached == reference
+        assert sum(r.duplicate for r in records) > 100
+        if ad_enabled:
+            assert 0 < sum(r.penalty_applied for r in records) < len(records)
+
+    @pytest.mark.parametrize("ad_enabled", [True, False])
+    def test_bo_records_match_uncached(self, monkeypatch, tmp_path, grammar,
+                                       real_models, ad_enabled):
+        ensemble, ad, corpus = real_models
+        cfg = RunConfig(method="bo", seed=1, max_total=20, max_unique=1000,
+                        ad_enabled=ad_enabled, bo_init=10, bo_batch=5)
+        records, cached, reference = _run_both(
+            monkeypatch, tmp_path, cfg, grammar, ensemble, ad, corpus=corpus)
+        assert cached == reference
+        assert all(r.latent_reduced is not None for r in records)
+
+    def test_one_ensemble_pass_per_distinct_cell(self, grammar, real_models):
+        ensemble, ad, _ = real_models
+        bounds = (np.zeros(4), np.ones(4))
+        counting = _CountingEnsemble(ensemble)
+        cfg = RunConfig(method="ga", seed=2, max_total=300, max_unique=1000)
+        records, _ = run(cfg, grammar, counting, ad=ad, bounds=bounds)
+        cells = {tuple(decision_cells(r.latent_full, grammar, bounds))
+                 for r in records}
+        assert len(counting.calls) == len(cells) < len(records)
+        # some molecule is reached through more than one cell sequence
+        assert len(set(counting.calls)) < len(counting.calls)
