@@ -22,12 +22,17 @@ class DegenerateData(AdError):
     pass
 
 
-def rbf_kernel(a, b, gamma):
+def sq_distances(a, b):
+    """Squared Euclidean distance between each row of a and each row of b,
+    clipped at 0 against cancellation."""
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
-    sq = (np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
-          - 2.0 * a @ b.T)
-    return np.exp(-gamma * np.maximum(sq, 0.0))
+    return np.maximum(np.sum(a * a, axis=1)[:, None]
+                      + np.sum(b * b, axis=1)[None, :] - 2.0 * a @ b.T, 0.0)
+
+
+def rbf_kernel(a, b, gamma):
+    return np.exp(-gamma * sq_distances(a, b))
 
 
 def scale_gamma(fingerprints):

@@ -1,4 +1,4 @@
-"""Versioned checkpoint container: GNN weights, AD SVMs, grammar hash.
+"""Versioned checkpoint container: GNN weights and AD SVMs.
 
 Stored as JSON; float round-tripping through repr keeps reloads
 bit-exact.
@@ -6,7 +6,6 @@ bit-exact.
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 from .adomain import AdEnsemble
@@ -19,20 +18,13 @@ class CheckpointError(Exception):
     pass
 
 
-def grammar_hash(grammar):
-    blob = json.dumps(grammar.to_config(), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-def save_checkpoint(path, ensemble, ad=None, grammar=None, extra=None):
+def save_checkpoint(path, ensemble, ad=None, extra=None):
     payload = {
         "version": CHECKPOINT_VERSION,
         "gnn": ensemble.to_state(),
     }
     if ad is not None:
         payload["ad"] = ad.to_state()
-    if grammar is not None:
-        payload["grammar_hash"] = grammar_hash(grammar)
     if extra:
         payload["extra"] = extra
     with open(path, "w") as f:

@@ -9,22 +9,21 @@ stderr as "error[CODE]: message". Set MOLDESIGN_LOG for verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
 import sys
 import time
 
-from . import adomain, checkpoint, dataio, gnn, loop
+from . import adomain, checkpoint, dataio, gnn, loop, optimizers
 from .grammar import FragmentGrammar, GrammarError, enumerate_grammar
 from .molgraph import MolGraphError
 
 log = logging.getLogger("moldesign")
 
 CONFIG_ERRORS = (
-    dataio.HeaderMismatch,
-    dataio.IoError,
-    dataio.AllRowsInvalid,
+    dataio.DataError,
     checkpoint.CheckpointError,
     loop.ConfigError,
     gnn.GnnConfigError,
@@ -55,6 +54,20 @@ def _load_config(path):
     return cfg
 
 
+def _from_section(cls, section, values):
+    """cls(**values) for one config section, refusing keys that are not
+    fields of cls."""
+    if not isinstance(values, dict):
+        raise CliError("E_CONFIG", "config section %r must be an object"
+                       % section, 1)
+    fields = {f.name for f in dataclasses.fields(cls)}
+    for key in values:
+        if key not in fields:
+            raise CliError("E_CONFIG", "unknown key %r in config section %r"
+                           % (key, section), 1)
+    return cls(**values)
+
+
 def _dataset_samples(dataset):
     from .molgraph import parse_smiles
     return [(parse_smiles(row.canonical), row.labels()) for row in dataset.rows]
@@ -64,8 +77,8 @@ def cmd_train_gnn(cfg, seed, out):
     data = dataio.ingest_dataset(cfg["dataset"])
     for issue in data.issues:
         log.warning("dataset: %s", issue)
-    gnn_cfg = gnn.GnnConfig(**cfg.get("gnn", {}))
-    train_cfg = gnn.TrainConfig(**cfg.get("train", {}))
+    gnn_cfg = _from_section(gnn.GnnConfig, "gnn", cfg.get("gnn", {}))
+    train_cfg = _from_section(gnn.TrainConfig, "train", cfg.get("train", {}))
     n_models = int(cfg.get("n_models", 40))
     ensemble = gnn.GnnEnsemble(n_models=n_models, config=gnn_cfg, seed=seed)
     histories = gnn.train_ensemble(_dataset_samples(data), ensemble, train_cfg)
@@ -101,14 +114,12 @@ def cmd_fit_ad(cfg, seed, out):
 
 
 def _run_config_from(cfg, seed):
-    loop_cfg = dict(cfg.get("loop", {}))
-    ga_cfg = loop_cfg.pop("ga", None)
-    loop_cfg["seed"] = seed
-    run_cfg = loop.RunConfig(**loop_cfg)
-    if ga_cfg:
-        from .optimizers import GaConfig
-        run_cfg.ga = GaConfig(**ga_cfg)
-    return run_cfg
+    loop_cfg = cfg.get("loop", {})
+    if isinstance(loop_cfg, dict):
+        loop_cfg = dict(loop_cfg, seed=seed)
+        loop_cfg["ga"] = _from_section(optimizers.GaConfig, "loop.ga",
+                                       loop_cfg.get("ga") or {})
+    return _from_section(loop.RunConfig, "loop", loop_cfg)
 
 
 def cmd_run_loop(cfg, seed, out):

@@ -364,9 +364,10 @@ def train_model(model, data, cfg=None):
     Each epoch visits the samples in a fresh shuffled order, cfg.batch_size
     at a time (all at once when it is None). Each graph is featurised once
     per call; a minibatch only stacks the cached arrays. Progress goes to
-    the "moldesign" logger at INFO every tenth of the run. Labels are standardized per task during optimization; the affine
-    transform is folded back into the output layer afterwards, so the
-    trained model predicts in raw units.
+    the "moldesign" logger at INFO every tenth of the run. Labels are
+    standardized per task during optimization; the affine transform is
+    folded back into the output layer afterwards, so the trained model
+    predicts in raw units.
     """
     cfg = cfg or TrainConfig()
     graphs, labels, mask = _prepare_data(data)

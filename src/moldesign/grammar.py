@@ -120,7 +120,7 @@ _SCAFFOLD_BUILDERS = {
 }
 
 # (new atoms, internal bonds among new atoms, anchor local index,
-#  bond order to site, required site element or None, heavy atoms added)
+#  bond order to site, required site element or None)
 _FRAGMENT_BUILDERS = {
     "methyl": (["C"], [], 0, 1, None),
     "ethyl": (["C", "C"], [(0, 1, 1)], 0, 1, None),
@@ -138,8 +138,14 @@ _FRAGMENT_BUILDERS = {
 }
 
 
-def _free_valence(atoms, bond_sums, i):
-    return MAX_VALENCE[atoms[i]] - bond_sums[i]
+def _scaffold(grammar, s):
+    """The (atoms, bonds, bond-order sums) state of scaffold number s."""
+    atoms, bonds = _SCAFFOLD_BUILDERS[grammar.scaffolds[s]]()
+    sums = [0] * len(atoms)
+    for u, v, o in bonds:
+        sums[u] += o
+        sums[v] += o
+    return atoms, bonds, sums
 
 
 def _attach(atoms, bonds, bond_sums, fragment, max_heavy):
@@ -157,7 +163,7 @@ def _attach(atoms, bonds, bond_sums, fragment, max_heavy):
             continue
         if frag_atoms[anchor] == "O" and atoms[i] == "O":
             continue  # no O-O bonds
-        if _free_valence(atoms, bond_sums, i) >= order:
+        if MAX_VALENCE[atoms[i]] - bond_sums[i] >= order:
             site = i
             break
     if site is None:
@@ -176,24 +182,26 @@ def _attach(atoms, bonds, bond_sums, fragment, max_heavy):
     return atoms, bonds, sums
 
 
+def _children(state, grammar):
+    """Each (cell, child state) one legal attachment away, in cell order."""
+    for c, fragment in enumerate(grammar.fragments, start=1):
+        child = _attach(*state, fragment, grammar.max_heavy_atoms)
+        if child is not None:
+            yield c, child
+
+
 def decode_cells(cells, grammar):
     """Replay a decision sequence; illegal attachments act as stop."""
-    atoms, bonds = _SCAFFOLD_BUILDERS[grammar.scaffolds[cells[0]]]()
-    atoms = list(atoms)
-    bonds = list(bonds)
-    sums = [0] * len(atoms)
-    for u, v, o in bonds:
-        sums[u] += o
-        sums[v] += o
+    state = _scaffold(grammar, cells[0])
     for c in cells[1:]:
         if c == 0:
             break
-        result = _attach(atoms, bonds, sums, grammar.fragments[c - 1],
-                         grammar.max_heavy_atoms)
-        if result is None:
+        child = _attach(*state, grammar.fragments[c - 1],
+                        grammar.max_heavy_atoms)
+        if child is None:
             break
-        atoms, bonds, sums = result
-    return MolecularGraph(atoms, bonds)
+        state = child
+    return MolecularGraph(state[0], state[1])
 
 
 # --- latent-space cell arithmetic -------------------------------------------
@@ -250,96 +258,71 @@ def encode(g, grammar, bounds):
 
 def encode_cells(g, grammar):
     """The lexicographically smallest decision sequence producing a graph
-    isomorphic to g (possibly shorter than n_dims)."""
-    target = canonical_smiles(g)
-    t_atoms = sorted(g.atoms)
-    t_rings = g.n_rings
-    n_frag_slots = grammar.n_dims - 1
+    isomorphic to g (possibly shorter than n_dims).
 
-    def compatible(atoms, bonds):
-        if len(atoms) > len(t_atoms):
-            return False
-        if sum(1 for a in atoms if a == "C") > t_atoms.count("C"):
-            return False
-        if sum(1 for a in atoms if a == "O") > t_atoms.count("O"):
-            return False
-        if len(bonds) - len(atoms) + 1 > t_rings:
-            return False
-        return True
+    A depth-first walk over the grammar in cell order. Attachments only add
+    atoms and bonds, so a state with more C, more O or more rings than g is
+    a dead end, and so is a state of g's size that does not match it. Only
+    a state with g's element counts and bond count is canonicalised.
+    """
+    target = canonical_smiles(g)
+    n_c, n_o = g.atoms.count("C"), g.atoms.count("O")
+
+    def search(state, slots_left):
+        """The cell suffix (with a trailing stop if a slot is left) that
+        turns state into g, or None."""
+        atoms, bonds, _ = state
+        if atoms.count("C") > n_c or atoms.count("O") > n_o \
+                or len(bonds) - len(atoms) + 1 > g.n_rings:
+            return None
+        if len(atoms) == g.n_atoms:
+            if len(bonds) == len(g.bonds) \
+                    and canonical_smiles(MolecularGraph(atoms, bonds)) == target:
+                return [0] if slots_left > 0 else []
+            return None
+        if slots_left == 0:
+            return None
+        for c, child in _children(state, grammar):
+            tail = search(child, slots_left - 1)
+            if tail is not None:
+                return [c] + tail
+        return None
 
     for s in range(len(grammar.scaffolds)):
-        atoms, bonds = _SCAFFOLD_BUILDERS[grammar.scaffolds[s]]()
-        atoms = list(atoms)
-        bonds = list(bonds)
-        sums = [0] * len(atoms)
-        for u, v, o in bonds:
-            sums[u] += o
-            sums[v] += o
-        if not compatible(atoms, bonds):
-            continue
-        seq = _search(grammar, target, compatible, atoms, bonds, sums,
-                      n_frag_slots)
-        if seq is not None:
-            return [s] + seq
-    raise NotExpressible("no decision sequence produces %s" % target)
-
-
-def _search(grammar, target, compatible, atoms, bonds, sums, slots_left):
-    """DFS over fragment choices in lexicographic order; returns the
-    fragment-choice suffix (including trailing stop cell) or None."""
-    if canonical_smiles(MolecularGraph(atoms, bonds)) == target:
-        return [0] if slots_left > 0 else []
-    if slots_left == 0:
-        return None
-    for c in range(1, len(grammar.fragments) + 1):
-        result = _attach(atoms, bonds, sums, grammar.fragments[c - 1],
-                         grammar.max_heavy_atoms)
-        if result is None:
-            continue
-        na, nb, ns = result
-        if not compatible(na, nb):
-            continue
-        tail = _search(grammar, target, compatible, na, nb, ns, slots_left - 1)
+        tail = search(_scaffold(grammar, s), grammar.n_dims - 1)
         if tail is not None:
-            return [c] + tail
-    return None
+            return [s] + tail
+    raise NotExpressible("no decision sequence produces %s" % target)
 
 
 def enumerate_grammar(grammar, max_decision_space=10 ** 6):
     """All distinct molecules the grammar can produce, sorted by SMILES.
 
-    Returns a dict canonical SMILES -> MolecularGraph.
+    Returns a dict canonical SMILES -> MolecularGraph; each value is the
+    first graph built for that SMILES in decision order. Each built state is
+    canonicalised once, and walked again only when it is reached with more
+    slots left than before.
     """
     if grammar.decision_space_size() > max_decision_space:
         raise TooLarge("decision space %d exceeds cap %d"
                        % (grammar.decision_space_size(), max_decision_space))
     found = {}
-    seen_states = set()
+    walked = {}  # (atoms, sorted bonds) -> most slots left it was walked with
 
-    def walk(atoms, bonds, sums, slots_left):
-        state = (tuple(atoms), tuple(sorted(bonds)), slots_left)
-        if state in seen_states:
-            return
-        seen_states.add(state)
-        g = MolecularGraph(atoms, bonds)
-        smi = canonical_smiles(g)
-        if smi not in found:
-            found[smi] = g
-        if slots_left == 0:
-            return
-        for frag in grammar.fragments:
-            result = _attach(atoms, bonds, sums, frag, grammar.max_heavy_atoms)
-            if result is not None:
-                walk(*result, slots_left - 1)
+    def walk(state, slots_left):
+        atoms, bonds, _ = state
+        key = (tuple(atoms), tuple(sorted(bonds)))
+        if key in walked:
+            if walked[key] >= slots_left:
+                return
+        else:
+            g = MolecularGraph(atoms, bonds)
+            found.setdefault(canonical_smiles(g), g)
+        walked[key] = slots_left
+        if slots_left > 0:
+            for _, child in _children(state, grammar):
+                walk(child, slots_left - 1)
 
-    for s in grammar.scaffolds:
-        atoms, bonds = _SCAFFOLD_BUILDERS[s]()
-        atoms = list(atoms)
-        bonds = list(bonds)
-        sums = [0] * len(atoms)
-        for u, v, o in bonds:
-            sums[u] += o
-            sums[v] += o
-        walk(atoms, bonds, sums, grammar.n_dims - 1)
-
+    for s in range(len(grammar.scaffolds)):
+        walk(_scaffold(grammar, s), grammar.n_dims - 1)
     return dict(sorted(found.items()))

@@ -15,6 +15,7 @@ bit.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -60,6 +61,13 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in ("bo", "ga"):
             raise ConfigError("method must be 'bo' or 'ga'")
+        for name in ("max_unique", "max_total", "time_limit_s",
+                     "bound_expansion"):
+            value = getattr(self, name)
+            if value is None and name != "bound_expansion":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError("%s must be a number, not %r" % (name, value))
         # a comparison with NaN is False, so NaN fails each range check
         if self.max_unique is not None and not 0 < self.max_unique < np.inf:
             raise ConfigError("max_unique must be positive and finite")

@@ -17,6 +17,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky
 from scipy.special import ndtr
 
+from .adomain import sq_distances
+
 PENALTY_SCORE = -1000.0
 
 
@@ -107,11 +109,7 @@ def pca_fit(points, target_ratio=0.999):
 # ---------------------------------------------------------------------------
 
 def matern52(a, b, signal_var, lengthscale):
-    a = np.atleast_2d(a)
-    b = np.atleast_2d(b)
-    sq = (np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
-          - 2.0 * a @ b.T)
-    r = np.sqrt(np.maximum(sq, 0.0)) / lengthscale
+    r = np.sqrt(sq_distances(a, b)) / lengthscale
     s5 = np.sqrt(5.0)
     return signal_var * (1.0 + s5 * r + 5.0 / 3.0 * r ** 2) * np.exp(-s5 * r)
 
@@ -167,9 +165,7 @@ def default_gp_params(x, y):
     if signal_var <= 0:
         signal_var = 1.0
     if len(x) > 1:
-        d = np.sqrt(np.maximum(
-            np.sum(x * x, 1)[:, None] + np.sum(x * x, 1)[None, :] - 2 * x @ x.T,
-            0.0))
+        d = np.sqrt(sq_distances(x, x))
         med = float(np.median(d[np.triu_indices(len(x), 1)]))
     else:
         med = 0.0

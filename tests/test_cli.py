@@ -131,6 +131,22 @@ class TestTrainAndFit:
         assert not (tmp_path / "gnn.ckpt").exists()
 
 
+    @pytest.mark.parametrize("section,values", [("gnn", {"hiden_dim": 4}),
+                                                ("train", {"epoch": 1})])
+    def test_unknown_config_key(self, tmp_path, workdir, capsys, section,
+                                values):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"dataset": str(workdir / "dataset.csv"),
+                                   "n_models": 1, section: values}))
+        rc = main(["train-gnn", "--config", str(cfg),
+                   "--out", str(tmp_path / "gnn.ckpt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error[E_CONFIG]" in err
+        assert repr(section) in err and repr(next(iter(values))) in err
+        assert not (tmp_path / "gnn.ckpt").exists()
+
+
 class TestRunLoop:
     def test_budget_and_outputs(self, workdir, tmp_path):
         rc = main(["run-loop", "--config", loop_config(workdir),
@@ -203,6 +219,44 @@ class TestRunLoop:
         assert not (tmp_path / "run").exists()
 
 
+    @pytest.mark.parametrize("loop_kw,section,key", [
+        ({"max_uniq": 5}, "loop", "max_uniq"),
+        ({"ga": {"pop_size": 5}}, "loop.ga", "pop_size"),
+    ])
+    def test_unknown_loop_key(self, workdir, tmp_path, capsys, loop_kw,
+                              section, key):
+        rc = main(["run-loop", "--config", loop_config(workdir, **loop_kw),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error[E_CONFIG]" in err
+        assert repr(section) in err and repr(key) in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("field", ["max_unique", "max_total",
+                                       "time_limit_s"])
+    def test_non_numeric_budget(self, workdir, tmp_path, capsys, field):
+        rc = main(["run-loop", "--config",
+                   loop_config(workdir, **{field: "ten"}),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error[E_CONFIG]" in err and field in err
+
+    def test_bad_corpus_smiles(self, workdir, tmp_path, capsys):
+        corpus = tmp_path / "corpus.smi"
+        corpus.write_text("C\nCXC\n")
+        cfg = json.loads(open(loop_config(workdir)).read())
+        cfg["corpus"] = str(corpus)
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["run-loop", "--config", str(path),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error[E_CONFIG]" in err and "line 2" in err
+
+
 class TestReportAndEnumerate:
     def test_report_consistent_with_summary(self, workdir, tmp_path):
         rc = main(["run-loop", "--config", loop_config(workdir),
@@ -253,3 +307,25 @@ class TestConfigHandling:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "error[E_CONFIG]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,value", [("gnn", 5), ("train", [1])])
+    def test_section_not_an_object(self, tmp_path, workdir, capsys, section,
+                                   value):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"dataset": str(workdir / "dataset.csv"),
+                                   "n_models": 1, section: value}))
+        rc = main(["train-gnn", "--config", str(cfg),
+                   "--out", str(tmp_path / "gnn.ckpt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error[E_CONFIG]" in err and "must be an object" in err
+
+    def test_loop_section_not_an_object(self, workdir, tmp_path, capsys):
+        cfg = json.loads(open(loop_config(workdir)).read())
+        cfg["loop"] = ["ga"]
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["run-loop", "--config", str(path),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert "must be an object" in capsys.readouterr().err

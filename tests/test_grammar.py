@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moldesign import molgraph
+from moldesign import grammar as grammar_mod, molgraph
 from moldesign.grammar import (
     FragmentGrammar,
     NotExpressible,
@@ -208,6 +208,142 @@ class TestEnumerate:
         for smi, g in list(mols.items())[::7]:
             z = encode(g, small, unit_bounds)
             assert canonical_smiles(decode(z, small, unit_bounds)) == smi
+
+
+# --- test-only references: the grammar walks before they shared one core ---
+
+def _reference_scaffold(grammar, name):
+    atoms, bonds = grammar_mod._SCAFFOLD_BUILDERS[name]()
+    atoms = list(atoms)
+    bonds = list(bonds)
+    sums = [0] * len(atoms)
+    for u, v, o in bonds:
+        sums[u] += o
+        sums[v] += o
+    return atoms, bonds, sums
+
+
+def reference_encode_cells(g, grammar):
+    """The former encoder: a DFS that canonicalises every state it visits."""
+    target = canonical_smiles(g)
+    t_atoms = sorted(g.atoms)
+    t_rings = g.n_rings
+
+    def compatible(atoms, bonds):
+        if len(atoms) > len(t_atoms):
+            return False
+        if sum(1 for a in atoms if a == "C") > t_atoms.count("C"):
+            return False
+        if sum(1 for a in atoms if a == "O") > t_atoms.count("O"):
+            return False
+        return len(bonds) - len(atoms) + 1 <= t_rings
+
+    def search(atoms, bonds, sums, slots_left):
+        if canonical_smiles(molgraph.MolecularGraph(atoms, bonds)) == target:
+            return [0] if slots_left > 0 else []
+        if slots_left == 0:
+            return None
+        for c in range(1, len(grammar.fragments) + 1):
+            result = grammar_mod._attach(atoms, bonds, sums,
+                                         grammar.fragments[c - 1],
+                                         grammar.max_heavy_atoms)
+            if result is None or not compatible(result[0], result[1]):
+                continue
+            tail = search(*result, slots_left - 1)
+            if tail is not None:
+                return [c] + tail
+        return None
+
+    for s, name in enumerate(grammar.scaffolds):
+        atoms, bonds, sums = _reference_scaffold(grammar, name)
+        if not compatible(atoms, bonds):
+            continue
+        seq = search(atoms, bonds, sums, grammar.n_dims - 1)
+        if seq is not None:
+            return [s] + seq
+    raise NotExpressible(target)
+
+
+def reference_enumerate(grammar):
+    """The former enumeration, memoised on (atoms, bonds, slots_left).
+
+    Returns the molecules and the number of distinct built states."""
+    found = {}
+    seen_states = set()
+
+    def walk(atoms, bonds, sums, slots_left):
+        state = (tuple(atoms), tuple(sorted(bonds)), slots_left)
+        if state in seen_states:
+            return
+        seen_states.add(state)
+        g = molgraph.MolecularGraph(atoms, bonds)
+        found.setdefault(canonical_smiles(g), g)
+        if slots_left == 0:
+            return
+        for frag in grammar.fragments:
+            result = grammar_mod._attach(atoms, bonds, sums, frag,
+                                         grammar.max_heavy_atoms)
+            if result is not None:
+                walk(*result, slots_left - 1)
+
+    for name in grammar.scaffolds:
+        walk(*_reference_scaffold(grammar, name), grammar.n_dims - 1)
+    n_states = len({state[:2] for state in seen_states})
+    return dict(sorted(found.items())), n_states
+
+
+@pytest.fixture
+def canonical_calls(monkeypatch):
+    """Every graph the grammar module canonicalises, in call order."""
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return canonical_smiles(g)
+
+    monkeypatch.setattr(grammar_mod, "canonical_smiles", counting)
+    return calls
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("n_dims", [1, 2, 3, 4])
+    def test_enumerate_equals_reference(self, n_dims):
+        grammar = FragmentGrammar(n_dims=n_dims)
+        mols = enumerate_grammar(grammar)
+        ref, _ = reference_enumerate(grammar)
+        assert list(mols) == list(ref)
+        for smi in ref:
+            assert mols[smi] == ref[smi], smi
+
+    def test_enumerate_canonicalises_each_state_once(self, small,
+                                                     canonical_calls):
+        enumerate_grammar(small)
+        _, n_states = reference_enumerate(small)
+        assert len(canonical_calls) == n_states
+
+    def test_encode_equals_reference(self, small):
+        for g in list(enumerate_grammar(small).values())[::23]:
+            assert encode_cells(g, small) == reference_encode_cells(g, small)
+
+    @pytest.mark.parametrize("smiles", ["C1CCC1", "CCCCCCCCCC"])
+    def test_not_expressible_like_reference(self, small, smiles):
+        g = parse_smiles(smiles)
+        with pytest.raises(NotExpressible):
+            reference_encode_cells(g, small)
+        with pytest.raises(NotExpressible):
+            encode_cells(g, small)
+
+    def test_encode_canonicalises_only_matching_sizes(self, small,
+                                                      canonical_calls):
+        # the walk passes butane (C4, one bond fewer) before reaching
+        # methylcyclopropane
+        g = parse_smiles("CC1CC1")
+        assert encode_cells(g, small) == [0, 8, 0]
+        assert canonical_calls[0] is g
+        assert len(canonical_calls) == 2
+        for partial in canonical_calls[1:]:
+            assert sorted(partial.atoms) == sorted(g.atoms)
+            assert len(partial.bonds) == len(g.bonds)
 
 
 class TestConfig:

@@ -244,6 +244,17 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["max_unique", "max_total",
+                                       "time_limit_s", "bound_expansion"])
+    @pytest.mark.parametrize("value", ["ten", True, [5]])
+    def test_non_numeric_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            RunConfig(**{field: value})
+
+    def test_bound_expansion_required(self):
+        with pytest.raises(ConfigError):
+            RunConfig(bound_expansion=None)
+
     def test_to_dict_round_trips_ga(self):
         d = RunConfig(method="bo", seed=3).to_dict()
         assert d["method"] == "bo"
