@@ -55,11 +55,7 @@ def main():
              100.0 * summary["max_score"] / oracle_score,
              summary["mean_top20"]))
 
-    best = {}
-    for r in records:
-        if not r.penalty_applied and (r.smiles not in best
-                                      or r.score > best[r.smiles].score):
-            best[r.smiles] = r
+    best = loop.best_per_molecule(records)
     print("\ntop molecules found:")
     for r in sorted(best.values(), key=lambda r: -r.score)[:8]:
         print("  %-14s ron %7.2f  mon %7.2f  os %5.2f  score %7.2f"

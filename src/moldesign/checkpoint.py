@@ -35,13 +35,19 @@ def load_checkpoint(path):
     """Returns (ensemble, ad-or-None, raw payload)."""
     with open(path) as f:
         payload = json.load(f)
+    if not isinstance(payload, dict):
+        raise CheckpointError("checkpoint is not a JSON object")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError("unsupported checkpoint version %r"
                               % payload.get("version"))
     if "gnn" not in payload:
         raise CheckpointError("checkpoint missing GNN section")
-    ensemble = GnnEnsemble.from_state(payload["gnn"])
-    ad = AdEnsemble.from_state(payload["ad"]) if "ad" in payload else None
+    try:
+        ensemble = GnnEnsemble.from_state(payload["gnn"])
+        ad = AdEnsemble.from_state(payload["ad"]) if "ad" in payload else None
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError("malformed checkpoint: %s: %s"
+                              % (type(e).__name__, e))
     if ad is not None and ad.n_members != ensemble.n_models:
         raise CheckpointError("AD ensemble size %d != GNN ensemble size %d"
                               % (ad.n_members, ensemble.n_models))

@@ -17,8 +17,8 @@ import sys
 import time
 
 from . import adomain, checkpoint, dataio, gnn, loop, optimizers
+from .checks import is_int, is_real
 from .grammar import FragmentGrammar, GrammarError, enumerate_grammar
-from .molgraph import MolGraphError
 
 log = logging.getLogger("moldesign")
 
@@ -28,9 +28,8 @@ CONFIG_ERRORS = (
     loop.ConfigError,
     gnn.GnnConfigError,
     gnn.TrainConfigError,
+    optimizers.GaConfigError,
     GrammarError,
-    KeyError,
-    ValueError,
     OSError,
     json.JSONDecodeError,
 )
@@ -48,6 +47,8 @@ def _load_config(path):
         return {}
     with open(path) as f:
         cfg = json.load(f)
+    if not isinstance(cfg, dict):
+        raise CliError("E_CONFIG", "config must be a JSON object", 1)
     version = cfg.get("schema_version", 1)
     if version != 1:
         raise CliError("E_CONFIG", "unsupported config schema %r" % version, 1)
@@ -68,18 +69,28 @@ def _from_section(cls, section, values):
     return cls(**values)
 
 
+def _required(cfg, key):
+    """The path a config must give under key."""
+    if not isinstance(cfg.get(key), str):
+        raise CliError("E_CONFIG", "config key %r is missing or not a path"
+                       % key, 1)
+    return cfg[key]
+
+
 def _dataset_samples(dataset):
     from .molgraph import parse_smiles
     return [(parse_smiles(row.canonical), row.labels()) for row in dataset.rows]
 
 
 def cmd_train_gnn(cfg, seed, out):
-    data = dataio.ingest_dataset(cfg["dataset"])
-    for issue in data.issues:
-        log.warning("dataset: %s", issue)
     gnn_cfg = _from_section(gnn.GnnConfig, "gnn", cfg.get("gnn", {}))
     train_cfg = _from_section(gnn.TrainConfig, "train", cfg.get("train", {}))
-    n_models = int(cfg.get("n_models", 40))
+    n_models = cfg.get("n_models", 40)
+    if not is_int(n_models, 1):
+        raise CliError("E_CONFIG", "n_models must be an integer >= 1", 1)
+    data = dataio.ingest_dataset(_required(cfg, "dataset"))
+    for issue in data.issues:
+        log.warning("dataset: %s", issue)
     ensemble = gnn.GnnEnsemble(n_models=n_models, config=gnn_cfg, seed=seed)
     histories = gnn.train_ensemble(_dataset_samples(data), ensemble, train_cfg)
     checkpoint.save_checkpoint(out, ensemble)
@@ -88,21 +99,37 @@ def cmd_train_gnn(cfg, seed, out):
     print("wrote checkpoint %s (%d models)" % (out, n_models))
 
 
+def _check_ad_hyperparams(nus, gammas):
+    if not (isinstance(nus, list) and nus
+            and all(is_real(nu) and 0 < nu <= 1 for nu in nus)):
+        raise CliError("E_CONFIG", "each nu must be a number in (0, 1]", 1)
+    if not (isinstance(gammas, list) and gammas
+            and all(g == "scale" or (is_real(g) and g > 0) for g in gammas)):
+        raise CliError("E_CONFIG", "each gamma must be \"scale\" or a "
+                       "finite number > 0", 1)
+
+
 def cmd_fit_ad(cfg, seed, out):
-    ensemble, _, payload = checkpoint.load_checkpoint(cfg["checkpoint"])
-    data = dataio.ingest_dataset(cfg["dataset"])
+    nu = cfg.get("nu", 0.05)
+    gamma = cfg.get("gamma", "scale")
+    grid_search = cfg.get("grid_search", False)
+    if grid_search:
+        nus = cfg.get("nu_grid", [0.5, 0.1, 0.05, 0.01])
+        gammas = cfg.get("gamma_grid", [0.5, 0.1, 0.01, 0.005, 0.001,
+                                        0.0005, 0.0001, "scale"])
+        _check_ad_hyperparams(nus, gammas)
+    else:
+        _check_ad_hyperparams([nu], [gamma])
+    ensemble, _, payload = checkpoint.load_checkpoint(
+        _required(cfg, "checkpoint"))
+    data = dataio.ingest_dataset(_required(cfg, "dataset"))
     batch = gnn.GraphBatch.of([g for g, _ in _dataset_samples(data)])
     per_model = [m.forward(batch)[0] for m in ensemble.models]
 
-    nu = cfg.get("nu", 0.05)
-    gamma = cfg.get("gamma", "scale")
     extra = payload.get("extra", {})
-    if cfg.get("grid_search", False):
+    if grid_search:
         import numpy as np
         pooled = np.vstack(per_model)
-        gammas = cfg.get("gamma_grid",
-                         [0.5, 0.1, 0.01, 0.005, 0.001, 0.0005, 0.0001, "scale"])
-        nus = cfg.get("nu_grid", [0.5, 0.1, 0.05, 0.01])
         gamma, nu, table = adomain.grid_search_hyperparams(pooled, gammas, nus)
         extra["ad_grid_search"] = {"selected_gamma": gamma, "selected_nu": nu,
                                    "table": table}
@@ -123,10 +150,10 @@ def _run_config_from(cfg, seed):
 
 
 def cmd_run_loop(cfg, seed, out):
-    ensemble, ad, _ = checkpoint.load_checkpoint(cfg["checkpoint"])
-    grammar = FragmentGrammar.load(cfg["grammar"])
-    corpus = dataio.read_smiles_corpus(cfg["corpus"])
     run_cfg = _run_config_from(cfg, seed)
+    ensemble, ad, _ = checkpoint.load_checkpoint(_required(cfg, "checkpoint"))
+    grammar = FragmentGrammar.load(_required(cfg, "grammar"))
+    corpus = dataio.read_smiles_corpus(_required(cfg, "corpus"))
     if run_cfg.ad_enabled and ad is None:
         raise CliError("E_CONFIG", "checkpoint missing AD section", 1)
 
@@ -149,27 +176,18 @@ def cmd_run_loop(cfg, seed, out):
 
 
 def cmd_report(cfg, seed, out, records_path=None):
-    records_path = records_path or cfg["records"]
+    records_path = records_path or _required(cfg, "records")
     records = loop.read_records(records_path)
     summary = loop.summarize(records)
-    scatter = []
-    seen = set()
-    for rec in records:
-        if rec.penalty_applied or rec.smiles is None or rec.smiles in seen:
-            continue
-        seen.add(rec.smiles)
-        scatter.append({
-            "smiles": rec.smiles,
-            "ron": rec.ron,
-            "os": rec.os,
-            "score": rec.score,
-            "in_ad": rec.in_ad,
-            "promising": rec.ron > 110 and rec.os > 10,
-        })
+    scatter = [{"smiles": rec.smiles, "ron": rec.ron, "os": rec.os,
+                "score": rec.score, "in_ad": rec.in_ad,
+                "promising": loop.is_promising(rec)}
+               for rec in loop.best_per_molecule(records).values()]
     scatter.sort(key=lambda r: -r["score"])
     report = {
         "summary": summary,
-        "thresholds": {"ron": 110, "os": 10, "strict": True},
+        "thresholds": {"ron": loop.PROMISING_RON, "os": loop.PROMISING_OS,
+                       "strict": True},
         "molecules": scatter,
         "promising": [r for r in scatter if r["promising"]],
     }
@@ -180,7 +198,7 @@ def cmd_report(cfg, seed, out, records_path=None):
 
 
 def cmd_enumerate(cfg, seed, out):
-    grammar = FragmentGrammar.load(cfg["grammar"])
+    grammar = FragmentGrammar.load(_required(cfg, "grammar"))
     molecules = enumerate_grammar(grammar)
     with open(out, "w") as f:
         for smi in molecules:
@@ -225,6 +243,8 @@ def main(argv=None):
     logging.basicConfig(level=os.environ.get("MOLDESIGN_LOG", "WARNING"))
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise CliError("E_CONFIG", "--seed must be >= 0", 1)
         cfg = _load_config(args.config)
         handler = HANDLERS[args.command]
         if args.command == "report":
@@ -237,8 +257,7 @@ def main(argv=None):
     except CONFIG_ERRORS as e:
         print("error[E_CONFIG]: %s" % e, file=sys.stderr)
         return 1
-    except (MolGraphError, loop.LoopError, gnn.GnnError, adomain.AdError,
-            Exception) as e:
+    except Exception as e:
         print("error[E_RUNTIME]: %s" % e, file=sys.stderr)
         return 2
     return 0

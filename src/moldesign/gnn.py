@@ -10,23 +10,22 @@ analytic.
 
 Training, prediction and fingerprints share one batched pass over a
 GraphBatch: the graphs grouped by atom count, each group a stack of
-feature matrices (b, n, in_dim) and adjacency matrices (b, n, n), with no
-padding. Every matrix product runs per graph on the shapes a one-graph
-pass would use, and sums across graphs run in batch order, so a batched
-result equals the graph-at-a-time result bit for bit. Padding would not:
-BLAS orders its sums by the contracted dimension.
+feature matrices (b, n, ATOM_FEATURE_DIM) and adjacency matrices
+(b, n, n), with no padding. Every matrix product runs per graph on the
+shapes a one-graph pass would use, and sums across graphs run in batch
+order, so a batched result equals the graph-at-a-time result bit for bit.
+Padding would not: BLAS orders its sums by the contracted dimension.
 """
 
 from __future__ import annotations
 
 import logging
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import molgraph
+from .checks import is_int, is_real
 
 log = logging.getLogger("moldesign")
 
@@ -79,30 +78,20 @@ class PropertyPrediction:
         return 2.0 * self.ron - self.mon
 
 
-def _is_count(x):
-    return isinstance(x, numbers.Integral) and x >= 1
-
-
 @dataclass
 class GnnConfig:
-    in_dim: int = molgraph.ATOM_FEATURE_DIM
+    """Layer widths; the input width is molgraph.ATOM_FEATURE_DIM and the
+    output has one head per entry of TASKS."""
+
     hidden_dim: int = 32
     fp_dim: int = 32
     n_layers: int = 3
     mlp_hidden: int = 16
-    n_tasks: int = len(TASKS)
 
     def __post_init__(self):
-        for name in ("in_dim", "hidden_dim", "fp_dim", "n_layers",
-                     "mlp_hidden", "n_tasks"):
-            if not _is_count(getattr(self, name)):
+        for name, value in vars(self).items():
+            if not is_int(value, 1):
                 raise GnnConfigError("%s must be an integer >= 1" % name)
-        if self.in_dim != molgraph.ATOM_FEATURE_DIM:
-            raise GnnConfigError("in_dim must be %d, the atom feature width"
-                                 % molgraph.ATOM_FEATURE_DIM)
-        if self.n_tasks != len(TASKS):
-            raise GnnConfigError("n_tasks must be %d (%s)"
-                                 % (len(TASKS), ", ".join(TASKS)))
 
 
 def graph_arrays(g):
@@ -119,7 +108,8 @@ class GraphBatch:
 
     groups: one (pos, X, A) per atom count n, where pos holds the batch
     positions of the group's b graphs in batch order, X their stacked
-    features (b, n, in_dim) and A their adjacency matrices (b, n, n).
+    features (b, n, ATOM_FEATURE_DIM) and A their adjacency matrices
+    (b, n, n).
     """
 
     def __init__(self, arrays):
@@ -146,7 +136,8 @@ class GNN:
         self.seed = seed
         rng = np.random.default_rng(seed)
         c = self.config
-        dims = [c.in_dim] + [c.hidden_dim] * (c.n_layers - 1) + [c.fp_dim]
+        dims = [molgraph.ATOM_FEATURE_DIM] \
+            + [c.hidden_dim] * (c.n_layers - 1) + [c.fp_dim]
         self.params = {}
         for l in range(c.n_layers):
             self.params["W1_%d" % l] = _uniform_init(rng, dims[l], dims[l + 1])
@@ -154,8 +145,8 @@ class GNN:
         self.params["M1"] = _uniform_init(rng, c.fp_dim, c.mlp_hidden)
         # small positive bias keeps fresh hidden units off the ReLU kink
         self.params["b1"] = np.full(c.mlp_hidden, 0.1)
-        self.params["M2"] = _uniform_init(rng, c.mlp_hidden, c.n_tasks)
-        self.params["b2"] = np.zeros(c.n_tasks)
+        self.params["M2"] = _uniform_init(rng, c.mlp_hidden, len(TASKS))
+        self.params["b2"] = np.zeros(len(TASKS))
 
     def _forward(self, batch):
         """Batched forward pass.
@@ -168,9 +159,9 @@ class GNN:
         fp = np.empty((batch.n_graphs, self.config.fp_dim))
         layers = []
         for pos, x, adj in batch.groups:
-            if x.shape[2] != self.config.in_dim:
-                raise DimensionMismatch("feature dim %d != in_dim %d"
-                                        % (x.shape[2], self.config.in_dim))
+            if x.shape[2] != molgraph.ATOM_FEATURE_DIM:
+                raise DimensionMismatch("feature dim %d != %d" % (
+                    x.shape[2], molgraph.ATOM_FEATURE_DIM))
             h, hs, ahs, zs = x, [], [], []
             for l in range(self.config.n_layers):
                 ah = adj @ h
@@ -208,7 +199,7 @@ class GNN:
         """Masked MSE over all present labels, plus parameter gradients.
 
         graphs: a list of graphs or a GraphBatch. labels, mask: arrays of
-        shape (n_samples, n_tasks); masked-out entries contribute zero
+        shape (n_samples, len(TASKS)); masked-out entries contribute zero
         loss and zero gradient.
         """
         labels = np.asarray(labels, dtype=float)
@@ -259,7 +250,15 @@ class GNN:
     @classmethod
     def from_state(cls, state):
         model = cls.__new__(cls)
-        model.config = GnnConfig(**state["config"])
+        config = dict(state["config"])
+        # older checkpoints store the input width and head count in the
+        # config; they load when the values match the constants
+        for name, fixed in (("in_dim", molgraph.ATOM_FEATURE_DIM),
+                            ("n_tasks", len(TASKS))):
+            value = config.pop(name, fixed)
+            if not (is_int(value, 1) and value == fixed):
+                raise GnnConfigError("%s must be %d" % (name, fixed))
+        model.config = GnnConfig(**config)
         model.seed = state["seed"]
         model.params = {k: np.array(v, dtype=float)
                         for k, v in state["params"].items()}
@@ -321,26 +320,20 @@ class TrainConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    bootstrap: bool = True
-    normalize_labels: bool = True
     batch_size: int = 32        # None = full batch
-    cosine_decay: bool = True   # anneal the step size to 0 over the run
 
     def __post_init__(self):
-        def real(x):
-            return isinstance(x, numbers.Real) and math.isfinite(x)
-
-        if not _is_count(self.epochs):
+        if not is_int(self.epochs, 1):
             raise TrainConfigError("epochs must be an integer >= 1")
-        if self.batch_size is not None and not _is_count(self.batch_size):
+        if self.batch_size is not None and not is_int(self.batch_size, 1):
             raise TrainConfigError("batch_size must be null or an integer >= 1")
-        if not (real(self.learning_rate) and self.learning_rate > 0):
+        if not (is_real(self.learning_rate) and self.learning_rate > 0):
             raise TrainConfigError("learning_rate must be finite and > 0")
-        if not (real(self.adam_eps) and self.adam_eps > 0):
+        if not (is_real(self.adam_eps) and self.adam_eps > 0):
             raise TrainConfigError("adam_eps must be finite and > 0")
         for name in ("adam_beta1", "adam_beta2"):
             beta = getattr(self, name)
-            if not (real(beta) and 0 <= beta < 1):
+            if not (is_real(beta) and 0 <= beta < 1):
                 raise TrainConfigError("%s must be in [0, 1)" % name)
 
 
@@ -373,14 +366,13 @@ def train_model(model, data, cfg=None):
     graphs, labels, mask = _prepare_data(data)
     shift = np.zeros(labels.shape[1])
     scale = np.ones(labels.shape[1])
-    if cfg.normalize_labels:
-        for t in range(labels.shape[1]):
-            present = mask[:, t] > 0
-            if present.any():
-                shift[t] = labels[present, t].mean()
-                std = labels[present, t].std()
-                scale[t] = std if std > 1e-8 else 1.0
-        labels = (labels - shift) / scale
+    for t in range(labels.shape[1]):
+        present = mask[:, t] > 0
+        if present.any():
+            shift[t] = labels[present, t].mean()
+            std = labels[present, t].std()
+            scale[t] = std if std > 1e-8 else 1.0
+    labels = (labels - shift) / scale
     m_state = {k: np.zeros_like(v) for k, v in model.params.items()}
     v_state = {k: np.zeros_like(v) for k, v in model.params.items()}
     history = []
@@ -402,9 +394,9 @@ def train_model(model, data, cfg=None):
                 raise NonFiniteLoss(epoch)
             epoch_loss += loss * mask[idx].sum()
             step += 1
-            lr = cfg.learning_rate
-            if cfg.cosine_decay:
-                lr *= 0.5 * (1.0 + np.cos(np.pi * (step - 1) / total_steps))
+            # cosine annealing of the step size to 0 over the run
+            lr = cfg.learning_rate * (
+                0.5 * (1.0 + np.cos(np.pi * (step - 1) / total_steps)))
             for k in model.params:
                 m_state[k] = cfg.adam_beta1 * m_state[k] \
                     + (1 - cfg.adam_beta1) * grads[k]
@@ -417,9 +409,8 @@ def train_model(model, data, cfg=None):
         if epoch % log_every == 0 or epoch == cfg.epochs:
             log.info("model seed %d, epoch %d/%d, loss %.6g",
                      model.seed, epoch, cfg.epochs, history[-1])
-    if cfg.normalize_labels:
-        model.params["M2"] = model.params["M2"] * scale[None, :]
-        model.params["b2"] = model.params["b2"] * scale + shift
+    model.params["M2"] = model.params["M2"] * scale[None, :]
+    model.params["b2"] = model.params["b2"] * scale + shift
     return history
 
 
@@ -433,21 +424,16 @@ def train_ensemble(data, ensemble, cfg=None):
         raise EmptyDataset("empty training set")
     histories = []
     n = len(data)
-    for i, model in enumerate(ensemble.models):
-        if cfg.bootstrap and n > 1:
-            rng = np.random.default_rng(model.seed)
-            idx = rng.integers(0, n, size=n)
-            sample = [data[j] for j in idx]
-        else:
-            sample = list(data)
-        histories.append(train_model(model, sample, cfg))
+    for model in ensemble.models:
+        idx = np.random.default_rng(model.seed).integers(0, n, size=n)
+        histories.append(train_model(model, [data[j] for j in idx], cfg))
     return histories
 
 
 def gradient_check(model, g, labels=None, step=1e-5):
     """Max relative error of analytic vs central finite-difference grads."""
     if labels is None:
-        labels = np.ones(model.config.n_tasks)
+        labels = np.ones(len(TASKS))
     labels = np.asarray(labels, dtype=float)
     mask = np.ones_like(labels)
     _, grads = model.loss_and_grad([g], [labels], [mask])

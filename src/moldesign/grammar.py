@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import is_int
 from .molgraph import MAX_VALENCE, MolecularGraph, canonical_smiles
 
 DEFAULT_FRAGMENTS = (
@@ -53,8 +54,10 @@ class FragmentGrammar:
     max_heavy_atoms: int = 9
 
     def __post_init__(self):
-        if self.n_dims < 1:
-            raise GrammarError("need at least one decision slot")
+        if not is_int(self.n_dims, 1):
+            raise GrammarError("n_dims must be an integer >= 1")
+        if not is_int(self.max_heavy_atoms, 1):
+            raise GrammarError("max_heavy_atoms must be an integer >= 1")
         for f in self.fragments:
             if f not in _FRAGMENT_BUILDERS:
                 raise GrammarError("unknown fragment %r" % f)
@@ -85,12 +88,16 @@ class FragmentGrammar:
 
     @classmethod
     def from_config(cls, cfg):
-        return cls(
-            n_dims=int(cfg["n_dims"]),
-            fragments=tuple(cfg["fragments"]),
-            scaffolds=tuple(cfg["scaffolds"]),
-            max_heavy_atoms=int(cfg.get("max_heavy_atoms", 9)),
-        )
+        keys = ("n_dims", "fragments", "scaffolds", "max_heavy_atoms")
+        if not isinstance(cfg, dict) or any(k not in cfg for k in keys):
+            raise GrammarError("grammar config needs keys %s"
+                               % ", ".join(keys))
+        for k in ("fragments", "scaffolds"):
+            if not isinstance(cfg[k], list):
+                raise GrammarError("%s must be a list" % k)
+        return cls(n_dims=cfg["n_dims"], fragments=tuple(cfg["fragments"]),
+                   scaffolds=tuple(cfg["scaffolds"]),
+                   max_heavy_atoms=cfg["max_heavy_atoms"])
 
     def save(self, path):
         with open(path, "w") as f:

@@ -15,7 +15,6 @@ bit.
 from __future__ import annotations
 
 import json
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -23,11 +22,14 @@ import numpy as np
 
 from . import optimizers
 from .adomain import ad_vote
+from .checks import is_int, is_real
 from .grammar import NotExpressible, cell_center, decision_cells, \
     decode_cells, encode_cells
 from .molgraph import canonical_smiles
 
-PENALTY = -1000.0
+PENALTY = optimizers.PENALTY_SCORE
+PROMISING_RON = 110
+PROMISING_OS = 10
 
 
 class LoopError(Exception):
@@ -50,34 +52,38 @@ class RunConfig:
     max_total: int = 2000
     time_limit_s: float = None
     bound_expansion: float = 0.2
-    penalty: float = PENALTY
     ad_enabled: bool = True
     pca_target_ratio: float = 0.999
     use_pca: bool = None                # default: PCA for BO only
     bo_init: int = 10
     bo_batch: int = 10
     ga: optimizers.GaConfig = field(default_factory=optimizers.GaConfig)
+    penalty = PENALTY   # the fixed score of penalized candidates, not a field
 
     def __post_init__(self):
         if self.method not in ("bo", "ga"):
             raise ConfigError("method must be 'bo' or 'ga'")
-        for name in ("max_unique", "max_total", "time_limit_s",
-                     "bound_expansion"):
+        for name in ("max_unique", "max_total", "time_limit_s"):
             value = getattr(self, name)
-            if value is None and name != "bound_expansion":
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError("%s must be a number, not %r" % (name, value))
-        # a comparison with NaN is False, so NaN fails each range check
-        if self.max_unique is not None and not 0 < self.max_unique < np.inf:
-            raise ConfigError("max_unique must be positive and finite")
-        if self.max_total is not None and not 0 < self.max_total < np.inf:
-            raise ConfigError("max_total must be positive and finite")
-        if self.time_limit_s is not None \
-                and not 0 < self.time_limit_s < np.inf:
-            raise ConfigError("time limit must be positive and finite")
-        if not 0 <= self.bound_expansion < np.inf:
-            raise ConfigError("bound expansion must be finite and >= 0")
+            if value is not None and not (is_real(value) and value > 0):
+                raise ConfigError("%s must be null or a finite number > 0, "
+                                  "not %r" % (name, value))
+        if not (is_real(self.bound_expansion) and self.bound_expansion >= 0):
+            raise ConfigError("bound_expansion must be a finite number >= 0, "
+                              "not %r" % (self.bound_expansion,))
+        if not (is_real(self.pca_target_ratio)
+                and 0 < self.pca_target_ratio <= 1):
+            raise ConfigError("pca_target_ratio must be a number in (0, 1]")
+        for name, least in (("seed", 0), ("bo_init", 0), ("bo_batch", 1)):
+            if not is_int(getattr(self, name), least):
+                raise ConfigError("%s must be an integer >= %d"
+                                  % (name, least))
+        if not isinstance(self.ad_enabled, bool):
+            raise ConfigError("ad_enabled must be true or false")
+        if self.use_pca is not None and not isinstance(self.use_pca, bool):
+            raise ConfigError("use_pca must be null, true or false")
+        if not isinstance(self.ga, optimizers.GaConfig):
+            raise ConfigError("ga must be a GaConfig")
 
     def to_dict(self):
         d = vars(self).copy()
@@ -147,7 +153,7 @@ class EvaluationContext:
     """Shared state for scoring candidates within one run."""
 
     def __init__(self, grammar, bounds, ensemble, ad=None, ad_enabled=True,
-                 penalty=PENALTY, pca=None):
+                 pca=None):
         if ad_enabled and ad is None:
             raise ConfigError("AD enabled but no AD ensemble given")
         self.grammar = grammar
@@ -155,7 +161,6 @@ class EvaluationContext:
         self.ensemble = ensemble
         self.ad = ad
         self.ad_enabled = ad_enabled
-        self.penalty = penalty
         self.pca = pca
         self.seen = set()      # unique-budget set: non-penalized molecules
         self.observed = set()  # every decoded molecule, for duplicate flags
@@ -208,7 +213,7 @@ def evaluate_candidate(z, ctx):
         mon=None if penalized else float(pred.mon),
         dcn=None if penalized else float(pred.dcn),
         os=None if penalized else float(pred.os),
-        score=float(ctx.penalty if penalized else pred.score),
+        score=float(PENALTY if penalized else pred.score),
         in_ad=in_ad,
         vote_sum=vote_sum,
         duplicate=duplicate,
@@ -262,10 +267,8 @@ def run(config, grammar, ensemble, ad=None, corpus=None, bounds=None):
                                       config.bound_expansion)
         n_dims = pca.r
 
-    ctx = EvaluationContext(
-        grammar, (lo, hi), ensemble, ad=ad, ad_enabled=config.ad_enabled,
-        penalty=config.penalty, pca=pca,
-    )
+    ctx = EvaluationContext(grammar, (lo, hi), ensemble, ad=ad,
+                            ad_enabled=config.ad_enabled, pca=pca)
 
     start = time.monotonic()
 
@@ -288,28 +291,39 @@ def run(config, grammar, ensemble, ad=None, corpus=None, bounds=None):
     else:
         optimizers.run_bo(objective, search_bounds, n_dims, stop,
                           seed=config.seed, n_init=config.bo_init,
-                          batch_size=config.bo_batch,
-                          penalty_threshold=config.penalty + 0.5)
+                          batch_size=config.bo_batch)
 
     return ctx.records, summarize(ctx.records)
+
+
+def best_per_molecule(records):
+    """SMILES -> the best-scoring non-penalized record of that molecule, in
+    order of first appearance; of equal scores the earliest record wins."""
+    best = {}
+    for rec in records:
+        if rec.penalty_applied or rec.smiles is None:
+            continue
+        if rec.smiles not in best or rec.score > best[rec.smiles].score:
+            best[rec.smiles] = rec
+    return best
+
+
+def is_promising(rec):
+    """RON > 110 and OS > 10, both strict."""
+    return rec.ron is not None and rec.os is not None \
+        and rec.ron > PROMISING_RON and rec.os > PROMISING_OS
 
 
 def summarize(records):
     """Table-style run statistics.
 
     Penalized records are excluded; max and mean-top-20 are over the best
-    score per distinct molecule.
+    score per distinct molecule, and a molecule is promising when its best
+    record is.
     """
     if not records:
         raise LoopError("no records to summarize")
-    best_per_mol = {}
-    preds = {}
-    for rec in records:
-        if rec.penalty_applied or rec.smiles is None:
-            continue
-        if rec.smiles not in best_per_mol or rec.score > best_per_mol[rec.smiles]:
-            best_per_mol[rec.smiles] = rec.score
-            preds[rec.smiles] = (rec.ron, rec.os)
+    best_per_mol = best_per_molecule(records)
     n_penalized = sum(1 for r in records if r.penalty_applied)
     if not best_per_mol:
         return {
@@ -321,17 +335,15 @@ def summarize(records):
             "max_score": None,
             "mean_top20": None,
         }
-    scores = sorted(best_per_mol.values(), reverse=True)
+    scores = sorted((rec.score for rec in best_per_mol.values()),
+                    reverse=True)
     top = scores[:20]
-    promising = sum(1 for ron, os_ in preds.values()
-                    if ron is not None and os_ is not None
-                    and ron > 110 and os_ > 10)
     return {
         "empty": False,
         "n_total": len(records),
         "n_penalized": n_penalized,
         "n_unique": len(best_per_mol),
-        "n_promising": promising,
+        "n_promising": sum(map(is_promising, best_per_mol.values())),
         "max_score": scores[0],
         "mean_top20": sum(top) / len(top),
     }

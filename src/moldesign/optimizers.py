@@ -18,8 +18,9 @@ from scipy.linalg import cho_factor, cho_solve, cholesky
 from scipy.special import ndtr
 
 from .adomain import sq_distances
+from .checks import is_int, is_real
 
-PENALTY_SCORE = -1000.0
+PENALTY_SCORE = -1000.0   # the score of out-of-domain candidates
 
 
 class OptimizerError(Exception):
@@ -31,6 +32,10 @@ class CholeskyFailure(OptimizerError):
 
 
 class DimensionMismatch(OptimizerError):
+    pass
+
+
+class GaConfigError(OptimizerError):
     pass
 
 
@@ -294,6 +299,20 @@ class GaConfig:
     elite_ratio: float = 0.01
     parents_portion: float = 0.3
 
+    def __post_init__(self):
+        # a generation of elites alone adds no new point, so a run whose
+        # budget counts new points would never end
+        if not is_int(self.population_size, 2):
+            raise GaConfigError("population_size must be an integer >= 2")
+        for name in ("mutation_prob", "crossover_prob", "elite_ratio",
+                     "parents_portion"):
+            value = getattr(self, name)
+            if not (is_real(value) and 0 <= value <= 1):
+                raise GaConfigError("%s must be a number in [0, 1]" % name)
+        if round(self.elite_ratio * self.population_size) \
+                >= self.population_size:
+            raise GaConfigError("elite_ratio leaves no room for children")
+
 
 def ga_step(genes, fitness, bounds, rng, cfg=None):
     """One generation: elitism, parent pool, crossover, mutation."""
@@ -384,10 +403,9 @@ def run_ga(objective, bounds, n_dims, stop, seed=0, cfg=None):
         genes = ga_step(genes, fits, (lo, hi), rng, cfg)
 
 
-def run_bo(objective, bounds, n_dims, stop, seed=0, n_init=10, batch_size=10,
-           penalty_threshold=PENALTY_SCORE + 0.5):
-    """Bayesian optimization; penalized scores are logged but kept out of
-    the GP training set."""
+def run_bo(objective, bounds, n_dims, stop, seed=0, n_init=10, batch_size=10):
+    """Bayesian optimization; penalized scores (PENALTY_SCORE) are logged
+    but kept out of the GP training set."""
     stop_fn = _make_stop(stop)
     rng = np.random.default_rng(seed)
     lo, hi = (np.asarray(b, dtype=float) for b in bounds)
@@ -410,7 +428,7 @@ def run_bo(objective, bounds, n_dims, stop, seed=0, n_init=10, batch_size=10,
     while not stop_fn(len(history)):
         pts = np.array(history.points)
         scores = np.array(history.scores)
-        ok = scores > penalty_threshold
+        ok = scores > PENALTY_SCORE + 0.5
         if ok.sum() >= 2:
             sv, ls, nv = default_gp_params(pts[ok], scores[ok])
             surrogate = gp_fit(pts[ok], scores[ok], sv, ls, nv)

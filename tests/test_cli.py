@@ -131,8 +131,14 @@ class TestTrainAndFit:
         assert not (tmp_path / "gnn.ckpt").exists()
 
 
-    @pytest.mark.parametrize("section,values", [("gnn", {"hiden_dim": 4}),
-                                                ("train", {"epoch": 1})])
+    @pytest.mark.parametrize("section,values", [
+        ("gnn", {"hiden_dim": 4}),
+        ("train", {"epoch": 1}),
+        # the paper's fixed training design, no longer options
+        ("train", {"bootstrap": False}),
+        ("train", {"normalize_labels": False}),
+        ("train", {"cosine_decay": False}),
+    ])
     def test_unknown_config_key(self, tmp_path, workdir, capsys, section,
                                 values):
         cfg = tmp_path / "train.json"
@@ -145,6 +151,47 @@ class TestTrainAndFit:
         assert "error[E_CONFIG]" in err
         assert repr(section) in err and repr(next(iter(values))) in err
         assert not (tmp_path / "gnn.ckpt").exists()
+
+
+    @pytest.mark.parametrize("n_models", [0, 2.7, "2", True])
+    def test_bad_n_models(self, tmp_path, workdir, capsys, n_models):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"dataset": str(workdir / "dataset.csv"),
+                                   "n_models": n_models,
+                                   "train": {"epochs": 1}}))
+        rc = main(["train-gnn", "--config", str(cfg),
+                   "--out", str(tmp_path / "gnn.ckpt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error[E_CONFIG]" in err and "n_models" in err
+        assert not (tmp_path / "gnn.ckpt").exists()
+
+    @pytest.mark.parametrize("values", [
+        {"nu": 0}, {"nu": 1.5}, {"nu": "0.1"}, {"gamma": -1.0},
+        {"grid_search": True, "nu_grid": [0.5, 2.0]},
+        {"grid_search": True, "gamma_grid": ["auto"]},
+    ])
+    def test_bad_ad_hyperparams(self, tmp_path, workdir, capsys, values):
+        cfg = tmp_path / "fitad.json"
+        cfg.write_text(json.dumps({"checkpoint": str(workdir / "gnn.ckpt"),
+                                   "dataset": str(workdir / "dataset.csv"),
+                                   **values}))
+        rc = main(["fit-ad", "--config", str(cfg),
+                   "--out", str(tmp_path / "o.ckpt")])
+        assert rc == 1
+        assert "error[E_CONFIG]" in capsys.readouterr().err
+        assert not (tmp_path / "o.ckpt").exists()
+
+    def test_malformed_checkpoint(self, tmp_path, workdir, capsys):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text(json.dumps({"version": 1, "gnn": {"models": []}}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"checkpoint": str(bad),
+                                   "dataset": str(workdir / "dataset.csv")}))
+        rc = main(["fit-ad", "--config", str(cfg),
+                   "--out", str(tmp_path / "o.ckpt")])
+        assert rc == 1
+        assert "malformed checkpoint" in capsys.readouterr().err
 
 
 class TestRunLoop:
@@ -222,6 +269,7 @@ class TestRunLoop:
     @pytest.mark.parametrize("loop_kw,section,key", [
         ({"max_uniq": 5}, "loop", "max_uniq"),
         ({"ga": {"pop_size": 5}}, "loop.ga", "pop_size"),
+        ({"penalty": -5.0}, "loop", "penalty"),   # fixed at -1000
     ])
     def test_unknown_loop_key(self, workdir, tmp_path, capsys, loop_kw,
                               section, key):
@@ -242,6 +290,24 @@ class TestRunLoop:
         assert rc == 1
         err = capsys.readouterr().err
         assert "error[E_CONFIG]" in err and field in err
+
+    @pytest.mark.parametrize("loop_kw,key", [
+        ({"ga": {"population_size": 0}}, "population_size"),
+        ({"ga": {"population_size": 2.5}}, "population_size"),
+        ({"ga": {"elite_ratio": 2.0}}, "elite_ratio"),
+        ({"bo_batch": 0}, "bo_batch"),
+        ({"bo_init": -1}, "bo_init"),
+        ({"ad_enabled": "no"}, "ad_enabled"),
+        ({"use_pca": "no"}, "use_pca"),
+        ({"pca_target_ratio": 2}, "pca_target_ratio"),
+    ])
+    def test_bad_loop_value(self, workdir, tmp_path, capsys, loop_kw, key):
+        rc = main(["run-loop", "--config", loop_config(workdir, **loop_kw),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error[E_CONFIG]" in err and key in err
+        assert not (tmp_path / "run").exists()
 
     def test_bad_corpus_smiles(self, workdir, tmp_path, capsys):
         corpus = tmp_path / "corpus.smi"
@@ -272,6 +338,25 @@ class TestReportAndEnumerate:
         scores = [m["score"] for m in report["molecules"]]
         assert scores == sorted(scores, reverse=True)
 
+    def test_report_keeps_best_record_per_molecule(self, tmp_path):
+        def rec(index, score, ron, os_):
+            return {"index": index, "latent_full": [0.0],
+                    "latent_reduced": None, "smiles": "CC", "ron": ron,
+                    "mon": ron - os_, "dcn": None, "os": os_, "score": score,
+                    "in_ad": True, "vote_sum": 2, "duplicate": index > 0,
+                    "penalty_applied": False}
+        records = tmp_path / "records.jsonl"
+        records.write_text("".join(json.dumps(r) + "\n" for r in [
+            rec(0, 100.0, 105.0, 5.0), rec(1, 130.0, 115.0, 15.0)]))
+        out = tmp_path / "report.json"
+        rc = main(["report", "--records", str(records), "--out", str(out)])
+        assert rc == 0
+        report = json.loads(out.read_text())
+        assert [m["score"] for m in report["molecules"]] == [130.0]
+        assert report["summary"]["max_score"] == 130.0
+        assert report["summary"]["n_promising"] == len(report["promising"]) \
+            == 1
+
     def test_report_on_empty_records_is_runtime_error(self, tmp_path, capsys):
         records = tmp_path / "records.jsonl"
         records.write_text("")
@@ -299,6 +384,50 @@ class TestConfigHandling:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "schema" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key", [
+        ("train-gnn", "dataset"), ("fit-ad", "checkpoint"),
+        ("run-loop", "checkpoint"), ("report", "records"),
+        ("enumerate", "grammar"),
+    ])
+    def test_missing_required_key(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1}))
+        rc = main([command, "--config", str(cfg),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error[E_CONFIG]" in err and repr(key) in err
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", "null"])
+    def test_config_not_an_object(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        rc = main(["enumerate", "--config", str(cfg),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "error[E_CONFIG]" in capsys.readouterr().err
+
+    def test_negative_seed(self, tmp_path, workdir, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": str(workdir / "dataset.csv"),
+                                   "n_models": 1, "train": {"epochs": 1}}))
+        rc = main(["train-gnn", "--config", str(cfg), "--seed", "-1",
+                   "--out", str(tmp_path / "gnn.ckpt")])
+        assert rc == 1
+        assert "error[E_CONFIG]" in capsys.readouterr().err
+
+    def test_grammar_file_without_n_dims(self, tmp_path, capsys):
+        grammar = FragmentGrammar(n_dims=4).to_config()
+        del grammar["n_dims"]
+        (tmp_path / "grammar.json").write_text(json.dumps(grammar))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grammar": str(tmp_path / "grammar.json")}))
+        rc = main(["enumerate", "--config", str(cfg),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error[E_CONFIG]" in err and "n_dims" in err
 
     def test_malformed_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

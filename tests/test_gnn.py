@@ -157,8 +157,8 @@ class TestForward:
         assert pred.score == 2 * pred.ron - pred.mon
 
     def test_dimension_mismatch(self):
-        # GnnConfig pins in_dim to the atom feature width, so a mismatch
-        # can only come from a hand-built batch
+        # the input width is the atom feature width, so a mismatch can
+        # only come from a hand-built batch
         model = GNN(SMALL, seed=0)
         with pytest.raises(DimensionMismatch):
             model.forward(GraphBatch([(np.zeros((2, 7)), np.eye(2)[::-1])]))
@@ -294,6 +294,12 @@ class TestTrainConfig:
         with pytest.raises(TrainConfigError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("key", ["bootstrap", "normalize_labels",
+                                     "cosine_decay"])
+    def test_fixed_choices_are_not_fields(self, key):
+        with pytest.raises(TypeError):
+            TrainConfig(**{key: False})
+
     def test_accepted(self):
         TrainConfig(epochs=1, batch_size=None)
         TrainConfig(batch_size=1, adam_beta1=0.0)
@@ -304,16 +310,12 @@ class TestTrainConfig:
 
 class TestGnnConfig:
     @pytest.mark.parametrize("kwargs", [
-        {"in_dim": 7},
-        {"in_dim": 0},
         {"hidden_dim": 0},
         {"hidden_dim": -4},
         {"fp_dim": 2.5},
         {"fp_dim": "8"},
         {"n_layers": 0},
         {"mlp_hidden": None},
-        {"n_tasks": 2},
-        {"n_tasks": 4},
     ])
     def test_rejected(self, kwargs):
         with pytest.raises(GnnConfigError):
@@ -321,6 +323,27 @@ class TestGnnConfig:
 
     def test_accepted(self):
         GnnConfig(hidden_dim=1, fp_dim=1, n_layers=1, mlp_hidden=1)
+
+    def test_older_checkpoint_config_loads(self):
+        model = GNN(SMALL, seed=0)
+        state = model.to_state()
+        state["config"].update(in_dim=4, n_tasks=3)
+        loaded = GNN.from_state(state)
+        assert vars(loaded.config) == vars(SMALL)
+        g = parse_smiles("CC(C)O")
+        assert loaded.predict(g) == model.predict(g)
+
+    @pytest.mark.parametrize("value", [7, 4.0])
+    def test_older_checkpoint_in_dim_is_checked(self, value):
+        state = GNN(SMALL, seed=0).to_state()
+        state["config"]["in_dim"] = value
+        with pytest.raises(GnnConfigError, match="in_dim"):
+            GNN.from_state(state)
+
+    @pytest.mark.parametrize("key", ["in_dim", "n_tasks"])
+    def test_fixed_widths_are_not_fields(self, key):
+        with pytest.raises(TypeError):
+            GnnConfig(**{key: 4})
 
     def test_checkpoint_state_is_checked(self):
         state = GNN(SMALL, seed=0).to_state()

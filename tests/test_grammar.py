@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from moldesign import grammar as grammar_mod, molgraph
 from moldesign.grammar import (
     FragmentGrammar,
+    GrammarError,
     NotExpressible,
     TooLarge,
     cell_center,
@@ -352,3 +353,36 @@ class TestConfig:
         small.save(path)
         loaded = FragmentGrammar.load(path)
         assert loaded == small
+
+    @pytest.mark.parametrize("change", [
+        {"n_dims": None},           # None deletes the key
+        {"max_heavy_atoms": None},
+        {"fragments": None},
+        {"n_dims": 2.7},
+        {"n_dims": "4"},
+        {"n_dims": 0},
+        {"max_heavy_atoms": 9.5},
+        {"max_heavy_atoms": True},
+        {"scaffolds": "CC"},
+    ])
+    def test_bad_config_rejected(self, small, change):
+        cfg = small.to_config()
+        for key, value in change.items():
+            if value is None:
+                del cfg[key]
+            else:
+                cfg[key] = value
+        with pytest.raises(GrammarError):
+            FragmentGrammar.from_config(cfg)
+
+    def test_config_must_be_an_object(self):
+        with pytest.raises(GrammarError):
+            FragmentGrammar.from_config([4])
+
+
+class TestDecodeIsTotal:
+    @settings(max_examples=300, deadline=None)
+    @given(z=st.lists(coords, min_size=6, max_size=6))
+    def test_valid_molecule_for_any_floats(self, z):
+        g = decode(z, FragmentGrammar(n_dims=6), (np.zeros(6), np.ones(6)))
+        assert validate(g) == molgraph.OK

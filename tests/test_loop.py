@@ -212,6 +212,21 @@ class TestSummarize:
         s = summarize(recs)
         assert s["n_promising"] == 1
 
+    def test_best_per_molecule_selection(self):
+        recs = [fake_record(0, "CC", 100.0, ron=105.0, os_=5.0),
+                fake_record(1, "CO", 90.0),
+                fake_record(2, "CC", 130.0, ron=115.0, os_=15.0,
+                            duplicate=True),
+                fake_record(3, "CC", 130.0, ron=999.0, os_=999.0,
+                            duplicate=True),
+                fake_record(4, "CO", 200.0, penalized=True)]
+        best = loop.best_per_molecule(recs)
+        assert list(best) == ["CC", "CO"]
+        assert best["CC"] is recs[2] and best["CO"] is recs[1]
+        assert summarize(recs)["n_promising"] == 1
+        assert loop.is_promising(recs[2]) and not loop.is_promising(recs[0])
+        assert not loop.is_promising(recs[1])   # no prediction
+
     def test_all_penalized_run(self):
         recs = [fake_record(0, None, -1000.0, penalized=True)]
         s = summarize(recs)
@@ -250,6 +265,35 @@ class TestRunConfig:
     def test_non_numeric_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("kwargs", [
+        {"bo_batch": 0},        # run_bo would loop forever
+        {"bo_batch": 2.5},
+        {"bo_init": -1},
+        {"bo_init": None},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"ad_enabled": "no"},
+        {"ad_enabled": 1},
+        {"use_pca": "no"},
+        {"pca_target_ratio": 2},
+        {"pca_target_ratio": 0},
+        {"pca_target_ratio": float("nan")},
+        {"ga": {"population_size": 5}},
+    ])
+    def test_rejected(self, kwargs):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            RunConfig(**kwargs)
+
+    def test_accepted(self):
+        RunConfig(bo_init=0, bo_batch=1, ad_enabled=False, use_pca=False,
+                  pca_target_ratio=1.0)
+        RunConfig(use_pca=True, seed=np.int64(3))
+
+    def test_penalty_is_not_a_field(self):
+        assert "penalty" not in RunConfig().to_dict()
+        with pytest.raises(TypeError):
+            RunConfig(penalty=-5.0)
 
     def test_bound_expansion_required(self):
         with pytest.raises(ConfigError):
@@ -351,7 +395,7 @@ def uncached_evaluate(z, ctx):
         mon=None if penalized else float(pred.mon),
         dcn=None if penalized else float(pred.dcn),
         os=None if penalized else float(pred.os),
-        score=float(ctx.penalty if penalized else pred.score),
+        score=float(PENALTY if penalized else pred.score),
         in_ad=in_ad, vote_sum=vote_sum, duplicate=duplicate,
         penalty_applied=penalized, wall_time=0.0)
     ctx.records.append(rec)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moldesign import molgraph
+from moldesign.grammar import FragmentGrammar, decode, encode
 from moldesign.molgraph import (
     MolecularGraph,
     ParseError,
@@ -182,3 +184,32 @@ class TestFeatures:
         for smiles in CORPUS:
             feats = atom_features(parse_smiles(smiles))
             assert np.all(feats[:, :2].sum(axis=1) == 1.0)
+
+
+GRAMMAR6 = FragmentGrammar(n_dims=6)
+UNIT6 = (np.zeros(6), np.ones(6))
+latents6 = st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6)
+
+
+class TestProperties:
+    """Properties over graphs decoded from random n_dims=6 latents."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(z=latents6, data=st.data())
+    def test_canonical_smiles_invariant_under_permutation(self, z, data):
+        g = decode(z, GRAMMAR6, UNIT6)
+        perm = data.draw(st.permutations(range(g.n_atoms)))
+        assert canonical_smiles(g.permuted(perm)) == canonical_smiles(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(z=latents6)
+    def test_canonical_smiles_is_a_parse_fixed_point(self, z):
+        canon = canonical_smiles(decode(z, GRAMMAR6, UNIT6))
+        assert canonical_smiles(parse_smiles(canon)) == canon
+
+    @settings(max_examples=100, deadline=None)
+    @given(z=latents6)
+    def test_decode_encode_decode(self, z):
+        g = decode(z, GRAMMAR6, UNIT6)
+        again = decode(encode(g, GRAMMAR6, UNIT6), GRAMMAR6, UNIT6)
+        assert canonical_smiles(again) == canonical_smiles(g)

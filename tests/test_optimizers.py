@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from moldesign import loop
 from moldesign.optimizers import (
     GaConfig,
+    GaConfigError,
     GpSurrogate,
     OptimizerError,
     PENALTY_SCORE,
@@ -201,6 +203,38 @@ class TestGaStep:
         pool = {genes[i].tobytes() for i in np.argsort(fitness)[::-1][:15]}
         for row in child:
             assert row.tobytes() in pool
+
+
+class TestGaConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"population_size": 0},     # run_ga would loop forever
+        {"population_size": 1},     # the one elite is never replaced
+        {"population_size": 2.5},
+        {"population_size": True},
+        {"elite_ratio": 2.0},
+        {"elite_ratio": 1.0},       # every member an elite: no children
+        {"elite_ratio": 0.99},      # rounds to the whole population
+        {"elite_ratio": -0.1},
+        {"mutation_prob": float("nan")},
+        {"crossover_prob": 1.5},
+        {"parents_portion": "0.3"},
+    ])
+    def test_rejected(self, kwargs):
+        with pytest.raises(GaConfigError):
+            GaConfig(**kwargs)
+
+    def test_accepted(self):
+        GaConfig(population_size=2, elite_ratio=0.0, parents_portion=1.0)
+        GaConfig(mutation_prob=0.0, crossover_prob=1.0)
+
+    def test_is_optimizer_error(self):
+        assert issubclass(GaConfigError, OptimizerError)
+
+
+class TestPenalty:
+    def test_one_penalty_constant(self):
+        assert loop.PENALTY == PENALTY_SCORE == -1000.0
+        assert loop.RunConfig().penalty == PENALTY_SCORE
 
 
 class TestDrivers:
