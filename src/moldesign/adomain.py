@@ -9,9 +9,12 @@ strictly positive.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
+
+log = logging.getLogger("moldesign")
 
 
 class AdError(Exception):
@@ -107,19 +110,25 @@ def fit_svm(fingerprints, nu=0.05, gamma="scale", tol=1e-6, max_passes=10 ** 5):
     grad = k @ alpha
 
     eps = 1e-12
+    gap = np.inf
     for _ in range(max_passes):
         up = alpha < cap - eps       # can receive weight
         down = alpha > eps           # can give weight
         i = int(np.argmin(np.where(up, grad, np.inf)))
         j = int(np.argmax(np.where(down, grad, -np.inf)))
-        if grad[j] - grad[i] < tol:
+        gap = grad[j] - grad[i]
+        if gap < tol:
             break
         eta = k[i, i] + k[j, j] - 2.0 * k[i, j]
-        delta = (grad[j] - grad[i]) / max(eta, eps)
+        delta = gap / max(eta, eps)
         delta = min(delta, cap - alpha[i], alpha[j])
         alpha[i] += delta
         alpha[j] -= delta
         grad += delta * (k[:, i] - k[:, j])
+    else:
+        log.warning("fit_svm: stopped after max_passes=%d iterations with "
+                    "KKT gap grad[j] - grad[i] = %.6g above tol %g",
+                    max_passes, gap, tol)
 
     sv = alpha > eps
     margin = sv & (alpha < cap - eps)

@@ -123,8 +123,8 @@ def cmd_fit_ad(cfg, seed, out):
     ensemble, _, payload = checkpoint.load_checkpoint(
         _required(cfg, "checkpoint"))
     data = dataio.ingest_dataset(_required(cfg, "dataset"))
-    batch = gnn.GraphBatch.of([g for g, _ in _dataset_samples(data)])
-    per_model = [m.forward(batch)[0] for m in ensemble.models]
+    graphs = [g for g, _ in _dataset_samples(data)]
+    per_model = list(ensemble.forward(graphs)[0])
 
     extra = payload.get("extra", {})
     if grid_search:

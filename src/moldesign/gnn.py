@@ -8,13 +8,17 @@ minibatch Adam (32 graphs per step by default, cosine-annealed step size)
 on a masked MSE (missing labels contribute nothing); all gradients are
 analytic.
 
-Training, prediction and fingerprints share one batched pass over a
-GraphBatch: the graphs grouped by atom count, each group a stack of
-feature matrices (b, n, ATOM_FEATURE_DIM) and adjacency matrices
-(b, n, n), with no padding. Every matrix product runs per graph on the
-shapes a one-graph pass would use, and sums across graphs run in batch
-order, so a batched result equals the graph-at-a-time result bit for bit.
-Padding would not: BLAS orders its sums by the contracted dimension.
+Training, prediction and fingerprints share one forward pass,
+stacked_forward, over a GraphBatch: the graphs grouped by atom count,
+each group a stack of feature matrices (b, n, ATOM_FEATURE_DIM) and
+adjacency matrices (b, n, n), with no padding. An ensemble stacks its
+members' weights on a model axis, (K, 1, ...), and runs all K members in
+one pass of the same code, with matmuls of shape
+(K, b, n, d) @ (K, 1, d, d'); a single model's weights have no model axis.
+Every matrix product runs per model and graph on the shapes a one-graph,
+one-model pass would use, and sums across graphs run in batch order, so a
+batched result equals the graph-at-a-time, model-at-a-time result bit for
+bit. Padding would not: BLAS orders its sums by the contracted dimension.
 """
 
 from __future__ import annotations
@@ -128,6 +132,48 @@ class GraphBatch:
         return cls([graph_arrays(g) for g in graphs])
 
 
+def stacked_forward(params, n_layers, batch, layers=None):
+    """The forward pass of one model, or of K models at once, over a
+    GraphBatch.
+
+    params holds one model's weights, or each weight of K models stacked
+    as (K, 1, ...): a model axis, then an axis that broadcasts over the
+    graphs of a group. Returns the fingerprints and the head activations
+    a1, h1, out as (n_graphs, ...) arrays in batch order, each with the
+    model axis in front for K models. When layers is a list, one
+    (inputs, A @ inputs, pre-activations) triple of per-layer lists is
+    appended to it per group for the backward pass; otherwise they are
+    dropped as the pass goes.
+    """
+    models = params["b2"].shape[:-2]   # () for one model, (K,) for K
+    fp = np.empty(models + (batch.n_graphs, params["M1"].shape[-2]))
+    for pos, x, adj in batch.groups:
+        if x.shape[2] != molgraph.ATOM_FEATURE_DIM:
+            raise DimensionMismatch("feature dim %d != %d" % (
+                x.shape[2], molgraph.ATOM_FEATURE_DIM))
+        # the inputs are shared by all models, so A @ x runs once; from
+        # layer 1 on, h is (K, b, n, d) for K models
+        h, hs, ahs, zs = x, [], [], []
+        for l in range(n_layers):
+            ah = adj @ h
+            # per model and graph, the (n, d) @ (d, d') product of a
+            # one-graph, one-model pass
+            z = h @ params["W1_%d" % l] + ah @ params["W2_%d" % l]
+            if layers is not None:
+                hs.append(h)
+                ahs.append(ah)
+                zs.append(z)
+            h = np.maximum(z, 0.0)
+        fp[..., pos, :] = h.sum(axis=-2)
+        if layers is not None:
+            layers.append((hs, ahs, zs))
+    # (1, d) @ (d, k) per model and graph, the shapes of a one-graph pass
+    a1 = (fp[..., None, :] @ params["M1"])[..., 0, :] + params["b1"]
+    h1 = np.maximum(a1, 0.0)
+    out = (h1[..., None, :] @ params["M2"])[..., 0, :] + params["b2"]
+    return fp, a1, h1, out
+
+
 class GNN:
     """One message-passing model. Weights live in a flat dict of arrays."""
 
@@ -148,36 +194,6 @@ class GNN:
         self.params["M2"] = _uniform_init(rng, c.mlp_hidden, len(TASKS))
         self.params["b2"] = np.zeros(len(TASKS))
 
-    def _forward(self, batch):
-        """Batched forward pass.
-
-        Returns the fingerprints and the head activations a1, h1, out as
-        (n_graphs, ...) rows in batch order, plus per-group layer caches
-        (inputs, A @ inputs, pre-activations) for the backward pass.
-        """
-        p = self.params
-        fp = np.empty((batch.n_graphs, self.config.fp_dim))
-        layers = []
-        for pos, x, adj in batch.groups:
-            if x.shape[2] != molgraph.ATOM_FEATURE_DIM:
-                raise DimensionMismatch("feature dim %d != %d" % (
-                    x.shape[2], molgraph.ATOM_FEATURE_DIM))
-            h, hs, ahs, zs = x, [], [], []
-            for l in range(self.config.n_layers):
-                ah = adj @ h
-                z = h @ p["W1_%d" % l] + ah @ p["W2_%d" % l]
-                hs.append(h)
-                ahs.append(ah)
-                zs.append(z)
-                h = np.maximum(z, 0.0)
-            fp[pos] = h.sum(axis=1)
-            layers.append((hs, ahs, zs))
-        # (1, d) @ (d, k) per graph, the shapes of a one-graph pass
-        a1 = (fp[:, None, :] @ p["M1"])[:, 0] + p["b1"]
-        h1 = np.maximum(a1, 0.0)
-        out = (h1[:, None, :] @ p["M2"])[:, 0] + p["b2"]
-        return fp, a1, h1, out, layers
-
     def forward(self, g):
         """Returns (fingerprint, raw prediction vector [ron, mon, dcn]).
 
@@ -185,7 +201,8 @@ class GNN:
         (n_graphs, ...) rows in batch order.
         """
         batch = g if isinstance(g, GraphBatch) else GraphBatch.of([g])
-        fp, _, _, out, _ = self._forward(batch)
+        fp, _, _, out = stacked_forward(self.params, self.config.n_layers,
+                                        batch)
         return (fp, out) if batch is g else (fp[0], out[0])
 
     def predict(self, g):
@@ -210,7 +227,9 @@ class GNN:
         batch = graphs if isinstance(graphs, GraphBatch) \
             else GraphBatch.of(graphs)
         p = self.params
-        fp, a1, h1, out, layers = self._forward(batch)
+        layers = []
+        fp, a1, h1, out = stacked_forward(p, self.config.n_layers, batch,
+                                          layers)
         diff = (out - np.where(mask > 0, labels, 0.0)) * mask
         # The loss and every gradient add up per-graph terms in batch
         # order, as a loop over one graph at a time would: a different
@@ -270,26 +289,63 @@ def _uniform_init(rng, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
+FORWARD_CHUNK = 32   # graphs per stacked pass in GnnEnsemble.forward
+
+
 class GnnEnsemble:
-    """K independently seeded models; predictions are averaged."""
+    """K independently seeded models; predictions are averaged.
+
+    Each weight of the K members is held as one stacked array, (K, 1, ...),
+    and each member's params are views into those stacks, so one
+    stacked_forward serves the whole ensemble and in-place updates of a
+    member (training, gradient_check) reach the stacks. Assigning models
+    builds the stacks anew.
+    """
 
     def __init__(self, n_models=40, config=None, seed=0):
-        if n_models < 1:
-            raise EmptyEnsemble("ensemble needs at least one model")
         self.seed = seed
         self.models = [GNN(config, seed=seed + i) for i in range(n_models)]
+
+    @property
+    def models(self):
+        return self._models
+
+    @models.setter
+    def models(self, models):
+        models = tuple(models)
+        if not models:
+            raise EmptyEnsemble("ensemble needs at least one model")
+        self._stack = {k: np.stack([m.params[k] for m in models])[:, None]
+                       for k in models[0].params}
+        for i, m in enumerate(models):
+            m.params = {k: a[i, 0] for k, a in self._stack.items()}
+        self._models = models
 
     @property
     def n_models(self):
         return len(self.models)
 
+    def forward(self, graphs):
+        """(fingerprints, raw predictions) of every model for a list of
+        graphs, as (K, n_graphs, ...) arrays in model and graph order.
+
+        The graphs go through stacked_forward FORWARD_CHUNK at a time: its
+        activations grow as K x graphs x atoms x width, and one pass of the
+        40-model ensemble over 2,324 molecules peaked at 650 MB.
+        """
+        n_layers = self.models[0].config.n_layers
+        parts = [stacked_forward(self._stack, n_layers,
+                                 GraphBatch.of(graphs[i:i + FORWARD_CHUNK]))
+                 for i in range(0, len(graphs), FORWARD_CHUNK)]
+        return (np.concatenate([p[0] for p in parts], axis=1),
+                np.concatenate([p[3] for p in parts], axis=1))
+
     def evaluate(self, g):
         """(per-model fingerprints in model order, mean prediction), from
-        one forward pass of each model over a one-graph batch."""
-        batch = GraphBatch.of([g])
-        fps, outs = zip(*(m.forward(batch) for m in self.models))
-        mean = np.array(outs).mean(axis=0).ravel()  # (K, 1, 3) -> (3,)
-        return ([fp[0] for fp in fps],
+        one stacked pass over a one-graph batch."""
+        fp, out = self.forward([g])
+        mean = out.mean(axis=0).ravel()  # (K, 1, 3) -> (3,)
+        return (list(fp[:, 0]),
                 PropertyPrediction(float(mean[0]), float(mean[1]),
                                    float(mean[2])))
 
@@ -308,8 +364,6 @@ class GnnEnsemble:
         ens = cls.__new__(cls)
         ens.seed = state["seed"]
         ens.models = [GNN.from_state(s) for s in state["models"]]
-        if not ens.models:
-            raise EmptyEnsemble("checkpoint holds no models")
         return ens
 
 
@@ -409,8 +463,10 @@ def train_model(model, data, cfg=None):
         if epoch % log_every == 0 or epoch == cfg.epochs:
             log.info("model seed %d, epoch %d/%d, loss %.6g",
                      model.seed, epoch, cfg.epochs, history[-1])
-    model.params["M2"] = model.params["M2"] * scale[None, :]
-    model.params["b2"] = model.params["b2"] * scale + shift
+    # in place: an ensemble member's params are views into its stacks
+    model.params["M2"] *= scale[None, :]
+    model.params["b2"] *= scale
+    model.params["b2"] += shift
     return history
 
 

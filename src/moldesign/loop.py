@@ -4,12 +4,13 @@ Candidates outside the applicability domain receive the penalty score.
 Duplicates are scored and logged but do not count toward the
 unique-molecule budget. The objective is RON + OS = 2 RON - MON.
 
-The decoder is piecewise constant, so each decision cell sequence is
-decoded, canonicalised and run through the ensemble once per run; later
-points in the same cells reuse that result. The cache is keyed on cells,
-not on SMILES: one molecule reached by different decisions is built with
-a different atom order, and its predictions can then differ in the last
-bit.
+Every point is decoded, but each built graph is canonicalised and run
+through the ensemble once per run; later points that build the same graph
+reuse that result. Many decision cell sequences build one graph, because
+an illegal attachment acts as a stop. The cache is keyed on the graph as
+built (atoms and bonds in build order), not on SMILES: one molecule built
+with a different atom order can get predictions that differ in the last
+bit, while the same graph always gets the same bits.
 """
 
 from __future__ import annotations
@@ -165,8 +166,8 @@ class EvaluationContext:
         self.seen = set()      # unique-budget set: non-penalized molecules
         self.observed = set()  # every decoded molecule, for duplicate flags
         self.records = []
-        # decision cells -> (smiles, in_ad, vote_sum, prediction or None
-        # when penalized); at most one entry per record
+        # built graph -> (smiles, in_ad, vote_sum, prediction or None when
+        # penalized); at most one entry per record
         self.cache = {}
 
     @property
@@ -181,8 +182,8 @@ class EvaluationContext:
 def evaluate_candidate(z, ctx):
     """Decode, gate through the AD, predict, and score one latent point.
 
-    A point whose decision cells were evaluated before in this run reuses
-    that result; its record is still its own (latent, index, duplicate).
+    A point that builds a graph evaluated before in this run reuses that
+    result; its record is still its own (latent, index, duplicate).
     """
     z = np.asarray(z, dtype=float)
     if ctx.pca is not None:
@@ -192,10 +193,11 @@ def evaluate_candidate(z, ctx):
         z_reduced = None
         z_full = z
     t0 = time.monotonic()
-    cells = tuple(decision_cells(z_full, ctx.grammar, ctx.bounds))
-    entry = ctx.cache.get(cells)
+    g = decode_cells(decision_cells(z_full, ctx.grammar, ctx.bounds),
+                     ctx.grammar)
+    entry = ctx.cache.get(g)
     if entry is None:
-        entry = ctx.cache[cells] = _evaluate_cells(cells, ctx)
+        entry = ctx.cache[g] = _evaluate_graph(g, ctx)
     smiles, in_ad, vote_sum, pred = entry
 
     duplicate = smiles in ctx.observed
@@ -224,10 +226,9 @@ def evaluate_candidate(z, ctx):
     return rec
 
 
-def _evaluate_cells(cells, ctx):
-    """(smiles, in_ad, vote_sum, prediction) of one decision cell sequence,
-    from one ensemble pass; the prediction is None when the AD rejects."""
-    g = decode_cells(cells, ctx.grammar)
+def _evaluate_graph(g, ctx):
+    """(smiles, in_ad, vote_sum, prediction) of one built graph, from one
+    ensemble pass; the prediction is None when the AD rejects."""
     smiles = canonical_smiles(g)
     fingerprints, pred = ctx.ensemble.evaluate(g)
     if not ctx.ad_enabled:

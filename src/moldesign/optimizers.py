@@ -10,17 +10,27 @@ uniform-resample mutation.
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky
-from scipy.special import ndtr
 
 from .adomain import sq_distances
 from .checks import is_int, is_real
 
+# scipy.linalg and scipy.special are imported where the GP and EI use
+# them: loading them costs about 28 MB of resident memory, which the GA
+# and every stage other than BO do not need.
+
+log = logging.getLogger("moldesign")
+
 PENALTY_SCORE = -1000.0   # the score of out-of-domain candidates
+
+# run_ga ends after this many consecutive generations that bring no point
+# the objective has not seen: every child then repeats a scored point, so
+# the loop's budget of new records can never be reached
+GA_STALL_GENERATIONS = 1000
 
 
 class OptimizerError(Exception):
@@ -132,6 +142,7 @@ class GpSurrogate:
 
 def gp_fit(x, y, signal_var=1.0, lengthscale=1.0, noise_var=0.0):
     """Exact GP regression (zero prior mean) via Cholesky."""
+    from scipy.linalg import cho_factor, cho_solve
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
     if len(x) < 1:
@@ -147,12 +158,16 @@ def gp_fit(x, y, signal_var=1.0, lengthscale=1.0, noise_var=0.0):
             continue
     if chol is None:
         raise CholeskyFailure("kernel matrix not positive definite")
+    if jitter > 1e-8:
+        log.warning("gp_fit: kernel matrix needed jitter %g for Cholesky",
+                    jitter)
     weights = cho_solve(chol, y)
     return GpSurrogate(x, y, signal_var, lengthscale, noise_var, chol, weights)
 
 
 def gp_posterior(s, x):
     """Posterior (mean, variance) at query points."""
+    from scipy.linalg import cho_solve
     x = np.atleast_2d(np.asarray(x, dtype=float))
     kq = matern52(x, s.x_train, s.signal_var, s.lengthscale)
     mean = kq @ s.weights
@@ -195,6 +210,7 @@ _SQRT_2PI = np.sqrt(2 * np.pi)
 def _ei_closed(mean, sigma, best):
     # the standard normal cdf and pdf computed as scipy.stats.norm does,
     # without its per-call argument handling
+    from scipy.special import ndtr
     u = (mean - best) / sigma
     return (mean - best) * ndtr(u) + sigma * (np.exp(-u ** 2 / 2.0) / _SQRT_2PI)
 
@@ -226,6 +242,7 @@ def propose_batch(s, bounds, batch_size=10, rng=None, n_candidates=2048,
     Posterior function draws are rank-limited: values are sampled jointly
     at anchor points and kriged onto the rest of the candidate cloud.
     """
+    from scipy.linalg import cholesky
     rng = rng or np.random.default_rng()
     lo, hi = (np.asarray(b, dtype=float) for b in bounds)
     cloud = rng.uniform(lo, hi, size=(n_candidates, len(lo)))
@@ -240,6 +257,8 @@ def propose_batch(s, bounds, batch_size=10, rng=None, n_candidates=2048,
     try:
         la = cholesky(cov_a, lower=True)
     except np.linalg.LinAlgError:
+        log.warning("propose_batch: anchor covariance is not positive "
+                    "definite; Thompson draws use its diagonal")
         la = np.diag(np.sqrt(np.maximum(np.diag(cov_a), 0.0)))
     cross = _posterior_cov(s, cloud, anchors)
     solve = np.linalg.lstsq(cov_a, cross.T, rcond=None)[0]
@@ -281,6 +300,7 @@ def propose_batch(s, bounds, batch_size=10, rng=None, n_candidates=2048,
 
 
 def _posterior_cov(s, a, b):
+    from scipy.linalg import cho_solve
     kab = matern52(a, b, s.signal_var, s.lengthscale)
     ka = matern52(a, s.x_train, s.signal_var, s.lengthscale)
     kb = matern52(b, s.x_train, s.signal_var, s.lengthscale)
@@ -380,7 +400,7 @@ def run_ga(objective, bounds, n_dims, stop, seed=0, cfg=None):
     # Points already evaluated bit for bit (surviving elites) reuse their
     # score and are not passed to the objective again, so they add no
     # record. This cache decides which points reach the objective, so it
-    # stays even though the loop caches by decision cell.
+    # stays even though the loop caches by built graph.
     cache = {}
 
     def evaluate(pop):
@@ -396,9 +416,17 @@ def run_ga(objective, bounds, n_dims, stop, seed=0, cfg=None):
             history.scores.append(fits[i])
         return fits
 
+    stalled = 0
     while True:
+        n_called = len(cache)
         fits = evaluate(genes)
         if fits is None or stop_fn(len(history)):
+            return history
+        stalled = stalled + 1 if len(cache) == n_called else 0
+        if stalled == GA_STALL_GENERATIONS:
+            log.warning("run_ga: %d generations in a row brought no new "
+                        "point; stopping after %d objective calls",
+                        stalled, len(cache))
             return history
         genes = ga_step(genes, fits, (lo, hi), rng, cfg)
 

@@ -51,6 +51,7 @@ class criterion:
     def __init__(self, name, limit_s):
         self.name = name
         self.limit_s = limit_s
+        self.detail = ""  # set by the test to extend its line
 
     def __enter__(self):
         self.t0 = time.monotonic()
@@ -59,8 +60,9 @@ class criterion:
     def __exit__(self, exc_type, exc, tb):
         elapsed = time.monotonic() - self.t0
         ok = exc_type is None and elapsed < self.limit_s
-        print("[PRIMARY] %-26s %s (%.2fs / %gs budget)"
-              % (self.name, "PASS" if ok else "FAIL", elapsed, self.limit_s))
+        print("[PRIMARY] %-26s %s (%.2fs / %gs budget)%s"
+              % (self.name, "PASS" if ok else "FAIL", elapsed, self.limit_s,
+                 self.detail and " " + self.detail))
         if exc_type is None and elapsed >= self.limit_s:
             raise AssertionError("%s exceeded %gs budget (%.2fs)"
                                  % (self.name, self.limit_s, elapsed))
@@ -217,7 +219,7 @@ def test_ga_sphere_benchmark():
 
 
 def test_end_to_end_oracle_equivalence(grammar6, enumerated):
-    with criterion("end-to-end-oracle", 300.0):
+    with criterion("end-to-end-oracle", 300.0) as line:
         data = synthetic_samples(enumerated, with_mon=True)
         ensemble = GnnEnsemble(n_models=5, seed=0)
         train_ensemble(data, ensemble,
@@ -235,6 +237,7 @@ def test_end_to_end_oracle_equivalence(grammar6, enumerated):
         assert np.isfinite(oracle)
 
         wins = 0
+        ratios = []
         bounds = (np.zeros(6), np.ones(6))
         for seed in range(10):
             cfg = loop.RunConfig(method="ga", seed=seed, max_unique=1000,
@@ -248,6 +251,10 @@ def test_end_to_end_oracle_equivalence(grammar6, enumerated):
             if summary["max_score"] is not None \
                     and summary["max_score"] >= 0.95 * oracle:
                 wins += 1
+            ratios.append("none" if summary["max_score"] is None
+                          else "%.6f" % (summary["max_score"] / oracle))
+        line.detail = "%d/10 seeds >= 0.95 x oracle; ratio per seed: %s" \
+            % (wins, " ".join(ratios))
         assert wins >= 8
 
 

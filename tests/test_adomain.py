@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,20 @@ def gaussian_cloud(seed, n=100, d=4):
 
 
 class TestFit:
+    def test_pass_cap_warns(self, caplog):
+        x = gaussian_cloud(0)
+        with caplog.at_level(logging.WARNING, logger="moldesign"):
+            fit_svm(x, nu=0.1)
+            assert not caplog.records
+            fit_svm(x, nu=0.1, max_passes=3)
+        [rec] = caplog.records
+        assert rec.levelno == logging.WARNING
+        head = "fit_svm: stopped after max_passes=3 iterations with KKT " \
+            "gap grad[j] - grad[i] = "
+        msg = rec.getMessage()
+        assert msg.startswith(head)
+        assert float(msg[len(head):].split()[0]) > 1e-6
+
     def test_dual_constraints(self):
         x = gaussian_cloud(0)
         svm = fit_svm(x, nu=0.1)

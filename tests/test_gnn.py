@@ -175,18 +175,40 @@ class TestEnsemble:
     def test_mean_is_arithmetic(self):
         ens = GnnEnsemble(n_models=2, config=SMALL, seed=0)
         g = parse_smiles("CC")
-
-        class Fixed:
-            def __init__(self, vals):
-                self.vals = np.array(vals)
-
-            def forward(self, _):
-                return np.zeros((1, 2)), self.vals
-
-        ens.models = [Fixed([100.0, 90.0, 50.0]), Fixed([110.0, 100.0, 60.0])]
+        # with M2 = 0 each member's output is its b2
+        for m, b2 in zip(ens.models, ([100.0, 90.0, 50.0],
+                                      [110.0, 100.0, 60.0])):
+            m.params["M2"][:] = 0.0
+            m.params["b2"][:] = b2
         pred = ens.predict(g)
         assert (pred.ron, pred.mon, pred.dcn) == (105.0, 95.0, 55.0)
         assert pred.os == 10.0
+
+    def test_stacked_pass_equals_per_model_forward(self, mixed_pool):
+        graphs = mixed_pool[::5]
+        data = [(g, {"ron": float(i), "mon": None, "dcn": 1.0})
+                for i, g in enumerate(graphs)]
+        batch = GraphBatch.of(graphs)
+
+        def assert_equal(ens):
+            fps, outs = ens.forward(graphs)
+            assert fps.shape == (ens.n_models, len(graphs), SMALL.fp_dim)
+            for m, fp, out in zip(ens.models, fps, outs):
+                ref_fp, ref_out = m.forward(batch)
+                assert np.array_equal(fp, ref_fp)
+                assert np.array_equal(out, ref_out)
+            return outs
+
+        ens = GnnEnsemble(n_models=4, config=SMALL, seed=2)
+        fresh = assert_equal(ens)
+        ens.evaluate(graphs[0])
+        train_ensemble(data, ens, TrainConfig(epochs=3))
+        trained = assert_equal(ens)
+        assert not np.array_equal(trained, fresh)
+        clone = GnnEnsemble.from_state(ens.to_state())
+        assert np.array_equal(assert_equal(clone), trained)
+        ens.models = ens.models[1:]
+        assert np.array_equal(assert_equal(ens), trained[1:])
 
     def test_mean_bounded_by_members(self):
         ens = GnnEnsemble(n_models=5, config=SMALL, seed=9)

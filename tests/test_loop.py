@@ -8,6 +8,7 @@ from moldesign.grammar import (
     FragmentGrammar,
     decision_cells,
     decode,
+    decode_cells,
     enumerate_grammar,
 )
 from moldesign.loop import (
@@ -371,7 +372,7 @@ class TestRecordIo:
 
 
 def uncached_evaluate(z, ctx):
-    """The evaluation path without the cell cache: decode, canonicalise,
+    """The evaluation path without the graph cache: decode, canonicalise,
     AD vote on ensemble.fingerprints, then ensemble.predict, every time."""
     z = np.asarray(z, dtype=float)
     z_full = z if ctx.pca is None else ctx.pca.lift(z)
@@ -403,7 +404,7 @@ def uncached_evaluate(z, ctx):
 
 
 class _CountingEnsemble:
-    """A real ensemble that logs the molecule of each evaluate call and
+    """A real ensemble that logs the graph of each evaluate call and
     refuses the two-pass API."""
 
     def __init__(self, ensemble):
@@ -411,7 +412,7 @@ class _CountingEnsemble:
         self.calls = []
 
     def evaluate(self, g):
-        self.calls.append(canonical_smiles(g))
+        self.calls.append(g)
         return self.ensemble.evaluate(g)
 
     def predict(self, g):
@@ -482,6 +483,9 @@ class TestCellCache:
         records, _ = run(cfg, grammar, counting, ad=ad, bounds=bounds)
         cells = {tuple(decision_cells(r.latent_full, grammar, bounds))
                  for r in records}
-        assert len(counting.calls) == len(cells) < len(records)
-        # some molecule is reached through more than one cell sequence
-        assert len(set(counting.calls)) < len(counting.calls)
+        graphs = {decode_cells(c, grammar) for c in cells}
+        # one ensemble pass per distinct built graph
+        assert len(counting.calls) == len(set(counting.calls)) == len(graphs)
+        assert set(counting.calls) == graphs
+        # some graph is built from more than one cell tuple
+        assert len(graphs) < len(cells) < len(records)

@@ -1,8 +1,16 @@
+import json
+import logging
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.stats import norm
 
-from moldesign import loop
+import moldesign
+from moldesign import loop, optimizers
 from moldesign.optimizers import (
     GaConfig,
     GaConfigError,
@@ -107,6 +115,17 @@ class TestKernelAndGp:
         assert abs(mean[0]) < 1e-9
         assert var[0] == pytest.approx(3.0, rel=1e-9)
 
+    def test_jitter_above_floor_warns(self, caplog):
+        # a huge signal variance on near-duplicate points: the kernel's
+        # rounding error outgrows the 1e-8 and 1e-6 jitters
+        x = np.linspace(0.0, 1e-3, 30)[:, None]
+        with caplog.at_level(logging.WARNING, logger="moldesign"):
+            gp_fit(x, np.sin(x[:, 0]), signal_var=1.0, lengthscale=1.0)
+            assert not caplog.records
+            gp_fit(x, np.sin(x[:, 0]), signal_var=1e9, lengthscale=1.0)
+        assert [r.getMessage() for r in caplog.records] == [
+            "gp_fit: kernel matrix needed jitter 0.0001 for Cholesky"]
+
     def test_default_params_median_heuristic(self):
         x = np.array([[0.0], [1.0], [3.0]])
         y = np.array([1.0, 2.0, 3.0])
@@ -163,6 +182,23 @@ class TestProposeBatch:
         a = propose_batch(surrogate, (lo, hi), 10, np.random.default_rng(4))
         b = propose_batch(surrogate, (lo, hi), 10, np.random.default_rng(4))
         assert all(np.array_equal(p, q) for p, q in zip(a, b))
+
+    def test_diagonal_fallback_warns(self, surrogate, monkeypatch, caplog):
+        lo, hi = np.full(3, -1.0), np.full(3, 1.0)
+        with caplog.at_level(logging.WARNING, logger="moldesign"):
+            propose_batch(surrogate, (lo, hi), 10, np.random.default_rng(2))
+            assert not caplog.records
+
+            def not_definite(*args, **kwargs):
+                raise np.linalg.LinAlgError("not positive definite")
+
+            monkeypatch.setattr(scipy.linalg, "cholesky", not_definite)
+            batch = propose_batch(surrogate, (lo, hi), 10,
+                                  np.random.default_rng(2))
+        assert len(batch) == 10
+        assert [r.getMessage() for r in caplog.records] == [
+            "propose_batch: anchor covariance is not positive definite; "
+            "Thompson draws use its diagonal"]
 
     def test_ei_maximizer_near_optimum(self, surrogate):
         # objective peaks at the origin; the refined first pick should
@@ -278,9 +314,71 @@ class TestDrivers:
                       stop=lambda n: n >= 75, seed=4)
         assert len(hist) == 75
 
+    def test_ga_stall_ends_run(self, monkeypatch, caplog):
+        # without crossover and mutation every child copies a scored
+        # parent, so no generation after the first calls the objective
+        n = optimizers.GA_STALL_GENERATIONS
+        steps = []
+
+        def counting_step(*args, **kwargs):
+            steps.append(1)
+            if len(steps) > n + 1:
+                raise AssertionError("run_ga did not stop on the stall")
+            return ga_step(*args, **kwargs)
+
+        monkeypatch.setattr(optimizers, "ga_step", counting_step)
+        calls = []
+
+        def objective(z):
+            calls.append(1)
+            return float(z[0])
+
+        cfg = GaConfig(population_size=10, mutation_prob=0.0,
+                       crossover_prob=0.0)
+        with caplog.at_level(logging.WARNING, logger="moldesign"):
+            hist = run_ga(objective, (0.0, 1.0), 2, seed=4, cfg=cfg,
+                          stop=lambda _n: len(calls) >= 50)
+        assert len(calls) == 10
+        assert len(steps) == n
+        assert len(hist) == 10 * (n + 1)
+        assert [r.getMessage() for r in caplog.records] == [
+            "run_ga: %d generations in a row brought no new point; "
+            "stopping after 10 objective calls" % n]
+
     def test_best_so_far_monotone(self):
         hist = run_ga(lambda z: float(np.sin(10 * z[0])), (0.0, 1.0), 1,
                       stop=200, seed=5)
         b = hist.best_so_far()
         assert np.all(np.diff(b) >= 0)
         assert b[-1] == max(hist.scores)
+
+
+def test_ga_and_training_leave_scipy_linalg_unloaded():
+    # scipy.linalg and scipy.special cost about 28 MB of resident memory;
+    # only the BO path needs them
+    script = """
+import json
+import sys
+import numpy as np
+from moldesign import adomain, gnn, loop
+from moldesign.grammar import FragmentGrammar, enumerate_grammar
+grammar = FragmentGrammar(n_dims=4)
+graphs = list(enumerate_grammar(grammar).values())[::20]
+ens = gnn.GnnEnsemble(n_models=2, config=gnn.GnnConfig(hidden_dim=8,
+                      fp_dim=8, mlp_hidden=4), seed=0)
+data = [(g, {"ron": float(i), "mon": None, "dcn": None})
+        for i, g in enumerate(graphs)]
+gnn.train_ensemble(data, ens, gnn.TrainConfig(epochs=2))
+fps = ens.forward(graphs)[0]
+ad = adomain.fit_ad_ensemble(list(fps))
+loop.run(loop.RunConfig(method="ga", max_total=100), grammar, ens, ad=ad,
+         bounds=(np.zeros(4), np.ones(4)))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+    src = os.path.dirname(os.path.dirname(moldesign.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    loaded = json.loads(out)
+    assert "scipy.linalg" not in loaded
+    assert "scipy.special" not in loaded
