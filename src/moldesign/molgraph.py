@@ -107,37 +107,48 @@ class MolecularGraph:
 
 def validate(g):
     """Return OK or the first violated structural invariant."""
-    if g.n_atoms == 0:
-        return EMPTY
+    return _validate(g)[0]
+
+
+def _validate(g):
+    """validate()'s verdict and, for a valid graph, each atom's bond-order
+    sum (None otherwise)."""
+    n = g.n_atoms
+    if n == 0:
+        return EMPTY, None
     for a in g.atoms:
         if a not in MAX_VALENCE:
-            return UNSUPPORTED_ELEMENT
+            return UNSUPPORTED_ELEMENT, None
     seen = set()
+    sums = [0] * n
     for u, v, order in g.bonds:
-        if not (0 <= u < g.n_atoms and 0 <= v < g.n_atoms):
-            return BAD_ATOM_INDEX
+        if not (0 <= u < n and 0 <= v < n):
+            return BAD_ATOM_INDEX, None
         if u == v:
-            return SELF_LOOP
+            return SELF_LOOP, None
         if (u, v) in seen:
-            return DUPLICATE_BOND
+            return DUPLICATE_BOND, None
         seen.add((u, v))
         if order not in (1, 2, 3):
-            return BAD_BOND_ORDER
-    for i in range(g.n_atoms):
-        if g.bond_order_sum(i) > MAX_VALENCE[g.atoms[i]]:
-            return VALENCE_VIOLATION
+            return BAD_BOND_ORDER, None
+        sums[u] += order
+        sums[v] += order
+    for a, total in zip(g.atoms, sums):
+        if total > MAX_VALENCE[a]:
+            return VALENCE_VIOLATION, None
     # connectivity from atom 0
+    adjacency = g.adjacency
     reach = {0}
     stack = [0]
     while stack:
         v = stack.pop()
-        for u, _ in g.adjacency[v]:
+        for u, _ in adjacency[v]:
             if u not in reach:
                 reach.add(u)
                 stack.append(u)
-    if len(reach) != g.n_atoms:
-        return DISCONNECTED
-    return OK
+    if len(reach) != n:
+        return DISCONNECTED, None
+    return OK, sums
 
 
 ATOM_FEATURE_DIM = 4
@@ -288,20 +299,31 @@ def _kekulize(atoms, aromatic, bonds):
 
 
 # ---------------------------------------------------------------------------
-# Canonicalization: iterative neighborhood refinement with tie-breaking,
-# then deterministic DFS emission of a SMILES string.
+# Canonicalization: colour refinement, then an individualisation search that
+# branches on one atom per automorphism orbit, then deterministic DFS
+# emission of a SMILES string from each leaf's ranks.
+#
+# The search tree is the one an exhaustive search would walk: each node
+# individualises one atom of its first tied cell and refines. Refinement
+# and individualisation commute with every automorphism that fixes the
+# node's individualised atoms, so two cell atoms in one orbit of that group
+# root subtrees with the same leaf strings. Exploring one atom per orbit
+# therefore keeps the minimum over all leaves exactly (McKay & Piperno
+# 2014, "Practical graph isomorphism, II").
 # ---------------------------------------------------------------------------
 
 def canonical_smiles(g):
-    """Deterministic canonical SMILES; equal iff graphs are isomorphic."""
-    verdict = validate(g)
+    """Deterministic canonical SMILES; equal iff graphs are isomorphic.
+
+    The smallest string `_emit` writes over the leaves of the refinement
+    search; `_canonical_candidates` prunes branches that repeat a leaf set.
+    """
+    verdict, sums = _validate(g)
     if verdict != OK:
         raise MolGraphError("cannot canonicalize invalid graph (%s)" % verdict)
-    n = g.n_atoms
-    init = [(g.atoms[i], g.degree(i), g.bond_order_sum(i), g.implicit_h(i))
-            for i in range(n)]
-    ranks = _rank(init)
-    return min(_canonical_candidates(g, ranks))
+    init = [(a, len(nbrs), total, MAX_VALENCE[a] - total)
+            for a, nbrs, total in zip(g.atoms, g.adjacency, sums)]
+    return min(_canonical_candidates(g, _rank(init)))
 
 
 def _rank(keys):
@@ -311,83 +333,171 @@ def _rank(keys):
 
 
 def _refine(g, ranks):
-    n = g.n_atoms
+    """Split cells by their neighbours' (order, rank) multisets until stable.
+
+    A neighbour is the int order * (n + 1) + rank, which sorts like the
+    (order, rank) pair. Ties keep their relative order, so a cell only ever
+    splits into consecutive ranks; an atom alone in its cell needs no
+    signature, and a ranking without ties is already stable.
+    """
+    m = g.n_atoms + 1
+    adjacency = g.adjacency
     while True:
-        keys = [(ranks[i],
-                 tuple(sorted((order, ranks[u]) for u, order in g.adjacency[i])))
-                for i in range(n)]
+        counts = [0] * m
+        for r in ranks:
+            counts[r] += 1
+        if max(counts) == 1:
+            return ranks
+        keys = [(r, tuple(sorted([order * m + ranks[u]
+                                  for u, order in adjacency[i]])))
+                if counts[r] > 1 else (r,)
+                for i, r in enumerate(ranks)]
         new = _rank(keys)
         if new == ranks:
             return ranks
         ranks = new
 
 
+def _individualise(ranks, atom):
+    """Give atom its own rank just below the rest of its cell."""
+    r = ranks[atom]
+    new = [x + 1 if x >= r else x for x in ranks]
+    new[atom] = r
+    return new
+
+
+def _first_tied_cell(ranks):
+    counts = [0] * len(ranks)
+    for r in ranks:
+        counts[r] += 1
+    r = next(r for r, c in enumerate(counts) if c > 1)
+    return [i for i, x in enumerate(ranks) if x == r]
+
+
+def _find(parent, i):
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
 def _canonical_candidates(g, ranks):
-    """Yield SMILES strings for every tie-break branch; min is canonical."""
-    ranks = _refine(g, ranks)
+    """Strings of the leaves the pruned search emits; min is canonical.
+
+    A leaf is a refined ranking with no ties. An acyclic graph is its own
+    universal cover, so colour refinement of the tree (atoms, bond orders
+    and individualised atoms as colours) computes its orbit partition:
+    every tied cell is one orbit, and one branch per level reaches a leaf
+    with the minimal string. On a cyclic graph refinement can tie atoms of
+    different orbits, so the search learns automorphisms instead: a leaf
+    whose relabelled bond set equals an earlier leaf's maps onto it by an
+    automorphism that fixes their common ancestor's individualised atoms.
+    (Elements need no check: every leaf gives each rank the same element,
+    as ranks only ever split the initial element-first key in order.) That
+    leaf is not emitted, the search returns to the common ancestor, and the
+    map's orbits are merged at that node and every node above it; a cell
+    atom in the orbit of an explored one is skipped.
+    """
     n = g.n_atoms
-    cells = {}
-    for i, r in enumerate(ranks):
-        cells.setdefault(r, []).append(i)
-    tied = [cells[r] for r in sorted(cells) if len(cells[r]) > 1]
-    if not tied:
-        yield _emit(g, ranks)
-        return
-    cell = tied[0]
-    for atom in cell:
-        branched = [2 * r for r in ranks]
-        branched[atom] -= 1
-        yield from _canonical_candidates(g, _rank(branched))
+    ranks = _refine(g, ranks)
+    if len(g.bonds) == n - 1:
+        while max(ranks) < n - 1:
+            atom = _first_tied_cell(ranks)[0]
+            ranks = _refine(g, _individualise(ranks, atom))
+        return [_emit(g, ranks)]
+
+    leaves = {}     # relabelled bond set -> (path, ranks) of its first leaf
+    strings = []
+    orbits = []     # union-find parents, one per node on the current path
+
+    def search(ranks, path):
+        """Explore the node at depth len(path). Returns None when done, or
+        the depth of the common ancestor to resume from after a leaf
+        repeated an earlier one."""
+        if max(ranks) == n - 1:
+            key = frozenset((ranks[u], ranks[v], order) if ranks[u] < ranks[v]
+                            else (ranks[v], ranks[u], order)
+                            for u, v, order in g.bonds)
+            if key not in leaves:
+                leaves[key] = (path, ranks)
+                strings.append(_emit(g, ranks))
+                return None
+            first_path, first_ranks = leaves[key]
+            atom_at = [0] * n
+            for i, r in enumerate(first_ranks):
+                atom_at[r] = i
+            depth = 0   # no leaf is another's ancestor: the paths differ
+            while first_path[depth] == path[depth]:
+                depth += 1
+            for parent in orbits[:depth + 1]:
+                for i, r in enumerate(ranks):
+                    a, b = _find(parent, i), _find(parent, atom_at[r])
+                    if a != b:
+                        parent[max(a, b)] = min(a, b)
+            return depth
+        depth = len(path)
+        parent = list(range(n))
+        orbits.append(parent)
+        explored = set()
+        for atom in _first_tied_cell(ranks):
+            if _find(parent, atom) in {_find(parent, a) for a in explored}:
+                continue
+            explored.add(atom)
+            back = search(_refine(g, _individualise(ranks, atom)),
+                          path + [atom])
+            if back is not None and back < depth:
+                break
+        else:
+            back = None
+        orbits.pop()
+        return back
+
+    search(ranks, [])
+    return strings
 
 
 def _emit(g, ranks):
     """Write SMILES by DFS from the rank-0 atom, neighbors in rank order."""
     n = g.n_atoms
-    start = ranks.index(0)
-    order_of = {}
-    for u, v, o in g.bonds:
-        order_of[(u, v)] = o
-        order_of[(v, u)] = o
-    nbrs = {v: sorted((u for u, _ in g.adjacency[v]), key=lambda u: ranks[u])
-            for v in range(n)}
-
+    nbrs = [sorted(adj, key=lambda e: ranks[e[0]]) for adj in g.adjacency]
     visited = [False] * n
-    children = {v: [] for v in range(n)}
-    ring_at = {v: [] for v in range(n)}
+    children = [[] for _ in range(n)]
+    ring_at = [[] for _ in range(n)]
     closed = set()
-    counter = [0]
+    counter = 0
 
     def visit(v, parent):
+        nonlocal counter
         visited[v] = True
-        for u in nbrs[v]:
+        for u, order in nbrs[v]:
             if u == parent:
                 continue
-            key = (min(u, v), max(u, v))
             if visited[u]:
+                key = (min(u, v), max(u, v))
                 if key not in closed:
                     closed.add(key)
-                    counter[0] += 1
-                    d = counter[0]
-                    if d > 9:
+                    counter += 1
+                    if counter > 9:
                         raise MolGraphError("more than 9 ring closures")
-                    ring_at[v].append((d, order_of[(v, u)]))
-                    ring_at[u].append((d, order_of[(v, u)]))
+                    ring_at[v].append((counter, order))
+                    ring_at[u].append((counter, order))
             else:
-                children[v].append(u)
+                children[v].append((u, order))
                 visit(u, v)
 
+    start = ranks.index(0)
     visit(start, -1)
 
     def render(v, bond_order):
         s = _BOND_SYMS[bond_order] + g.atoms[v]
-        for d, o in sorted(ring_at[v]):
-            s += _BOND_SYMS[o] + str(d)
+        for d, order in sorted(ring_at[v]):
+            s += _BOND_SYMS[order] + str(d)
         kids = children[v]
-        for u in kids[:-1]:
-            s += "(" + render(u, order_of[(v, u)]) + ")"
+        for u, order in kids[:-1]:
+            s += "(" + render(u, order) + ")"
         if kids:
-            u = kids[-1]
-            s += render(u, order_of[(v, u)])
+            u, order = kids[-1]
+            s += render(u, order)
         return s
 
     return render(start, 1)

@@ -4,6 +4,7 @@ Each test prints a single [PRIMARY] pass/fail line (visible with -s or in
 captured output) and enforces its own wall-clock budget.
 """
 
+import hashlib
 import json
 import time
 
@@ -124,6 +125,15 @@ def test_permutation_invariance(enumerated):
                 perm = list(rng.permutation(g.n_atoms))
                 _, out = model.forward(g.permuted(perm))
                 assert np.max(np.abs(out - ref)) < 1e-9
+
+
+def test_enumeration_pinned(enumerated):
+    with criterion("enumeration-pinned", 5.0):
+        dump = json.dumps([[s, list(g.atoms), [list(b) for b in g.bonds]]
+                           for s, g in enumerated.items()])
+        assert len(enumerated) == 2324
+        assert hashlib.sha256(dump.encode()).hexdigest() == (
+            "ba3b16c28ea2ee6fc0e24ca025b11b0d168d226740b2bd7662740f06d7e184bf")
 
 
 def test_synthetic_training(enumerated):

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -198,6 +201,13 @@ class TestEnumerate:
                                    unit_bounds)
                         seen.add(canonical_smiles(g))
         assert seen <= mols
+
+    def test_dump_is_pinned(self, small):
+        # every canonical string and every first-built graph, byte for byte
+        dump = json.dumps([[s, list(g.atoms), [list(b) for b in g.bonds]]
+                           for s, g in enumerate_grammar(small).items()])
+        assert hashlib.sha256(dump.encode()).hexdigest() == (
+            "9cb87de0413e8189b471241cdb48aaf8ea59ff3394b36400a1e430973902fbb3")
 
     def test_too_large(self):
         g = FragmentGrammar(n_dims=32)
