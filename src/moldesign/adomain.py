@@ -16,6 +16,10 @@ import numpy as np
 
 log = logging.getLogger("moldesign")
 
+SVM_TOL = 1e-6            # SMO stops once the KKT gap is below this
+SVM_MAX_PASSES = 10 ** 5  # SMO pair updates before fit_svm gives up
+GRID_PLATEAU = 0.05       # grid_search_hyperparams' support-vector plateau
+
 
 class AdError(Exception):
     pass
@@ -57,10 +61,10 @@ class OneClassSvm:
     n_train: int
 
     def decision(self, x):
-        """f(x) = sum_i alpha_i k(x_i, x) - rho; >= 0 means inside."""
-        k = rbf_kernel(np.atleast_2d(x), self.support_vectors, self.gamma)
-        vals = k @ self.alphas - self.rho
-        return vals if np.ndim(x) > 1 else float(vals[0])
+        """f(x) = sum_i alpha_i k(x_i, x) - rho for each row x of the
+        (n, d) array x, as an (n,) array; >= 0 means inside."""
+        return rbf_kernel(x, self.support_vectors, self.gamma) @ self.alphas \
+            - self.rho
 
     def to_state(self):
         return {
@@ -84,7 +88,7 @@ class OneClassSvm:
         )
 
 
-def fit_svm(fingerprints, nu=0.05, gamma="scale", tol=1e-6, max_passes=10 ** 5):
+def fit_svm(fingerprints, nu=0.05, gamma="scale"):
     """Fit a nu-one-class SVM on training fingerprints."""
     x = np.asarray(fingerprints, dtype=float)
     if x.ndim != 2 or len(x) < 2:
@@ -111,13 +115,13 @@ def fit_svm(fingerprints, nu=0.05, gamma="scale", tol=1e-6, max_passes=10 ** 5):
 
     eps = 1e-12
     gap = np.inf
-    for _ in range(max_passes):
+    for _ in range(SVM_MAX_PASSES):
         up = alpha < cap - eps       # can receive weight
         down = alpha > eps           # can give weight
         i = int(np.argmin(np.where(up, grad, np.inf)))
         j = int(np.argmax(np.where(down, grad, -np.inf)))
         gap = grad[j] - grad[i]
-        if gap < tol:
+        if gap < SVM_TOL:
             break
         eta = k[i, i] + k[j, j] - 2.0 * k[i, j]
         delta = gap / max(eta, eps)
@@ -128,14 +132,14 @@ def fit_svm(fingerprints, nu=0.05, gamma="scale", tol=1e-6, max_passes=10 ** 5):
     else:
         log.warning("fit_svm: stopped after max_passes=%d iterations with "
                     "KKT gap grad[j] - grad[i] = %.6g above tol %g",
-                    max_passes, gap, tol)
+                    SVM_MAX_PASSES, gap, SVM_TOL)
 
     sv = alpha > eps
     margin = sv & (alpha < cap - eps)
     # rho sits at the inner edge of the numerical margin band so margin
     # support vectors evaluate to f >= 0; only bound SVs can fall outside
     if margin.any():
-        rho = float(grad[margin].min()) - tol
+        rho = float(grad[margin].min()) - SVM_TOL
     else:
         rho = float(grad[sv].mean())
     return OneClassSvm(
@@ -167,21 +171,19 @@ class AdEnsemble:
 
 
 def ad_vote(fingerprints, ad):
-    """Majority vote: (inside, vote_sum).
+    """Majority vote on one graph: (inside, vote_sum).
 
-    fingerprints may be a single vector (evaluated by every SVM) or a
-    list with one fingerprint per ensemble member.
+    fingerprints is a (K, d) array with row k from ensemble member k, as
+    each member's SVM lives in its own fingerprint space. Member k votes
+    +1 when its decision on row k is >= 0, else -1.
     """
-    if isinstance(fingerprints, (list, tuple)):
-        if len(fingerprints) != ad.n_members:
-            raise AdError("expected %d fingerprints, got %d"
-                          % (ad.n_members, len(fingerprints)))
-        pairs = zip(ad.svms, fingerprints)
-    else:
-        pairs = ((svm, fingerprints) for svm in ad.svms)
+    fingerprints = np.asarray(fingerprints, dtype=float)
+    if fingerprints.ndim != 2 or len(fingerprints) != ad.n_members:
+        raise AdError("expected a (%d, d) array of fingerprints, got shape %s"
+                      % (ad.n_members, fingerprints.shape))
     vote_sum = 0
-    for svm, h in pairs:
-        vote_sum += 1 if svm.decision(np.asarray(h, dtype=float)) >= 0 else -1
+    for svm, h in zip(ad.svms, fingerprints):
+        vote_sum += 1 if svm.decision(h[None])[0] >= 0 else -1
     return vote_sum > 0, vote_sum
 
 
@@ -191,13 +193,14 @@ def fit_ad_ensemble(per_model_fingerprints, nu=0.05, gamma="scale"):
     return AdEnsemble(svms=svms)
 
 
-def grid_search_hyperparams(fingerprints, gammas, nus, plateau=0.05):
-    """Sweep the (gamma, nu) grid and pick hyperparameters.
+def grid_search_hyperparams(fingerprints, gammas, nus):
+    """Fit an SVM at every (gamma, nu) of the grid and pick hyperparameters.
 
-    Selection rule: with nu fixed at 0.05 (or the first grid value if
-    0.05 is absent), walk gamma downward and select the smallest gamma
-    whose support-vector count sits within `plateau` of the count at the
-    next-smaller gamma.
+    nu is 0.05 if nus holds it, and otherwise nus[0]; the other nu values
+    only fill the table. gamma follows the plateau rule: in nu's column,
+    walk gamma downward and select the smallest gamma whose support-vector
+    count sits within GRID_PLATEAU of the count at the next-smaller gamma,
+    or the smallest gamma when none does.
 
     Returns (gamma, nu, table) where table rows are dicts with keys
     gamma, nu, n_support_vectors, outlier_fraction.
@@ -225,6 +228,6 @@ def grid_search_hyperparams(fingerprints, gammas, nus, plateau=0.05):
                  key=lambda r: -r["gamma"])
     candidates = [hi["gamma"] for hi, lo in zip(col, col[1:])
                   if abs(hi["n_support_vectors"] - lo["n_support_vectors"])
-                  <= plateau * max(lo["n_support_vectors"], 1)]
+                  <= GRID_PLATEAU * max(lo["n_support_vectors"], 1)]
     selected = min(candidates) if candidates else col[-1]["gamma"]
     return selected, nu_sel, table

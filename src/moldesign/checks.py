@@ -1,10 +1,13 @@
-"""Value checks shared by the config dataclasses and the CLI.
+"""Value checks shared by the config dataclasses, the CLI and the
+numeric entry points.
 
 A bool is not accepted as a number: JSON true would otherwise read as 1.
 """
 
 import math
 import numbers
+
+import numpy as np
 
 
 def is_int(x, least):
@@ -17,3 +20,13 @@ def is_real(x):
     """x is a finite real number."""
     return isinstance(x, numbers.Real) and not isinstance(x, bool) \
         and math.isfinite(x)
+
+
+def as_box(bounds, n, error):
+    """bounds = (lo, hi) as float arrays; raises error unless both have
+    shape (n,)."""
+    lo, hi = (np.asarray(b, dtype=float) for b in bounds)
+    if lo.shape != (n,) or hi.shape != (n,):
+        raise error("bounds of shapes %s and %s for dimension %d"
+                    % (lo.shape, hi.shape, n))
+    return lo, hi

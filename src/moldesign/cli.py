@@ -169,8 +169,7 @@ def cmd_run_loop(cfg, seed, out):
     with open(os.path.join(out, "summary.json"), "w") as f:
         json.dump(summary_doc, f, indent=2, sort_keys=True)
     with open(os.path.join(out, "metadata.json"), "w") as f:
-        json.dump({"started_unix": started, "elapsed_s": elapsed,
-                   "wall_times": [r.wall_time for r in records]}, f)
+        json.dump({"started_unix": started, "elapsed_s": elapsed}, f)
     print("run finished: %d records, %d unique, max score %s"
           % (summary["n_total"], summary["n_unique"], summary["max_score"]))
 

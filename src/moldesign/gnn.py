@@ -195,15 +195,11 @@ class GNN:
         self.params["b2"] = np.zeros(len(TASKS))
 
     def forward(self, g):
-        """Returns (fingerprint, raw prediction vector [ron, mon, dcn]).
-
-        Given a GraphBatch instead of one graph, returns both as
-        (n_graphs, ...) rows in batch order.
-        """
-        batch = g if isinstance(g, GraphBatch) else GraphBatch.of([g])
+        """(fingerprint, raw prediction vector [ron, mon, dcn]) of one
+        graph."""
         fp, _, _, out = stacked_forward(self.params, self.config.n_layers,
-                                        batch)
-        return (fp, out) if batch is g else (fp[0], out[0])
+                                        GraphBatch.of([g]))
+        return fp[0], out[0]
 
     def predict(self, g):
         _, out = self.forward(g)
@@ -212,20 +208,18 @@ class GNN:
     def fingerprint(self, g):
         return self.forward(g)[0]
 
-    def loss_and_grad(self, graphs, labels, mask):
+    def loss_and_grad(self, batch, labels, mask):
         """Masked MSE over all present labels, plus parameter gradients.
 
-        graphs: a list of graphs or a GraphBatch. labels, mask: arrays of
-        shape (n_samples, len(TASKS)); masked-out entries contribute zero
-        loss and zero gradient.
+        batch: a GraphBatch. labels, mask: arrays of shape
+        (batch.n_graphs, len(TASKS)) in batch order; masked-out entries
+        contribute zero loss and zero gradient.
         """
         labels = np.asarray(labels, dtype=float)
         mask = np.asarray(mask, dtype=float)
         n_present = mask.sum()
         if n_present == 0:
             raise EmptyDataset("no labels present")
-        batch = graphs if isinstance(graphs, GraphBatch) \
-            else GraphBatch.of(graphs)
         p = self.params
         layers = []
         fp, a1, h1, out = stacked_forward(p, self.config.n_layers, batch,
@@ -341,19 +335,19 @@ class GnnEnsemble:
                 np.concatenate([p[3] for p in parts], axis=1))
 
     def evaluate(self, g):
-        """(per-model fingerprints in model order, mean prediction), from
-        one stacked pass over a one-graph batch."""
+        """(fingerprints, mean prediction) of one graph, from one stacked
+        pass over a one-graph batch; the fingerprints are a (K, fp_dim)
+        array with row k from model k."""
         fp, out = self.forward([g])
         mean = out.mean(axis=0).ravel()  # (K, 1, 3) -> (3,)
-        return (list(fp[:, 0]),
-                PropertyPrediction(float(mean[0]), float(mean[1]),
-                                   float(mean[2])))
+        return fp[:, 0], PropertyPrediction(float(mean[0]), float(mean[1]),
+                                            float(mean[2]))
 
     def predict(self, g):
         return self.evaluate(g)[1]
 
     def fingerprints(self, g):
-        """Per-model fingerprints, in model order."""
+        """The (K, fp_dim) fingerprints of one graph, row k from model k."""
         return self.evaluate(g)[0]
 
     def to_state(self):
@@ -486,16 +480,19 @@ def train_ensemble(data, ensemble, cfg=None):
     return histories
 
 
-def gradient_check(model, g, labels=None, step=1e-5):
-    """Max relative error of analytic vs central finite-difference grads."""
-    if labels is None:
-        labels = np.ones(len(TASKS))
-    labels = np.asarray(labels, dtype=float)
+GRADIENT_CHECK_STEP = 1e-5   # central-difference step of gradient_check
+
+
+def gradient_check(model, g):
+    """Max relative error of analytic vs central finite-difference grads
+    of the loss on graph g with every label 1."""
+    batch = GraphBatch.of([g])
+    labels = np.ones((1, len(TASKS)))
     mask = np.ones_like(labels)
-    _, grads = model.loss_and_grad([g], [labels], [mask])
+    _, grads = model.loss_and_grad(batch, labels, mask)
 
     def loss_only():
-        return model.loss_and_grad([g], [labels], [mask])[0]
+        return model.loss_and_grad(batch, labels, mask)[0]
 
     worst = 0.0
     for k, w in model.params.items():
@@ -503,12 +500,12 @@ def gradient_check(model, g, labels=None, step=1e-5):
         gflat = grads[k].reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + GRADIENT_CHECK_STEP
             up = loss_only()
-            flat[i] = orig - step
+            flat[i] = orig - GRADIENT_CHECK_STEP
             down = loss_only()
             flat[i] = orig
-            numeric = (up - down) / (2 * step)
+            numeric = (up - down) / (2 * GRADIENT_CHECK_STEP)
             denom = max(abs(gflat[i]), abs(numeric), 1e-6)
             worst = max(worst, abs(gflat[i] - numeric) / denom)
     return worst

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import is_int
+from .checks import as_box, is_int
 from .molgraph import MAX_VALENCE, MolecularGraph, canonical_smiles
 
 DEFAULT_FRAGMENTS = (
@@ -213,24 +213,13 @@ def decode_cells(cells, grammar):
 
 # --- latent-space cell arithmetic -------------------------------------------
 
-def _as_box(bounds, n):
-    lo, hi = np.asarray(bounds[0], dtype=float), np.asarray(bounds[1], dtype=float)
-    if lo.shape == ():
-        lo = np.full(n, float(lo))
-    if hi.shape == ():
-        hi = np.full(n, float(hi))
-    if lo.shape != (n,) or hi.shape != (n,):
-        raise GrammarError("bounds do not match latent dimension %d" % n)
-    return lo, hi
-
-
 def decision_cells(z, grammar, bounds):
     """The decision cell of each latent coordinate, as a list of ints.
 
     NaN reads as 0 and the point is clamped into the (finite) box, so +-inf
     fall in the edge cells; a slot of zero width is always cell 0.
     """
-    lo, hi = _as_box(bounds, grammar.n_dims)
+    lo, hi = as_box(bounds, grammar.n_dims, GrammarError)
     k = np.array(grammar.choices_per_slot, dtype=float)
     z = np.asarray(z, dtype=float)
     z = np.minimum(np.maximum(np.where(np.isnan(z), 0.0, z), lo), hi)
@@ -246,7 +235,7 @@ def decision_cells(z, grammar, bounds):
 def cell_center(cells, grammar, bounds):
     """The latent point at the center of a decision cell sequence; missing
     trailing slots read as cell 0."""
-    lo, hi = _as_box(bounds, grammar.n_dims)
+    lo, hi = as_box(bounds, grammar.n_dims, GrammarError)
     c = np.zeros(grammar.n_dims)
     c[:len(cells)] = cells
     return lo + (c + 0.5) * (hi - lo) / np.array(grammar.choices_per_slot)
@@ -302,7 +291,10 @@ def encode_cells(g, grammar):
     raise NotExpressible("no decision sequence produces %s" % target)
 
 
-def enumerate_grammar(grammar, max_decision_space=10 ** 6):
+MAX_DECISION_SPACE = 10 ** 6   # the largest grammar enumerate_grammar walks
+
+
+def enumerate_grammar(grammar):
     """All distinct molecules the grammar can produce, sorted by SMILES.
 
     Returns a dict canonical SMILES -> MolecularGraph; each value is the
@@ -310,9 +302,9 @@ def enumerate_grammar(grammar, max_decision_space=10 ** 6):
     canonicalised once, and walked again only when it is reached with more
     slots left than before.
     """
-    if grammar.decision_space_size() > max_decision_space:
+    if grammar.decision_space_size() > MAX_DECISION_SPACE:
         raise TooLarge("decision space %d exceeds cap %d"
-                       % (grammar.decision_space_size(), max_decision_space))
+                       % (grammar.decision_space_size(), MAX_DECISION_SPACE))
     found = {}
     walked = {}  # (atoms, sorted bonds) -> most slots left it was walked with
 

@@ -107,13 +107,6 @@ class RunRecord:
     vote_sum: int
     duplicate: bool
     penalty_applied: bool
-    wall_time: float
-
-    def to_json_dict(self):
-        # wall_time is timing metadata and stays out of the record file
-        # so that replays are byte-identical
-        d = {k: v for k, v in vars(self).items() if k != "wall_time"}
-        return d
 
 
 def bounds_from_corpus(corpus, grammar, expansion=0.2):
@@ -192,7 +185,6 @@ def evaluate_candidate(z, ctx):
     else:
         z_reduced = None
         z_full = z
-    t0 = time.monotonic()
     g = decode_cells(decision_cells(z_full, ctx.grammar, ctx.bounds),
                      ctx.grammar)
     entry = ctx.cache.get(g)
@@ -220,7 +212,6 @@ def evaluate_candidate(z, ctx):
         vote_sum=vote_sum,
         duplicate=duplicate,
         penalty_applied=penalized,
-        wall_time=time.monotonic() - t0,
     )
     ctx.records.append(rec)
     return rec
@@ -353,7 +344,7 @@ def summarize(records):
 def write_records(path, records):
     with open(path, "w") as f:
         for rec in records:
-            f.write(json.dumps(rec.to_json_dict(), sort_keys=True))
+            f.write(json.dumps(vars(rec), sort_keys=True))
             f.write("\n")
 
 
@@ -363,7 +354,5 @@ def read_records(path):
         for line in f:
             line = line.strip()
             if line:
-                d = json.loads(line)
-                d["wall_time"] = None
-                out.append(RunRecord(**d))
+                out.append(RunRecord(**json.loads(line)))
     return out

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adomain import sq_distances
-from .checks import is_int, is_real
+from .checks import as_box, is_int, is_real
 
 # scipy.linalg and scipy.special are imported where the GP and EI use
 # them: loading them costs about 28 MB of resident memory, which the GA
@@ -31,6 +31,13 @@ PENALTY_SCORE = -1000.0   # the score of out-of-domain candidates
 # the objective has not seen: every child then repeats a scored point, so
 # the loop's budget of new records can never be reached
 GA_STALL_GENERATIONS = 1000
+
+# propose_batch: the uniform candidate cloud, the rank limit of its
+# Thompson draws, and the pattern-search starts of its EI refinement
+N_CANDIDATES = 2048
+THOMPSON_RANK = 64
+N_RESTARTS = 20
+PATTERN_MIN_STEP = 1e-4   # _pattern_search stops below this step
 
 
 class OptimizerError(Exception):
@@ -194,14 +201,14 @@ def default_gp_params(x, y):
 
 
 def expected_improvement(s, x, best):
-    """EI for maximization; always >= 0."""
+    """EI for maximization at each row of the (n, d) array x, as an (n,)
+    array; always >= 0."""
     mean, var = gp_posterior(s, x)
     sigma = np.sqrt(var)
     ei = np.where(sigma > 1e-12,
                   _ei_closed(mean, np.maximum(sigma, 1e-12), best),
                   np.maximum(mean - best, 0.0))
-    out = np.maximum(ei, 0.0)
-    return out if np.ndim(x) > 1 else float(out[0])
+    return np.maximum(ei, 0.0)
 
 
 _SQRT_2PI = np.sqrt(2 * np.pi)
@@ -215,12 +222,13 @@ def _ei_closed(mean, sigma, best):
     return (mean - best) * ndtr(u) + sigma * (np.exp(-u ** 2 / 2.0) / _SQRT_2PI)
 
 
-def _pattern_search(fn, x0, lo, hi, min_step=1e-4):
-    """Derivative-free coordinate search with step halving."""
+def _pattern_search(fn, x0, lo, hi):
+    """Derivative-free coordinate search with step halving, down to
+    PATTERN_MIN_STEP."""
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     fx = fn(x)
     step = 0.1 * (hi - lo)
-    while np.max(step) > min_step:
+    while np.max(step) > PATTERN_MIN_STEP:
         improved = False
         for i in range(len(x)):
             for sgn in (1.0, -1.0):
@@ -235,21 +243,20 @@ def _pattern_search(fn, x0, lo, hi, min_step=1e-4):
     return x, fx
 
 
-def propose_batch(s, bounds, batch_size=10, rng=None, n_candidates=2048,
-                  thompson_rank=64, n_restarts=20):
-    """Thompson-sampled batch plus one refined EI maximizer.
+def propose_batch(s, bounds, batch_size, rng):
+    """Thompson-sampled batch plus one refined EI maximizer, all drawn
+    from the generator rng.
 
     Posterior function draws are rank-limited: values are sampled jointly
     at anchor points and kriged onto the rest of the candidate cloud.
     """
     from scipy.linalg import cholesky
-    rng = rng or np.random.default_rng()
     lo, hi = (np.asarray(b, dtype=float) for b in bounds)
-    cloud = rng.uniform(lo, hi, size=(n_candidates, len(lo)))
+    cloud = rng.uniform(lo, hi, size=(N_CANDIDATES, len(lo)))
     mean, _ = gp_posterior(s, cloud)
 
-    r = min(len(s.x_train), thompson_rank, n_candidates)
-    anchor_idx = rng.choice(n_candidates, size=r, replace=False)
+    r = min(len(s.x_train), THOMPSON_RANK, N_CANDIDATES)
+    anchor_idx = rng.choice(N_CANDIDATES, size=r, replace=False)
     anchors = cloud[anchor_idx]
     mean_a, _ = gp_posterior(s, anchors)
     cov_a = _posterior_cov(s, anchors, anchors)
@@ -271,10 +278,10 @@ def propose_batch(s, bounds, batch_size=10, rng=None, n_candidates=2048,
 
     # EI refinement with multi-start pattern search
     best = float(np.max(s.y_train))
-    ei_fn = lambda x: expected_improvement(s, x, best)
+    ei_fn = lambda x: expected_improvement(s, x[None], best)[0]
     ei_cloud = expected_improvement(s, cloud, best)
     starts = [cloud[int(np.argmax(ei_cloud))]]
-    starts.extend(rng.uniform(lo, hi, size=(n_restarts - 1, len(lo))))
+    starts.extend(rng.uniform(lo, hi, size=(N_RESTARTS - 1, len(lo))))
     best_x, best_ei = None, -np.inf
     for x0 in starts:
         x, v = _pattern_search(ei_fn, x0, lo, hi)
@@ -387,14 +394,12 @@ def _make_stop(stop):
 
 
 def run_ga(objective, bounds, n_dims, stop, seed=0, cfg=None):
-    """GA maximization; history holds every objective evaluation in order."""
+    """GA maximization over the box bounds = (lo, hi), two arrays of shape
+    (n_dims,); history holds every objective evaluation in order."""
     cfg = cfg or GaConfig()
+    lo, hi = as_box(bounds, n_dims, DimensionMismatch)
     stop_fn = _make_stop(stop)
     rng = np.random.default_rng(seed)
-    lo, hi = (np.asarray(b, dtype=float) for b in bounds)
-    if lo.shape == ():
-        lo = np.full(n_dims, float(lo))
-        hi = np.full(n_dims, float(hi))
     history = RunHistory([], [], seed)
     genes = rng.uniform(lo, hi, size=(cfg.population_size, n_dims))
     # Points already evaluated bit for bit (surviving elites) reuse their
@@ -432,14 +437,12 @@ def run_ga(objective, bounds, n_dims, stop, seed=0, cfg=None):
 
 
 def run_bo(objective, bounds, n_dims, stop, seed=0, n_init=10, batch_size=10):
-    """Bayesian optimization; penalized scores (PENALTY_SCORE) are logged
-    but kept out of the GP training set."""
+    """Bayesian optimization over the box bounds = (lo, hi), two arrays of
+    shape (n_dims,); penalized scores (PENALTY_SCORE) are logged but kept
+    out of the GP training set."""
+    lo, hi = as_box(bounds, n_dims, DimensionMismatch)
     stop_fn = _make_stop(stop)
     rng = np.random.default_rng(seed)
-    lo, hi = (np.asarray(b, dtype=float) for b in bounds)
-    if lo.shape == ():
-        lo = np.full(n_dims, float(lo))
-        hi = np.full(n_dims, float(hi))
     history = RunHistory([], [], seed)
 
     def evaluate(z):

@@ -159,11 +159,11 @@ def test_ad_nu_property():
             def __init__(self, v):
                 self.v = v
 
-            def decision(self, _):
-                return self.v
+            def decision(self, x):
+                return np.full(len(x), self.v)
 
         ad = AdEnsemble(svms=[Stub(1.0)] * 20 + [Stub(-1.0)] * 20)
-        inside, vote_sum = ad_vote(np.zeros(2), ad)
+        inside, vote_sum = ad_vote(np.zeros((40, 2)), ad)
         assert vote_sum == 0 and inside is False
 
 
@@ -173,11 +173,11 @@ def test_ad_vote_arithmetic():
             def __init__(self, v):
                 self.v = v
 
-            def decision(self, _):
-                return self.v
+            def decision(self, x):
+                return np.full(len(x), self.v)
 
         ad = AdEnsemble(svms=[Stub(1.0)] * 31 + [Stub(-1.0)] * 9)
-        inside, vote_sum = ad_vote(np.zeros(4), ad)
+        inside, vote_sum = ad_vote(np.zeros((40, 4)), ad)
         assert vote_sum == 31 - 9 == 22
         assert inside is True
 

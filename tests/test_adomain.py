@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from moldesign import adomain
 from moldesign.adomain import (
     AdEnsemble,
     AdError,
@@ -22,12 +23,13 @@ def gaussian_cloud(seed, n=100, d=4):
 
 
 class TestFit:
-    def test_pass_cap_warns(self, caplog):
+    def test_pass_cap_warns(self, caplog, monkeypatch):
         x = gaussian_cloud(0)
         with caplog.at_level(logging.WARNING, logger="moldesign"):
             fit_svm(x, nu=0.1)
             assert not caplog.records
-            fit_svm(x, nu=0.1, max_passes=3)
+            monkeypatch.setattr(adomain, "SVM_MAX_PASSES", 3)
+            fit_svm(x, nu=0.1)
         [rec] = caplog.records
         assert rec.levelno == logging.WARNING
         head = "fit_svm: stopped after max_passes=3 iterations with KKT " \
@@ -71,8 +73,8 @@ class TestFit:
         rng = np.random.default_rng(4)
         x = 0.01 * rng.standard_normal((60, 3)) + 5.0
         svm = fit_svm(x, nu=0.1, gamma=1.0)
-        assert svm.decision(np.full(3, 5.0)) > 0
-        assert svm.decision(np.full(3, 100.0)) < 0
+        assert svm.decision(np.full((1, 3), 5.0))[0] > 0
+        assert svm.decision(np.full((1, 3), 100.0))[0] < 0
 
     def test_nu_one_all_support_vectors(self):
         x = gaussian_cloud(1, n=40)
@@ -103,8 +105,8 @@ class _StubSvm:
     def __init__(self, value):
         self.value = value
 
-    def decision(self, _):
-        return self.value
+    def decision(self, x):
+        return np.full(len(x), self.value)
 
 
 def stub_ensemble(signs):
@@ -114,38 +116,51 @@ def stub_ensemble(signs):
 class TestVote:
     def test_31_of_40(self):
         ad = stub_ensemble([1] * 31 + [-1] * 9)
-        inside, vote_sum = ad_vote(np.zeros(2), ad)
+        inside, vote_sum = ad_vote(np.zeros((40, 2)), ad)
         assert vote_sum == 22
         assert inside
 
     def test_20_of_40_tie_is_outside(self):
         ad = stub_ensemble([1] * 20 + [-1] * 20)
-        inside, vote_sum = ad_vote(np.zeros(2), ad)
+        inside, vote_sum = ad_vote(np.zeros((40, 2)), ad)
         assert vote_sum == 0
         assert not inside
 
     def test_k1(self):
         ad = stub_ensemble([1])
-        assert ad_vote(np.zeros(2), ad) == (True, 1)
+        assert ad_vote(np.zeros((1, 2)), ad) == (True, 1)
 
     def test_member_tie_counts_positive(self):
         ad = AdEnsemble(svms=[_StubSvm(0.0)])
-        assert ad_vote(np.zeros(2), ad) == (True, 1)
+        assert ad_vote(np.zeros((1, 2)), ad) == (True, 1)
 
     def test_flip_changes_sum_by_two(self):
         base = [1] * 7 + [-1] * 3
-        _, s0 = ad_vote(np.zeros(2), stub_ensemble(base))
+        _, s0 = ad_vote(np.zeros((10, 2)), stub_ensemble(base))
         flipped = list(base)
         flipped[0] = -1
-        _, s1 = ad_vote(np.zeros(2), stub_ensemble(flipped))
+        _, s1 = ad_vote(np.zeros((10, 2)), stub_ensemble(flipped))
         assert s0 - s1 == 2
 
     def test_per_member_fingerprints(self):
         ad = stub_ensemble([1, -1, 1])
-        fps = [np.zeros(2)] * 3
-        assert ad_vote(fps, ad) == (True, 1)
+        assert ad_vote(np.zeros((3, 2)), ad) == (True, 1)
         with pytest.raises(AdError):
-            ad_vote([np.zeros(2)] * 2, ad)
+            ad_vote(np.zeros((2, 2)), ad)
+
+    def test_vector_of_length_k_rejected(self):
+        # a 1-D vector is one fingerprint, not one row per member, even
+        # when its length equals the number of members
+        with pytest.raises(AdError):
+            ad_vote(np.zeros(3), stub_ensemble([1, -1, 1]))
+
+    def test_rows_are_voted_by_their_member(self):
+        rng = np.random.default_rng(3)
+        clouds = [rng.standard_normal((60, 2)) + 10.0 * k for k in range(2)]
+        ad = fit_ad_ensemble(clouds, nu=0.05)
+        inside = np.array([clouds[0][0], clouds[1][0]])
+        assert ad_vote(inside, ad) == (True, 2)
+        assert ad_vote(inside[::-1], ad) == (False, -2)
 
     def test_training_set_mostly_accepted(self):
         rng = np.random.default_rng(8)
@@ -153,7 +168,7 @@ class TestVote:
         ad = fit_ad_ensemble(clouds, nu=0.05)
         accepted = 0
         for i in range(80):
-            inside, _ = ad_vote([c[i] for c in clouds], ad)
+            inside, _ = ad_vote(np.array([c[i] for c in clouds]), ad)
             accepted += inside
         assert accepted / 80 >= 1 - 0.05 - 0.05
 

@@ -17,6 +17,7 @@ from moldesign.gnn import (
     TrainConfig,
     TrainConfigError,
     gradient_check,
+    stacked_forward,
     train_ensemble,
     train_model,
 )
@@ -88,7 +89,8 @@ class TestBatchedPass:
             labels = rng.normal(size=(size, 3))
             mask = (rng.random((size, 3)) < 0.6).astype(float)
             mask[0, 0] = 1.0
-            loss, grads = model.loss_and_grad(graphs, labels, mask)
+            loss, grads = model.loss_and_grad(GraphBatch.of(graphs), labels,
+                                              mask)
             ref_loss, ref_grads = reference_loss_and_grad(
                 model, graphs, labels, mask)
             assert loss == ref_loss
@@ -99,7 +101,8 @@ class TestBatchedPass:
     def test_batch_rows_equal_single_graph_forward(self, mixed_pool):
         model = GNN(seed=4)
         graphs = mixed_pool[::7] + mixed_pool[:3]
-        fps, outs = model.forward(GraphBatch.of(graphs))
+        fps, _, _, outs = stacked_forward(model.params, model.config.n_layers,
+                                          GraphBatch.of(graphs))
         assert fps.shape == (len(graphs), model.config.fp_dim)
         for g, fp, out in zip(graphs, fps, outs):
             fp1, out1 = model.forward(g)
@@ -161,7 +164,8 @@ class TestForward:
         # only come from a hand-built batch
         model = GNN(SMALL, seed=0)
         with pytest.raises(DimensionMismatch):
-            model.forward(GraphBatch([(np.zeros((2, 7)), np.eye(2)[::-1])]))
+            stacked_forward(model.params, model.config.n_layers,
+                            GraphBatch([(np.zeros((2, 7)), np.eye(2)[::-1])]))
 
 
 class TestEnsemble:
@@ -194,7 +198,8 @@ class TestEnsemble:
             fps, outs = ens.forward(graphs)
             assert fps.shape == (ens.n_models, len(graphs), SMALL.fp_dim)
             for m, fp, out in zip(ens.models, fps, outs):
-                ref_fp, ref_out = m.forward(batch)
+                ref_fp, _, _, ref_out = stacked_forward(
+                    m.params, m.config.n_layers, batch)
                 assert np.array_equal(fp, ref_fp)
                 assert np.array_equal(out, ref_out)
             return outs
@@ -266,7 +271,7 @@ class TestTraining:
         g = parse_smiles("CC")
         # RON label only: columns of M2/b2 for MON and DCN see no gradient
         _, grads = model.loss_and_grad(
-            [g], [[100.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]])
+            GraphBatch.of([g]), [[100.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]])
         assert np.all(grads["M2"][:, 1:] == 0.0)
         assert np.all(grads["b2"][1:] == 0.0)
 
@@ -416,7 +421,7 @@ class TestGradients:
         model.params["M1"][:, 0] = -100.0
         g = parse_smiles("CC")
         _, grads = model.loss_and_grad(
-            [g], [np.ones(3)], [np.ones(3)])
+            GraphBatch.of([g]), [np.ones(3)], [np.ones(3)])
         # dead unit: gradient through M1 column 0 is exactly zero
         assert np.all(grads["M1"][:, 0] == 0.0)
 

@@ -136,6 +136,14 @@ class TestCellArithmetic:
         assert np.array_equal(cell_center([2], small, unit_bounds),
                               cell_center([2, 0, 0, 0], small, unit_bounds))
 
+    @pytest.mark.parametrize("bounds", [(0.0, 1.0),
+                                        (np.zeros(3), np.ones(3))])
+    def test_bounds_must_be_two_latent_arrays(self, small, bounds):
+        with pytest.raises(GrammarError):
+            decision_cells(np.zeros(4), small, bounds)
+        with pytest.raises(GrammarError):
+            cell_center([0], small, bounds)
+
 
 class TestEncode:
     def test_methane_is_cell_zero_center(self, small, unit_bounds):

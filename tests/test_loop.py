@@ -49,7 +49,7 @@ class _StubEnsemble:
         return PropertyPrediction(*vals)
 
     def fingerprints(self, g):
-        return [np.zeros(4)] * self.n_models
+        return np.zeros((self.n_models, 4))
 
     def evaluate(self, g):
         return self.fingerprints(g), self.predict(g)
@@ -68,8 +68,8 @@ class _Member:
     def __init__(self, value):
         self.value = value
 
-    def decision(self, _):
-        return self.value
+    def decision(self, x):
+        return np.full(len(x), self.value)
 
 
 def make_ctx(grammar, ensemble=None, ad=None, **kw):
@@ -181,8 +181,7 @@ def fake_record(index, smiles, score, ron=None, os_=None, penalized=False,
     return RunRecord(
         index=index, latent_full=[0.0], latent_reduced=None, smiles=smiles,
         ron=ron, mon=None, dcn=None, os=os_, score=score, in_ad=None,
-        vote_sum=None, duplicate=duplicate, penalty_applied=penalized,
-        wall_time=0.0)
+        vote_sum=None, duplicate=duplicate, penalty_applied=penalized)
 
 
 class TestSummarize:
@@ -347,7 +346,7 @@ class TestRun:
         bounds = (np.zeros(4), np.ones(4))
         a, _ = run(cfg, grammar, tiny_ensemble, bounds=bounds)
         b, _ = run(cfg, grammar, tiny_ensemble, bounds=bounds)
-        assert [r.to_json_dict() for r in a] == [r.to_json_dict() for r in b]
+        assert [vars(r) for r in a] == [vars(r) for r in b]
 
 
 class TestRecordIo:
@@ -357,8 +356,7 @@ class TestRecordIo:
         path = tmp_path / "records.jsonl"
         write_records(path, recs)
         back = read_records(path)
-        assert [r.to_json_dict() for r in back] == \
-            [r.to_json_dict() for r in recs]
+        assert [vars(r) for r in back] == [vars(r) for r in recs]
 
     def test_rewrite_byte_identical(self, tmp_path, grammar, tiny_ensemble):
         cfg = RunConfig(method="ga", seed=3, max_total=20, max_unique=1000,
@@ -398,7 +396,7 @@ def uncached_evaluate(z, ctx):
         os=None if penalized else float(pred.os),
         score=float(PENALTY if penalized else pred.score),
         in_ad=in_ad, vote_sum=vote_sum, duplicate=duplicate,
-        penalty_applied=penalized, wall_time=0.0)
+        penalty_applied=penalized)
     ctx.records.append(rec)
     return rec
 

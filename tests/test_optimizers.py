@@ -12,6 +12,7 @@ from scipy.stats import norm
 import moldesign
 from moldesign import loop, optimizers
 from moldesign.optimizers import (
+    DimensionMismatch,
     GaConfig,
     GaConfigError,
     GpSurrogate,
@@ -141,14 +142,14 @@ class TestExpectedImprovement:
         # EI = sigma * pdf(0) = 0.39894...
         s = gp_fit(np.zeros((1, 2)), np.zeros(1), signal_var=1.0,
                    lengthscale=1.0, noise_var=0.0)
-        ei = expected_improvement(s, np.full(2, 1e3), best=0.0)
+        [ei] = expected_improvement(s, np.full((1, 2), 1e3), best=0.0)
         assert ei == pytest.approx(norm.pdf(0.0), rel=1e-6)
         assert ei == pytest.approx(0.3989422804, rel=1e-6)
 
     def test_zero_at_dominated_training_point(self):
         x = np.array([[0.0], [1.0]])
         s = gp_fit(x, np.array([0.0, 5.0]), 1.0, 1.0, 0.0)
-        assert expected_improvement(s, np.array([0.0]), best=5.0) < 1e-6
+        assert expected_improvement(s, np.array([[0.0]]), best=5.0)[0] < 1e-6
 
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(8)
@@ -273,6 +274,11 @@ class TestPenalty:
         assert loop.RunConfig().penalty == PENALTY_SCORE
 
 
+# search boxes that are not two arrays of shape (2,)
+BAD_BOUNDS_2D = [(0.0, 1.0), (np.zeros(2), np.ones(3)),
+                 (np.zeros(3), np.ones(3)), (np.zeros((1, 2)), np.ones((1, 2)))]
+
+
 class TestDrivers:
     def test_run_ga_sphere_8d(self):
         center = np.full(8, 0.3)
@@ -290,11 +296,21 @@ class TestDrivers:
         assert max(hist.scores) > max(hist.scores[:10])
         assert max(hist.scores) > -0.01
 
-    def test_run_bo_exact_budget_scalar_bounds(self):
-        hist = run_bo(lambda z: float(z.sum()), (0.0, 1.0), 3, stop=25,
-                      seed=2, n_init=10, batch_size=10)
+    def test_run_bo_exact_budget(self):
+        hist = run_bo(lambda z: float(z.sum()), (np.zeros(3), np.ones(3)), 3,
+                      stop=25, seed=2, n_init=10, batch_size=10)
         assert len(hist) == 25
         assert all(p.shape == (3,) for p in hist.points)
+
+    @pytest.mark.parametrize("bounds", BAD_BOUNDS_2D)
+    def test_run_ga_bounds_must_match_n_dims(self, bounds):
+        with pytest.raises(DimensionMismatch):
+            run_ga(lambda z: 0.0, bounds, 2, stop=10)
+
+    @pytest.mark.parametrize("bounds", BAD_BOUNDS_2D)
+    def test_run_bo_bounds_must_match_n_dims(self, bounds):
+        with pytest.raises(DimensionMismatch):
+            run_bo(lambda z: 0.0, bounds, 2, stop=10)
 
     def test_run_bo_survives_penalty_region(self):
         def objective(z):
@@ -310,7 +326,7 @@ class TestDrivers:
 
     def test_callable_stop(self):
         calls = []
-        hist = run_ga(lambda z: float(z[0]), (0.0, 1.0), 2,
+        hist = run_ga(lambda z: float(z[0]), (np.zeros(2), np.ones(2)), 2,
                       stop=lambda n: n >= 75, seed=4)
         assert len(hist) == 75
 
@@ -336,8 +352,8 @@ class TestDrivers:
         cfg = GaConfig(population_size=10, mutation_prob=0.0,
                        crossover_prob=0.0)
         with caplog.at_level(logging.WARNING, logger="moldesign"):
-            hist = run_ga(objective, (0.0, 1.0), 2, seed=4, cfg=cfg,
-                          stop=lambda _n: len(calls) >= 50)
+            hist = run_ga(objective, (np.zeros(2), np.ones(2)), 2, seed=4,
+                          cfg=cfg, stop=lambda _n: len(calls) >= 50)
         assert len(calls) == 10
         assert len(steps) == n
         assert len(hist) == 10 * (n + 1)
@@ -346,8 +362,8 @@ class TestDrivers:
             "stopping after 10 objective calls" % n]
 
     def test_best_so_far_monotone(self):
-        hist = run_ga(lambda z: float(np.sin(10 * z[0])), (0.0, 1.0), 1,
-                      stop=200, seed=5)
+        hist = run_ga(lambda z: float(np.sin(10 * z[0])),
+                      (np.zeros(1), np.ones(1)), 1, stop=200, seed=5)
         b = hist.best_so_far()
         assert np.all(np.diff(b) >= 0)
         assert b[-1] == max(hist.scores)
