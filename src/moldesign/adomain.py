@@ -130,7 +130,7 @@ def fit_svm(fingerprints, nu=0.05, gamma="scale"):
         alpha[j] -= delta
         grad += delta * (k[:, i] - k[:, j])
     else:
-        log.warning("fit_svm: stopped after max_passes=%d iterations with "
+        log.warning("fit_svm: stopped after SVM_MAX_PASSES=%d iterations with "
                     "KKT gap grad[j] - grad[i] = %.6g above tol %g",
                     SVM_MAX_PASSES, gap, SVM_TOL)
 

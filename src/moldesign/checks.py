@@ -1,5 +1,5 @@
 """Value checks shared by the config dataclasses, the CLI and the
-numeric entry points.
+numeric entry points, and the one error type of a bad configuration.
 
 A bool is not accepted as a number: JSON true would otherwise read as 1.
 """
@@ -8,6 +8,10 @@ import math
 import numbers
 
 import numpy as np
+
+
+class ConfigError(Exception):
+    """A config value is missing, unknown or out of range; the CLI exits 1."""
 
 
 def is_int(x, least):

@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: train-gnn, fit-ad, run-loop, report, enumerate. Every
-subcommand takes --config (JSON), --seed, and --out. Exit code 0 on
-success, 1 on configuration errors, 2 on runtime faults; errors go to
-stderr as "error[CODE]: message". Set MOLDESIGN_LOG for verbosity.
+Subcommands train-gnn, fit-ad, run-loop, report and enumerate, one entry
+each in COMMANDS, take --config (JSON) and --out, and refuse a config key
+they do not read; train-gnn and run-loop take --seed, report --records.
+Exit code 0 on success, 1 on configuration errors, 2 on runtime faults;
+errors go to stderr as "error[CODE]: message". MOLDESIGN_LOG sets logging.
 """
 
 from __future__ import annotations
@@ -17,41 +18,36 @@ import sys
 import time
 
 from . import adomain, checkpoint, dataio, gnn, loop, optimizers
-from .checks import is_int, is_real
+from .checks import ConfigError, is_int, is_real
 from .grammar import FragmentGrammar, GrammarError, enumerate_grammar
 
 log = logging.getLogger("moldesign")
 
 CONFIG_ERRORS = (
+    ConfigError,
     dataio.DataError,
     checkpoint.CheckpointError,
-    loop.ConfigError,
-    gnn.GnnConfigError,
-    gnn.TrainConfigError,
-    optimizers.GaConfigError,
     GrammarError,
     OSError,
     json.JSONDecodeError,
 )
 
 
-class CliError(Exception):
-    def __init__(self, code, message, exit_code):
-        super().__init__(message)
-        self.code = code
-        self.exit_code = exit_code
-
-
-def _load_config(path):
+def _load_config(path, keys):
+    """The config object at path ({} without one), refusing a top-level
+    key outside keys other than schema_version."""
     if path is None:
         return {}
     with open(path) as f:
         cfg = json.load(f)
     if not isinstance(cfg, dict):
-        raise CliError("E_CONFIG", "config must be a JSON object", 1)
+        raise ConfigError("config must be a JSON object")
     version = cfg.get("schema_version", 1)
     if version != 1:
-        raise CliError("E_CONFIG", "unsupported config schema %r" % version, 1)
+        raise ConfigError("unsupported config schema %r" % version)
+    for key in cfg:
+        if key not in keys and key != "schema_version":
+            raise ConfigError("unknown config key %r" % key)
     return cfg
 
 
@@ -59,27 +55,29 @@ def _from_section(cls, section, values):
     """cls(**values) for one config section, refusing keys that are not
     fields of cls."""
     if not isinstance(values, dict):
-        raise CliError("E_CONFIG", "config section %r must be an object"
-                       % section, 1)
+        raise ConfigError("config section %r must be an object" % section)
     fields = {f.name for f in dataclasses.fields(cls)}
     for key in values:
         if key not in fields:
-            raise CliError("E_CONFIG", "unknown key %r in config section %r"
-                           % (key, section), 1)
+            raise ConfigError("unknown key %r in config section %r"
+                              % (key, section))
     return cls(**values)
 
 
 def _required(cfg, key):
     """The path a config must give under key."""
     if not isinstance(cfg.get(key), str):
-        raise CliError("E_CONFIG", "config key %r is missing or not a path"
-                       % key, 1)
+        raise ConfigError("config key %r is missing or not a path" % key)
     return cfg[key]
 
 
-def _dataset_samples(dataset):
+def _read_samples(path):
+    """(graph, labels) per valid dataset row; each skipped row is logged."""
     from .molgraph import parse_smiles
-    return [(parse_smiles(row.canonical), row.labels()) for row in dataset.rows]
+    data = dataio.ingest_dataset(path)
+    for issue in data.issues:
+        log.warning("dataset: %s", issue)
+    return [(parse_smiles(row.canonical), row.labels()) for row in data.rows]
 
 
 def cmd_train_gnn(cfg, seed, out):
@@ -87,12 +85,10 @@ def cmd_train_gnn(cfg, seed, out):
     train_cfg = _from_section(gnn.TrainConfig, "train", cfg.get("train", {}))
     n_models = cfg.get("n_models", 40)
     if not is_int(n_models, 1):
-        raise CliError("E_CONFIG", "n_models must be an integer >= 1", 1)
-    data = dataio.ingest_dataset(_required(cfg, "dataset"))
-    for issue in data.issues:
-        log.warning("dataset: %s", issue)
+        raise ConfigError("n_models must be an integer >= 1")
+    samples = _read_samples(_required(cfg, "dataset"))
     ensemble = gnn.GnnEnsemble(n_models=n_models, config=gnn_cfg, seed=seed)
-    histories = gnn.train_ensemble(_dataset_samples(data), ensemble, train_cfg)
+    histories = gnn.train_ensemble(samples, ensemble, train_cfg)
     checkpoint.save_checkpoint(out, ensemble)
     with open(out + ".losses.json", "w") as f:
         json.dump({"seed": seed, "loss_histories": histories}, f)
@@ -102,31 +98,35 @@ def cmd_train_gnn(cfg, seed, out):
 def _check_ad_hyperparams(nus, gammas):
     if not (isinstance(nus, list) and nus
             and all(is_real(nu) and 0 < nu <= 1 for nu in nus)):
-        raise CliError("E_CONFIG", "each nu must be a number in (0, 1]", 1)
+        raise ConfigError("each nu must be a number in (0, 1]")
     if not (isinstance(gammas, list) and gammas
             and all(g == "scale" or (is_real(g) and g > 0) for g in gammas)):
-        raise CliError("E_CONFIG", "each gamma must be \"scale\" or a "
-                       "finite number > 0", 1)
+        raise ConfigError('each gamma must be "scale" or a finite number > 0')
 
 
-def cmd_fit_ad(cfg, seed, out):
-    nu = cfg.get("nu", 0.05)
-    gamma = cfg.get("gamma", "scale")
+def cmd_fit_ad(cfg, out):
     grid_search = cfg.get("grid_search", False)
+    if not isinstance(grid_search, bool):
+        raise ConfigError("grid_search must be true or false")
+    # each mode refuses the other's keys, which it would ignore
+    for key in ("nu", "gamma") if grid_search else ("nu_grid", "gamma_grid"):
+        if key in cfg:
+            raise ConfigError("config key %r has no effect when grid_search "
+                              "is %s" % (key, json.dumps(grid_search)))
     if grid_search:
         nus = cfg.get("nu_grid", [0.5, 0.1, 0.05, 0.01])
         gammas = cfg.get("gamma_grid", [0.5, 0.1, 0.01, 0.005, 0.001,
                                         0.0005, 0.0001, "scale"])
-        _check_ad_hyperparams(nus, gammas)
     else:
-        _check_ad_hyperparams([nu], [gamma])
+        nus, gammas = [cfg.get("nu", 0.05)], [cfg.get("gamma", "scale")]
+    _check_ad_hyperparams(nus, gammas)
     ensemble, _, payload = checkpoint.load_checkpoint(
         _required(cfg, "checkpoint"))
-    data = dataio.ingest_dataset(_required(cfg, "dataset"))
-    graphs = [g for g, _ in _dataset_samples(data)]
+    graphs = [g for g, _ in _read_samples(_required(cfg, "dataset"))]
     per_model = list(ensemble.forward(graphs)[0])
 
     extra = payload.get("extra", {})
+    nu, gamma = nus[0], gammas[0]
     if grid_search:
         import numpy as np
         pooled = np.vstack(per_model)
@@ -140,22 +140,18 @@ def cmd_fit_ad(cfg, seed, out):
     print("wrote checkpoint %s (+%d SVMs)" % (out, ad.n_members))
 
 
-def _run_config_from(cfg, seed):
+def cmd_run_loop(cfg, seed, out):
     loop_cfg = cfg.get("loop", {})
     if isinstance(loop_cfg, dict):
         loop_cfg = dict(loop_cfg, seed=seed)
         loop_cfg["ga"] = _from_section(optimizers.GaConfig, "loop.ga",
-                                       loop_cfg.get("ga") or {})
-    return _from_section(loop.RunConfig, "loop", loop_cfg)
-
-
-def cmd_run_loop(cfg, seed, out):
-    run_cfg = _run_config_from(cfg, seed)
+                                       loop_cfg.get("ga", {}))
+    run_cfg = _from_section(loop.RunConfig, "loop", loop_cfg)
     ensemble, ad, _ = checkpoint.load_checkpoint(_required(cfg, "checkpoint"))
     grammar = FragmentGrammar.load(_required(cfg, "grammar"))
     corpus = dataio.read_smiles_corpus(_required(cfg, "corpus"))
     if run_cfg.ad_enabled and ad is None:
-        raise CliError("E_CONFIG", "checkpoint missing AD section", 1)
+        raise ConfigError("checkpoint missing AD section")
 
     started = time.time()
     records, summary = loop.run(run_cfg, grammar, ensemble, ad=ad,
@@ -174,9 +170,8 @@ def cmd_run_loop(cfg, seed, out):
           % (summary["n_total"], summary["n_unique"], summary["max_score"]))
 
 
-def cmd_report(cfg, seed, out, records_path=None):
-    records_path = records_path or _required(cfg, "records")
-    records = loop.read_records(records_path)
+def cmd_report(cfg, out):
+    records = loop.read_records(_required(cfg, "records"))
     summary = loop.summarize(records)
     scatter = [{"smiles": rec.smiles, "ron": rec.ron, "os": rec.os,
                 "score": rec.score, "in_ad": rec.in_ad,
@@ -196,7 +191,7 @@ def cmd_report(cfg, seed, out, records_path=None):
           % (summary["n_unique"], summary["n_promising"]))
 
 
-def cmd_enumerate(cfg, seed, out):
+def cmd_enumerate(cfg, out):
     grammar = FragmentGrammar.load(_required(cfg, "grammar"))
     molecules = enumerate_grammar(grammar)
     with open(out, "w") as f:
@@ -205,54 +200,56 @@ def cmd_enumerate(cfg, seed, out):
     print("enumerated %d molecules" % len(molecules))
 
 
+# name: (handler, the top-level config keys it reads, the flags it takes
+# beside --config and --out, help text). --seed goes to the handler; a
+# flag named after one of the keys fills that key.
+COMMANDS = {
+    "train-gnn": (cmd_train_gnn, ("dataset", "n_models", "gnn", "train"),
+                  ("--seed",), "train the GNN ensemble into a checkpoint"),
+    "fit-ad": (cmd_fit_ad, ("checkpoint", "dataset", "nu", "gamma",
+                            "grid_search", "nu_grid", "gamma_grid"), (),
+               "fit the applicability-domain SVMs into a checkpoint"),
+    "run-loop": (cmd_run_loop, ("checkpoint", "grammar", "corpus", "loop"),
+                 ("--seed",), "execute a design-loop run"),
+    "report": (cmd_report, ("records",), ("--records",),
+               "render summary and scatter data from a records file"),
+    "enumerate": (cmd_enumerate, ("grammar",), (),
+                  "dump every molecule the grammar can produce"),
+}
+
+FLAGS = {
+    "--seed": {"type": int, "default": 0, "help": "random seed, >= 0"},
+    "--records": {"help": "records.jsonl path (overrides config)"},
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="moldesign",
         description="Molecular design loop: generator, GNN ensemble, "
                     "applicability domain, black-box optimizers.")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "train-gnn": "train the GNN ensemble and write a checkpoint",
-        "fit-ad": "fit the applicability-domain SVMs into a checkpoint",
-        "run-loop": "execute a design-loop run",
-        "report": "render summary and scatter data from a records file",
-        "enumerate": "dump every molecule the grammar can produce",
-    }
-    for name, help_text in commands.items():
+    for name, (_, _, flags, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=True)
-        if name == "report":
-            p.add_argument("--records", help="records.jsonl path "
-                           "(overrides config)")
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
     return parser
-
-
-HANDLERS = {
-    "train-gnn": cmd_train_gnn,
-    "fit-ad": cmd_fit_ad,
-    "run-loop": cmd_run_loop,
-    "report": cmd_report,
-    "enumerate": cmd_enumerate,
-}
 
 
 def main(argv=None):
     logging.basicConfig(level=os.environ.get("MOLDESIGN_LOG", "WARNING"))
     args = build_parser().parse_args(argv)
+    handler, keys, _, _ = COMMANDS[args.command]
+    seed = [args.seed] if "seed" in args else []   # for seeded handlers only
     try:
-        if args.seed < 0:
-            raise CliError("E_CONFIG", "--seed must be >= 0", 1)
-        cfg = _load_config(args.config)
-        handler = HANDLERS[args.command]
-        if args.command == "report":
-            handler(cfg, args.seed, args.out, records_path=args.records)
-        else:
-            handler(cfg, args.seed, args.out)
-    except CliError as e:
-        print("error[%s]: %s" % (e.code, e), file=sys.stderr)
-        return e.exit_code
+        if seed and args.seed < 0:
+            raise ConfigError("--seed must be >= 0")
+        cfg = _load_config(args.config, keys)
+        cfg.update((key, value) for key, value in vars(args).items()
+                   if key in keys and value is not None)
+        handler(cfg, *seed, args.out)
     except CONFIG_ERRORS as e:
         print("error[E_CONFIG]: %s" % e, file=sys.stderr)
         return 1

@@ -8,7 +8,6 @@ are missing labels. Corpus files hold one SMILES per line with optional
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass, field
 
 from .molgraph import MolGraphError, canonical_smiles, parse_smiles
@@ -99,10 +98,8 @@ def ingest_dataset(path):
                 issues.append("line %d: no labels" % line_no)
                 continue
             if canon in seen:
-                msg = ("line %d: duplicate molecule %s (first on line %d)"
-                       % (line_no, canon, seen[canon]))
-                issues.append(msg)
-                warnings.warn(msg)
+                issues.append("line %d: duplicate molecule %s (first on "
+                              "line %d)" % (line_no, canon, seen[canon]))
                 continue
             seen[canon] = line_no
             rows.append(DatasetRow(smiles=smiles, canonical=canon, **labels))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import molgraph
-from .checks import is_int, is_real
+from .checks import ConfigError, is_int, is_real
 
 log = logging.getLogger("moldesign")
 
@@ -52,11 +52,11 @@ class EmptyDataset(GnnError):
     pass
 
 
-class GnnConfigError(GnnError):
+class GnnConfigError(GnnError, ConfigError):
     pass
 
 
-class TrainConfigError(GnnError):
+class TrainConfigError(GnnError, ConfigError):
     pass
 
 

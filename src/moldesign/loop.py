@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import optimizers
+from . import checks, optimizers
 from .adomain import ad_vote
 from .checks import is_int, is_real
 from .grammar import NotExpressible, cell_center, decision_cells, \
@@ -37,7 +37,7 @@ class LoopError(Exception):
     pass
 
 
-class ConfigError(LoopError):
+class ConfigError(LoopError, checks.ConfigError):
     pass
 
 
@@ -64,11 +64,15 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in ("bo", "ga"):
             raise ConfigError("method must be 'bo' or 'ga'")
-        for name in ("max_unique", "max_total", "time_limit_s"):
+        budgets = ("max_unique", "max_total", "time_limit_s")
+        for name in budgets:
             value = getattr(self, name)
             if value is not None and not (is_real(value) and value > 0):
                 raise ConfigError("%s must be null or a finite number > 0, "
                                   "not %r" % (name, value))
+        if all(getattr(self, name) is None for name in budgets):
+            raise ConfigError("a run needs max_unique, max_total or "
+                              "time_limit_s; all null never ends")
         if not (is_real(self.bound_expansion) and self.bound_expansion >= 0):
             raise ConfigError("bound_expansion must be a finite number >= 0, "
                               "not %r" % (self.bound_expansion,))

@@ -119,16 +119,17 @@ def _validate(g):
     for a in g.atoms:
         if a not in MAX_VALENCE:
             return UNSUPPORTED_ELEMENT, None
-    seen = set()
+    # __init__ sorts the bonds, so a repeated pair follows its first copy
+    prev = None
     sums = [0] * n
     for u, v, order in g.bonds:
         if not (0 <= u < n and 0 <= v < n):
             return BAD_ATOM_INDEX, None
         if u == v:
             return SELF_LOOP, None
-        if (u, v) in seen:
+        if (u, v) == prev:
             return DUPLICATE_BOND, None
-        seen.add((u, v))
+        prev = u, v
         if order not in (1, 2, 3):
             return BAD_BOND_ORDER, None
         sums[u] += order

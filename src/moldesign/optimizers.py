@@ -11,13 +11,12 @@ uniform-resample mutation.
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .adomain import sq_distances
-from .checks import as_box, is_int, is_real
+from .checks import ConfigError, as_box, is_int, is_real
 
 # scipy.linalg and scipy.special are imported where the GP and EI use
 # them: loading them costs about 28 MB of resident memory, which the GA
@@ -52,11 +51,7 @@ class DimensionMismatch(OptimizerError):
     pass
 
 
-class GaConfigError(OptimizerError):
-    pass
-
-
-class RankDeficientWarning(UserWarning):
+class GaConfigError(OptimizerError, ConfigError):
     pass
 
 
@@ -93,7 +88,7 @@ def pca_fit(points, target_ratio=0.999):
     """PCA by eigendecomposition of the sample covariance.
 
     Keeps the smallest r whose cumulative explained-variance ratio
-    reaches target_ratio, capped at the data rank.
+    reaches target_ratio, capped at the data rank (a cap logs a WARNING).
     """
     x = np.asarray(points, dtype=float)
     if x.ndim != 2 or len(x) < 2:
@@ -115,8 +110,8 @@ def pca_fit(points, target_ratio=0.999):
     cum = np.cumsum(ratio)
     r = int(np.searchsorted(cum, target_ratio - 1e-12) + 1)
     if r > rank:
-        warnings.warn("target ratio %.4g needs rank beyond data rank %d"
-                      % (target_ratio, rank), RankDeficientWarning)
+        log.warning("pca_fit: target ratio %.4g needs rank beyond data "
+                    "rank %d; keeping %d axes", target_ratio, rank, rank)
         r = rank
     return PcaModel(
         mean=mean,

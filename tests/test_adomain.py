@@ -32,7 +32,7 @@ class TestFit:
             fit_svm(x, nu=0.1)
         [rec] = caplog.records
         assert rec.levelno == logging.WARNING
-        head = "fit_svm: stopped after max_passes=3 iterations with KKT " \
+        head = "fit_svm: stopped after SVM_MAX_PASSES=3 iterations with KKT " \
             "gap grad[j] - grad[i] = "
         msg = rec.getMessage()
         assert msg.startswith(head)

@@ -1,9 +1,12 @@
 import json
+import logging
+import os
+import re
 
 import pytest
 
 from moldesign.checkpoint import load_checkpoint
-from moldesign.cli import main
+from moldesign.cli import COMMANDS, main
 from moldesign.grammar import FragmentGrammar, enumerate_grammar
 
 DATASET = """smiles,ron,mon,dcn
@@ -170,6 +173,8 @@ class TestTrainAndFit:
         {"nu": 0}, {"nu": 1.5}, {"nu": "0.1"}, {"gamma": -1.0},
         {"grid_search": True, "nu_grid": [0.5, 2.0]},
         {"grid_search": True, "gamma_grid": ["auto"]},
+        {"grid_search": True, "nu": -5},
+        {"grid_search": True, "gamma": "bogus"},
     ])
     def test_bad_ad_hyperparams(self, tmp_path, workdir, capsys, values):
         cfg = tmp_path / "fitad.json"
@@ -181,6 +186,47 @@ class TestTrainAndFit:
         assert rc == 1
         assert "error[E_CONFIG]" in capsys.readouterr().err
         assert not (tmp_path / "o.ckpt").exists()
+
+    @pytest.mark.parametrize("values,key", [
+        ({"grid_search": True, "nu": 0.05}, "nu"),
+        ({"grid_search": True, "gamma": "scale"}, "gamma"),
+        ({"nu_grid": [0.1]}, "nu_grid"),
+        ({"grid_search": False, "gamma_grid": [0.1]}, "gamma_grid"),
+        ({"grid_search": "yes"}, "grid_search"),
+    ])
+    def test_key_the_ad_mode_ignores_is_refused(self, tmp_path, workdir,
+                                                 capsys, values, key):
+        cfg = tmp_path / "fitad.json"
+        cfg.write_text(json.dumps({"checkpoint": str(workdir / "gnn.ckpt"),
+                                   "dataset": str(workdir / "dataset.csv"),
+                                   **values}))
+        rc = main(["fit-ad", "--config", str(cfg),
+                   "--out", str(tmp_path / "o.ckpt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error[E_CONFIG]" in err and key in err
+        assert not (tmp_path / "o.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["train-gnn", "fit-ad"])
+    def test_dataset_issue_logged_once(self, tmp_path, workdir, caplog,
+                                       recwarn, command):
+        data = tmp_path / "data.csv"
+        data.write_text(DATASET + "OCC,90,,\nCXC,1,,\n")   # OCC is CCO
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"dataset": str(data), "n_models": 1, "train": {"epochs": 1}}
+            if command == "train-gnn" else
+            {"dataset": str(data), "checkpoint": str(workdir / "gnn.ckpt")}))
+        with caplog.at_level(logging.WARNING, logger="moldesign"):
+            rc = main([command, "--config", str(cfg),
+                       "--out", str(tmp_path / "o.ckpt")])
+        assert rc == 0
+        issues = [r.getMessage() for r in caplog.records
+                  if r.getMessage().startswith("dataset: ")]
+        assert len(issues) == 2
+        assert "line 10: duplicate molecule CCO" in issues[0]
+        assert issues[1].startswith("dataset: line 11: ")
+        assert not recwarn.list
 
     def test_malformed_checkpoint(self, tmp_path, workdir, capsys):
         bad = tmp_path / "bad.ckpt"
@@ -280,6 +326,16 @@ class TestRunLoop:
         err = capsys.readouterr().err
         assert "error[E_CONFIG]" in err
         assert repr(section) in err and repr(key) in err
+        assert not (tmp_path / "run").exists()
+
+    def test_run_without_budget_is_config_error(self, workdir, tmp_path,
+                                                capsys):
+        rc = main(["run-loop", "--config",
+                   loop_config(workdir, max_unique=None, max_total=None),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error[E_CONFIG]" in err and "time_limit_s" in err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("field", ["max_unique", "max_total",
@@ -459,3 +515,91 @@ class TestConfigHandling:
                    "--out", str(tmp_path / "run")])
         assert rc == 1
         assert "must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [None, False, 0, []])
+    def test_ga_section_not_an_object(self, workdir, tmp_path, capsys, value):
+        rc = main(["run-loop", "--config", loop_config(workdir, ga=value),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "'loop.ga' must be an object" in err
+        assert not (tmp_path / "run").exists()
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "README.md")
+
+
+def readme_config_keys():
+    """Command -> the top-level keys its rows of the README's "Config keys"
+    table name (a section's row, such as loop.ga, names its section)."""
+    text = open(README).read().split("### Config keys", 1)[1]
+    keys, command = {}, None
+    for line in text.splitlines():
+        if not line.startswith("| "):
+            continue
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if cells[0] == "Command":
+            continue
+        if cells[0]:
+            command = cells[0].strip("`")
+        keys.setdefault(command, set()).update(
+            k.split(".")[0] for k in re.findall(r"`([^`]+)`", cells[1]))
+    return keys
+
+
+def valid_config(command, workdir, tmp_path):
+    """A config that command accepts, writing to a fresh output."""
+    if command == "report":
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps({
+            "index": 0, "latent_full": [0.0], "latent_reduced": None,
+            "smiles": "CC", "ron": 105.0, "mon": 100.0, "dcn": None,
+            "os": 5.0, "score": 110.0, "in_ad": True, "vote_sum": 2,
+            "duplicate": False, "penalty_applied": False}) + "\n")
+    return {
+        "train-gnn": {"dataset": str(workdir / "dataset.csv"), "n_models": 1,
+                      "train": {"epochs": 1}},
+        "fit-ad": {"checkpoint": str(workdir / "gnn.ckpt"),
+                   "dataset": str(workdir / "dataset.csv")},
+        "run-loop": {**json.loads(open(loop_config(workdir)).read()),
+                     "loop": {"method": "ga", "max_total": 5,
+                              "ad_enabled": False}},
+        "report": {"records": str(tmp_path / "records.jsonl")},
+        "enumerate": {"grammar": str(workdir / "grammar.json")},
+    }[command]
+
+
+class TestCommandTable:
+    def test_readme_names_the_declared_keys(self):
+        declared = {name: set(keys) for name, (_, keys, _, _)
+                    in COMMANDS.items()}
+        assert readme_config_keys() == declared
+
+    @pytest.mark.parametrize("command,key", [
+        ("train-gnn", "epochs"), ("fit-ad", "gama"), ("run-loop", "seed"),
+        ("report", "record"), ("enumerate", "n_dim"),
+    ])
+    def test_undeclared_key_refused(self, workdir, tmp_path, capsys,
+                                    command, key):
+        cfg = valid_config(command, workdir, tmp_path)
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(cfg))
+        bad.write_text(json.dumps({**cfg, key: 5}))
+        rc = main([command, "--config", str(bad),
+                   "--out", str(tmp_path / "bad.out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error[E_CONFIG]" in err and repr(key) in err
+        assert not (tmp_path / "bad.out").exists()
+        # without the key the same config runs
+        assert main([command, "--config", str(good),
+                     "--out", str(tmp_path / "good.out")]) == 0
+        assert (tmp_path / "good.out").exists()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_seed_only_where_read(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert ("--seed" in capsys.readouterr().out) \
+            == (command in ("train-gnn", "run-loop"))

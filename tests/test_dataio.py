@@ -52,10 +52,11 @@ class TestIngest:
     def test_duplicate_canonical_rejected_with_warning(self, tmp_path):
         # OCC and CCO are the same molecule
         path = write(tmp_path, "smiles,ron,mon,dcn\nCCO,100,,\nOCC,90,,\n")
-        with pytest.warns(UserWarning, match="duplicate"):
-            data = ingest_dataset(path)
+        data = ingest_dataset(path)
         assert len(data) == 1
         assert data.rows[0].ron == 100.0
+        assert data.issues == ["line 3: duplicate molecule CCO (first on "
+                               "line 2)"]
 
     def test_unlabeled_row_skipped(self, tmp_path):
         path = write(tmp_path, "smiles,ron,mon,dcn\nCC,,,\nCCO,90,,\n")

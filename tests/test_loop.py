@@ -295,6 +295,12 @@ class TestRunConfig:
         with pytest.raises(TypeError):
             RunConfig(penalty=-5.0)
 
+    def test_some_budget_required(self):
+        with pytest.raises(ConfigError, match="never ends"):
+            RunConfig(max_unique=None, max_total=None, time_limit_s=None)
+        RunConfig(max_unique=None, max_total=None, time_limit_s=1.0)
+        RunConfig(max_unique=None, max_total=5)
+
     def test_bound_expansion_required(self):
         with pytest.raises(ConfigError):
             RunConfig(bound_expansion=None)

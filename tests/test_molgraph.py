@@ -134,6 +134,11 @@ class TestValidate:
         object.__setattr__(g, "bonds", ((0, 1, 1), (0, 1, 1)))
         assert validate(g) == molgraph.DUPLICATE_BOND
 
+    def test_duplicate_pair_apart_in_input(self):
+        # __init__ sorts the bonds, so the two (0, 1) bonds become adjacent
+        g = MolecularGraph(["C", "C", "C"], [(1, 0, 1), (1, 2, 1), (0, 1, 2)])
+        assert validate(g) == molgraph.DUPLICATE_BOND
+
 
 class TestCanonical:
     def test_relabeled_ethanol(self):

@@ -19,7 +19,6 @@ from moldesign.optimizers import (
     OptimizerError,
     PENALTY_SCORE,
     PcaModel,
-    RankDeficientWarning,
     default_gp_params,
     expected_improvement,
     ga_step,
@@ -68,12 +67,16 @@ class TestPca:
         assert np.all(np.diff(model.explained_ratio) <= 1e-12)
         assert model.explained_ratio.sum() <= 1.0 + 1e-12
 
-    def test_rank_deficient_warning(self):
+    def test_rank_deficient_warning(self, caplog):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((2000, 32)) * np.sqrt(
             np.r_[1.0, np.full(31, 1e-13)])
-        with pytest.warns(RankDeficientWarning):
+        with caplog.at_level(logging.WARNING, logger="moldesign"):
             model = pca_fit(x, target_ratio=1.0)
+        [rec] = caplog.records
+        assert rec.levelno == logging.WARNING
+        assert rec.getMessage().startswith("pca_fit: target ratio 1 needs "
+                                           "rank beyond data rank 1")
         assert model.r == 1
 
     def test_too_few_points(self):
