@@ -120,12 +120,11 @@ def cmd_fit_ad(cfg, out):
     else:
         nus, gammas = [cfg.get("nu", 0.05)], [cfg.get("gamma", "scale")]
     _check_ad_hyperparams(nus, gammas)
-    ensemble, _, payload = checkpoint.load_checkpoint(
-        _required(cfg, "checkpoint"))
+    ensemble, _, _ = checkpoint.load_checkpoint(_required(cfg, "checkpoint"))
     graphs = [g for g, _ in _read_samples(_required(cfg, "dataset"))]
     per_model = list(ensemble.forward(graphs)[0])
 
-    extra = payload.get("extra", {})
+    extra = {}   # an earlier fit's tables would be stale
     nu, gamma = nus[0], gammas[0]
     if grid_search:
         import numpy as np
@@ -143,6 +142,12 @@ def cmd_fit_ad(cfg, out):
 def cmd_run_loop(cfg, seed, out):
     loop_cfg = cfg.get("loop", {})
     if isinstance(loop_cfg, dict):
+        if "seed" in loop_cfg:
+            raise ConfigError("key 'seed' in config section 'loop' is "
+                              "refused: the loop seed is --seed")
+        if "ga" in loop_cfg and loop_cfg.get("method") == "bo":
+            raise ConfigError("key 'ga' in config section 'loop' has no "
+                              'effect when method is "bo"')
         loop_cfg = dict(loop_cfg, seed=seed)
         loop_cfg["ga"] = _from_section(optimizers.GaConfig, "loop.ga",
                                        loop_cfg.get("ga", {}))
@@ -150,8 +155,6 @@ def cmd_run_loop(cfg, seed, out):
     ensemble, ad, _ = checkpoint.load_checkpoint(_required(cfg, "checkpoint"))
     grammar = FragmentGrammar.load(_required(cfg, "grammar"))
     corpus = dataio.read_smiles_corpus(_required(cfg, "corpus"))
-    if run_cfg.ad_enabled and ad is None:
-        raise ConfigError("checkpoint missing AD section")
 
     started = time.time()
     records, summary = loop.run(run_cfg, grammar, ensemble, ad=ad,

@@ -361,28 +361,25 @@ class GnnEnsemble:
         return ens
 
 
+# Adam's moment decay rates and the guard of its step's denominator
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 500
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    batch_size: int = 32        # None = full batch
+    batch_size: int = 32        # >= the sample count: full batch
 
     def __post_init__(self):
         if not is_int(self.epochs, 1):
             raise TrainConfigError("epochs must be an integer >= 1")
-        if self.batch_size is not None and not is_int(self.batch_size, 1):
-            raise TrainConfigError("batch_size must be null or an integer >= 1")
+        if not is_int(self.batch_size, 1):
+            raise TrainConfigError("batch_size must be an integer >= 1")
         if not (is_real(self.learning_rate) and self.learning_rate > 0):
             raise TrainConfigError("learning_rate must be finite and > 0")
-        if not (is_real(self.adam_eps) and self.adam_eps > 0):
-            raise TrainConfigError("adam_eps must be finite and > 0")
-        for name in ("adam_beta1", "adam_beta2"):
-            beta = getattr(self, name)
-            if not (is_real(beta) and 0 <= beta < 1):
-                raise TrainConfigError("%s must be in [0, 1)" % name)
 
 
 def _prepare_data(data):
@@ -400,11 +397,13 @@ def _prepare_data(data):
 
 
 def train_model(model, data, cfg=None):
-    """Minibatch Adam on the masked MSE. Returns the per-epoch loss history.
+    """Minibatch Adam (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) on the masked MSE.
+    Returns the per-epoch loss history.
 
     Each epoch visits the samples in a fresh shuffled order, cfg.batch_size
-    at a time (all at once when it is None). Each graph is featurised once
-    per call; a minibatch only stacks the cached arrays. Progress goes to
+    at a time (all at once, in input order, when that is at least the
+    sample count). Each graph is featurised once per call; a minibatch
+    only stacks the cached arrays. Progress goes to
     the "moldesign" logger at INFO every tenth of the run. Labels are
     standardized per task during optimization; the affine transform is
     folded back into the output layer afterwards, so the trained model
@@ -427,7 +426,7 @@ def train_model(model, data, cfg=None):
     arrays = [graph_arrays(g) for g in graphs]
     log_every = max(1, cfg.epochs // 10)
     n = len(graphs)
-    bs = n if cfg.batch_size is None else min(cfg.batch_size, n)
+    bs = min(cfg.batch_size, n)
     shuffle_rng = np.random.default_rng(model.seed + 10 ** 6)
     step = 0
     total_steps = cfg.epochs * ((n + bs - 1) // bs)
@@ -446,13 +445,13 @@ def train_model(model, data, cfg=None):
             lr = cfg.learning_rate * (
                 0.5 * (1.0 + np.cos(np.pi * (step - 1) / total_steps)))
             for k in model.params:
-                m_state[k] = cfg.adam_beta1 * m_state[k] \
-                    + (1 - cfg.adam_beta1) * grads[k]
-                v_state[k] = cfg.adam_beta2 * v_state[k] \
-                    + (1 - cfg.adam_beta2) * grads[k] ** 2
-                m_hat = m_state[k] / (1 - cfg.adam_beta1 ** step)
-                v_hat = v_state[k] / (1 - cfg.adam_beta2 ** step)
-                model.params[k] -= lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+                m_state[k] = ADAM_BETA1 * m_state[k] \
+                    + (1 - ADAM_BETA1) * grads[k]
+                v_state[k] = ADAM_BETA2 * v_state[k] \
+                    + (1 - ADAM_BETA2) * grads[k] ** 2
+                m_hat = m_state[k] / (1 - ADAM_BETA1 ** step)
+                v_hat = v_state[k] / (1 - ADAM_BETA2 ** step)
+                model.params[k] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         history.append(epoch_loss / mask.sum())
         if epoch % log_every == 0 or epoch == cfg.epochs:
             log.info("model seed %d, epoch %d/%d, loss %.6g",

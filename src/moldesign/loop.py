@@ -31,6 +31,7 @@ from .molgraph import canonical_smiles
 PENALTY = optimizers.PENALTY_SCORE
 PROMISING_RON = 110
 PROMISING_OS = 10
+BOUND_EXPANSION = 0.2   # search-box margin on each side, a share of the span
 
 
 class LoopError(Exception):
@@ -47,17 +48,15 @@ class NoExpressibleMolecules(LoopError):
 
 @dataclass
 class RunConfig:
+    """What one run varies. The rest is fixed: GA searches the full latent
+    box and BO the PCA space of the corpus, with pca_fit's and run_bo's
+    defaults, and each box is widened by BOUND_EXPANSION of its span."""
     method: str = "ga"                  # "bo" or "ga"
     seed: int = 0
     max_unique: int = 1000
     max_total: int = 2000
     time_limit_s: float = None
-    bound_expansion: float = 0.2
     ad_enabled: bool = True
-    pca_target_ratio: float = 0.999
-    use_pca: bool = None                # default: PCA for BO only
-    bo_init: int = 10
-    bo_batch: int = 10
     ga: optimizers.GaConfig = field(default_factory=optimizers.GaConfig)
     penalty = PENALTY   # the fixed score of penalized candidates, not a field
 
@@ -73,20 +72,10 @@ class RunConfig:
         if all(getattr(self, name) is None for name in budgets):
             raise ConfigError("a run needs max_unique, max_total or "
                               "time_limit_s; all null never ends")
-        if not (is_real(self.bound_expansion) and self.bound_expansion >= 0):
-            raise ConfigError("bound_expansion must be a finite number >= 0, "
-                              "not %r" % (self.bound_expansion,))
-        if not (is_real(self.pca_target_ratio)
-                and 0 < self.pca_target_ratio <= 1):
-            raise ConfigError("pca_target_ratio must be a number in (0, 1]")
-        for name, least in (("seed", 0), ("bo_init", 0), ("bo_batch", 1)):
-            if not is_int(getattr(self, name), least):
-                raise ConfigError("%s must be an integer >= %d"
-                                  % (name, least))
+        if not is_int(self.seed, 0):
+            raise ConfigError("seed must be an integer >= 0")
         if not isinstance(self.ad_enabled, bool):
             raise ConfigError("ad_enabled must be true or false")
-        if self.use_pca is not None and not isinstance(self.use_pca, bool):
-            raise ConfigError("use_pca must be null, true or false")
         if not isinstance(self.ga, optimizers.GaConfig):
             raise ConfigError("ga must be a GaConfig")
 
@@ -113,7 +102,7 @@ class RunRecord:
     penalty_applied: bool
 
 
-def bounds_from_corpus(corpus, grammar, expansion=0.2):
+def bounds_from_corpus(corpus, grammar, expansion=BOUND_EXPANSION):
     """Per-dimension [min, max] over encoded corpus latents, expanded."""
     return _bounds_from_cells(_corpus_cells(corpus, grammar), grammar,
                               expansion)
@@ -148,17 +137,15 @@ def expand_bounds(lo, hi, expansion):
 
 
 class EvaluationContext:
-    """Shared state for scoring candidates within one run."""
+    """Shared state for scoring candidates within one run. ad gates each
+    new graph (None scores every candidate); pca, when given, lifts search
+    points to the full latent space."""
 
-    def __init__(self, grammar, bounds, ensemble, ad=None, ad_enabled=True,
-                 pca=None):
-        if ad_enabled and ad is None:
-            raise ConfigError("AD enabled but no AD ensemble given")
+    def __init__(self, grammar, bounds, ensemble, ad=None, pca=None):
         self.grammar = grammar
         self.bounds = bounds
         self.ensemble = ensemble
         self.ad = ad
-        self.ad_enabled = ad_enabled
         self.pca = pca
         self.seen = set()      # unique-budget set: non-penalized molecules
         self.observed = set()  # every decoded molecule, for duplicate flags
@@ -226,45 +213,48 @@ def _evaluate_graph(g, ctx):
     ensemble pass; the prediction is None when the AD rejects."""
     smiles = canonical_smiles(g)
     fingerprints, pred = ctx.ensemble.evaluate(g)
-    if not ctx.ad_enabled:
+    if ctx.ad is None:
         return smiles, None, None, pred
     in_ad, vote_sum = ad_vote(fingerprints, ctx.ad)
     return smiles, in_ad, vote_sum, pred if in_ad else None
 
 
 def run(config, grammar, ensemble, ad=None, corpus=None, bounds=None):
-    """Execute one design-loop run. Returns (records, summary)."""
+    """Execute one design-loop run. Returns (records, summary).
+
+    The latent box is bounds, or else the corpus's; BO needs the corpus."""
+    if config.ad_enabled and ad is None:
+        raise ConfigError("AD enabled but no AD ensemble given: "
+                          "missing AD section (fit-ad adds it)")
     if bounds is None and not corpus:
         raise ConfigError("need either explicit bounds or a corpus")
-    use_pca = config.use_pca if config.use_pca is not None \
-        else config.method == "bo"
-    if use_pca and not corpus:
-        raise ConfigError("PCA pre-reduction needs a corpus")
+    bo = config.method == "bo"
+    if bo and not corpus:
+        raise ConfigError("BO searches the PCA space of a corpus; "
+                          "give a corpus")
     # each corpus molecule is encoded once; its cells map to both boxes
     corpus_cells = _corpus_cells(corpus, grammar) \
-        if bounds is None or use_pca else []
+        if bounds is None or bo else []
     if bounds is None:
-        bounds = _bounds_from_cells(corpus_cells, grammar,
-                                    config.bound_expansion)
+        bounds = _bounds_from_cells(corpus_cells, grammar, BOUND_EXPANSION)
     lo, hi = bounds
 
     pca = None
     search_bounds = (lo, hi)
     n_dims = grammar.n_dims
-    if use_pca:
+    if bo:
         if len(corpus_cells) < 2:
             raise NoExpressibleMolecules("not enough expressible molecules "
                                          "for PCA")
         latents = [cell_center(c, grammar, (lo, hi)) for c in corpus_cells]
-        pca = optimizers.pca_fit(latents, config.pca_target_ratio)
+        pca = optimizers.pca_fit(latents)
         reduced = pca.project(np.array(latents))
         search_bounds = expand_bounds(reduced.min(axis=0),
-                                      reduced.max(axis=0),
-                                      config.bound_expansion)
+                                      reduced.max(axis=0), BOUND_EXPANSION)
         n_dims = pca.r
 
-    ctx = EvaluationContext(grammar, (lo, hi), ensemble, ad=ad,
-                            ad_enabled=config.ad_enabled, pca=pca)
+    ctx = EvaluationContext(grammar, (lo, hi), ensemble,
+                            ad=ad if config.ad_enabled else None, pca=pca)
 
     start = time.monotonic()
 
@@ -286,8 +276,7 @@ def run(config, grammar, ensemble, ad=None, corpus=None, bounds=None):
                           seed=config.seed, cfg=config.ga)
     else:
         optimizers.run_bo(objective, search_bounds, n_dims, stop,
-                          seed=config.seed, n_init=config.bo_init,
-                          batch_size=config.bo_batch)
+                          seed=config.seed)
 
     return ctx.records, summarize(ctx.records)
 

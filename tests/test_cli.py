@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import os
@@ -5,6 +6,7 @@ import re
 
 import pytest
 
+from moldesign import gnn, loop, optimizers
 from moldesign.checkpoint import load_checkpoint
 from moldesign.cli import COMMANDS, main
 from moldesign.grammar import FragmentGrammar, enumerate_grammar
@@ -81,6 +83,23 @@ class TestTrainAndFit:
         assert ad is not None and ad.n_members == 2
         assert payload["extra"]["ad_hyperparams"]["nu"] == 0.2
 
+    def test_plain_refit_drops_grid_table(self, workdir, tmp_path):
+        data = str(workdir / "dataset.csv")
+        for src, out, values in (
+                (workdir / "gnn.ckpt", "grid.ckpt",
+                 {"grid_search": True, "nu_grid": [0.5, 0.1],
+                  "gamma_grid": [0.1, "scale"]}),
+                (tmp_path / "grid.ckpt", "refit.ckpt", {"nu": 0.2})):
+            cfg = tmp_path / "fitad.json"
+            cfg.write_text(json.dumps({"checkpoint": str(src),
+                                       "dataset": data, **values}))
+            assert main(["fit-ad", "--config", str(cfg),
+                         "--out", str(tmp_path / out)]) == 0
+        grid = load_checkpoint(str(tmp_path / "grid.ckpt"))[2]["extra"]
+        assert grid["ad_grid_search"]["selected_nu"] == 0.5
+        refit = load_checkpoint(str(tmp_path / "refit.ckpt"))[2]["extra"]
+        assert refit == {"ad_hyperparams": {"nu": 0.2, "gamma": "scale"}}
+
     def test_fit_ad_without_gnn_section(self, tmp_path, workdir, capsys):
         bad = tmp_path / "bad.ckpt"
         bad.write_text(json.dumps({"version": 1}))
@@ -107,7 +126,9 @@ class TestTrainAndFit:
     @pytest.mark.parametrize("train", [{"batch_size": -3},
                                        {"batch_size": 0},
                                        {"epochs": 0},
-                                       {"learning_rate": float("nan")}])
+                                       {"learning_rate": float("nan")},
+                                       {"adam_beta1": 0.9},   # fixed
+                                       {"batch_size": None}])
     def test_bad_train_config(self, tmp_path, workdir, capsys, train):
         cfg = tmp_path / "train.json"
         cfg.write_text(json.dumps({"dataset": str(workdir / "dataset.csv"),
@@ -287,6 +308,28 @@ class TestRunLoop:
                    "--out", str(tmp_path / "run")])
         assert rc == 1
         assert "missing AD section" in capsys.readouterr().err
+
+    def test_seed_in_loop_section_refused(self, workdir, tmp_path, capsys):
+        # the loop seed is --seed; a loop.seed key would be overwritten
+        rc = main(["run-loop", "--config", loop_config(workdir, seed=5),
+                   "--seed", "5", "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error[E_CONFIG]" in err and "'seed'" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_ga_section_refused_for_bo(self, workdir, tmp_path, capsys):
+        ga = {"population_size": 7, "mutation_prob": 0.9}
+        rc = main(["run-loop", "--config",
+                   loop_config(workdir, method="bo", ga=ga),
+                   "--out", str(tmp_path / "bo")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error[E_CONFIG]" in err and "'ga'" in err
+        assert not (tmp_path / "bo").exists()
+        # the GA reads it
+        assert main(["run-loop", "--config", loop_config(workdir, ga=ga),
+                     "--out", str(tmp_path / "ga")]) == 0
 
     def test_bad_method_is_config_error(self, workdir, tmp_path, capsys):
         rc = main(["run-loop", "--config", loop_config(workdir,
@@ -548,6 +591,20 @@ def readme_config_keys():
     return keys
 
 
+def readme_section_keys():
+    """Config section -> the keys its row of the README's "Config keys"
+    table lists: the backticked name that opens each comma-separated item
+    of the Meaning cell."""
+    text = open(README).read().split("### Config keys", 1)[1]
+    keys = {}
+    for line in text.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[2] == "`{}`":
+            keys[cells[1].strip("`")] = set(
+                re.findall(r"(?:^|, )`(\w+)`", cells[3]))
+    return keys
+
+
 def valid_config(command, workdir, tmp_path):
     """A config that command accepts, writing to a fresh output."""
     if command == "report":
@@ -575,6 +632,17 @@ class TestCommandTable:
         declared = {name: set(keys) for name, (_, keys, _, _)
                     in COMMANDS.items()}
         assert readme_config_keys() == declared
+
+    def test_readme_rows_name_the_config_fields(self):
+        def fields(cls):
+            return {f.name for f in dataclasses.fields(cls)}
+
+        assert readme_section_keys() == {
+            "gnn": fields(gnn.GnnConfig),
+            "train": fields(gnn.TrainConfig),
+            "loop": fields(loop.RunConfig) - {"seed", "ga"},
+            "loop.ga": fields(optimizers.GaConfig),
+        }
 
     @pytest.mark.parametrize("command,key", [
         ("train-gnn", "epochs"), ("fit-ad", "gama"), ("run-loop", "seed"),

@@ -290,6 +290,17 @@ class TestTraining:
             weights.append(ens.to_state())
         assert weights[0] == weights[1]
 
+    def test_batch_beyond_sample_count_is_full_batch(self):
+        data = [(parse_smiles(s), {"ron": float(i), "mon": None, "dcn": None})
+                for i, s in enumerate(MOLECULES)]
+        states = []
+        for batch_size in (len(data), 10 ** 6):
+            model = GNN(SMALL, seed=3)
+            train_model(model, data, TrainConfig(epochs=5,
+                                                 batch_size=batch_size))
+            states.append(model.to_state())
+        assert states[0] == states[1]
+
     def test_bootstrap_differs_across_members(self):
         data = [(parse_smiles(s), {"ron": float(i), "mon": None, "dcn": None})
                 for i, s in enumerate(MOLECULES)]
@@ -310,26 +321,27 @@ class TestTrainConfig:
         {"learning_rate": math.nan},
         {"learning_rate": math.inf},
         {"learning_rate": 0.0},
-        {"adam_eps": math.nan},
-        {"adam_eps": 0.0},
-        {"adam_beta1": math.nan},
-        {"adam_beta1": 1.0},
-        {"adam_beta2": -0.1},
-        {"adam_beta2": math.inf},
+        {"batch_size": None},   # any batch_size >= the row count is full
+        {"batch_size": 2.0},
+        {"epochs": None},
+        {"epochs": True},
+        {"learning_rate": None},
+        {"learning_rate": -1e-3},
     ])
     def test_rejected(self, kwargs):
         with pytest.raises(TrainConfigError):
             TrainConfig(**kwargs)
 
     @pytest.mark.parametrize("key", ["bootstrap", "normalize_labels",
-                                     "cosine_decay"])
+                                     "cosine_decay", "adam_beta1",
+                                     "adam_beta2", "adam_eps"])
     def test_fixed_choices_are_not_fields(self, key):
         with pytest.raises(TypeError):
             TrainConfig(**{key: False})
 
     def test_accepted(self):
-        TrainConfig(epochs=1, batch_size=None)
-        TrainConfig(batch_size=1, adam_beta1=0.0)
+        TrainConfig(epochs=1, batch_size=10 ** 6)
+        TrainConfig(batch_size=1, learning_rate=np.float64(0.5))
 
     def test_is_gnn_error(self):
         assert issubclass(TrainConfigError, gnn.GnnError)

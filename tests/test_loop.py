@@ -27,6 +27,7 @@ from moldesign.loop import (
     write_records,
 )
 from moldesign.molgraph import canonical_smiles, parse_smiles
+from moldesign.optimizers import GaConfig
 
 
 @pytest.fixture(scope="module")
@@ -72,11 +73,10 @@ class _Member:
         return np.full(len(x), self.value)
 
 
-def make_ctx(grammar, ensemble=None, ad=None, **kw):
+def make_ctx(grammar, ensemble=None, ad=None):
     bounds = (np.zeros(grammar.n_dims), np.ones(grammar.n_dims))
-    kw.setdefault("ad_enabled", ad is not None)
     return EvaluationContext(grammar, bounds, ensemble or _StubEnsemble(),
-                             ad=ad, **kw)
+                             ad=ad)
 
 
 class TestBounds:
@@ -172,8 +172,11 @@ class TestEvaluate:
         assert ctx.n_unique == 0
 
     def test_ad_enabled_without_ad_rejected(self, grammar):
-        with pytest.raises(ConfigError):
-            make_ctx(grammar, ad_enabled=True)
+        # refused on entry: the corpus, which no run could use, is not read
+        cfg = RunConfig(method="bo", max_total=5, ad_enabled=True)
+        with pytest.raises(ConfigError, match="missing AD section"):
+            run(cfg, grammar, _StubEnsemble(),
+                corpus=[parse_smiles("C1CCC1")] * 2)
 
 
 def fake_record(index, smiles, score, ron=None, os_=None, penalized=False,
@@ -253,32 +256,32 @@ class TestRunConfig:
             RunConfig(time_limit_s=0.0)
 
     @pytest.mark.parametrize("field", ["max_unique", "max_total",
-                                       "time_limit_s", "bound_expansion"])
+                                       "time_limit_s"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ConfigError):
             RunConfig(**{field: value})
 
     @pytest.mark.parametrize("field", ["max_unique", "max_total",
-                                       "time_limit_s", "bound_expansion"])
+                                       "time_limit_s"])
     @pytest.mark.parametrize("value", ["ten", True, [5]])
     def test_non_numeric_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             RunConfig(**{field: value})
 
     @pytest.mark.parametrize("kwargs", [
-        {"bo_batch": 0},        # run_bo would loop forever
-        {"bo_batch": 2.5},
-        {"bo_init": -1},
-        {"bo_init": None},
+        {"method": None},
+        {"method": "BO"},
+        {"seed": None},
+        {"seed": True},
         {"seed": -1},
         {"seed": 1.5},
         {"ad_enabled": "no"},
         {"ad_enabled": 1},
-        {"use_pca": "no"},
-        {"pca_target_ratio": 2},
-        {"pca_target_ratio": 0},
-        {"pca_target_ratio": float("nan")},
+        {"seed": "3"},
+        {"ad_enabled": None},
+        {"ad_enabled": "true"},
+        {"ga": None},
         {"ga": {"population_size": 5}},
     ])
     def test_rejected(self, kwargs):
@@ -286,9 +289,15 @@ class TestRunConfig:
             RunConfig(**kwargs)
 
     def test_accepted(self):
-        RunConfig(bo_init=0, bo_batch=1, ad_enabled=False, use_pca=False,
-                  pca_target_ratio=1.0)
-        RunConfig(use_pca=True, seed=np.int64(3))
+        RunConfig(method="bo", ad_enabled=False, time_limit_s=0.5)
+        RunConfig(seed=np.int64(3), ga=GaConfig(population_size=2))
+
+    @pytest.mark.parametrize("key", ["use_pca", "pca_target_ratio",
+                                     "bound_expansion", "bo_init", "bo_batch"])
+    def test_fixed_choices_are_not_fields(self, key):
+        assert key not in RunConfig().to_dict()
+        with pytest.raises(TypeError):
+            RunConfig(**{key: 1})
 
     def test_penalty_is_not_a_field(self):
         assert "penalty" not in RunConfig().to_dict()
@@ -300,10 +309,6 @@ class TestRunConfig:
             RunConfig(max_unique=None, max_total=None, time_limit_s=None)
         RunConfig(max_unique=None, max_total=None, time_limit_s=1.0)
         RunConfig(max_unique=None, max_total=5)
-
-    def test_bound_expansion_required(self):
-        with pytest.raises(ConfigError):
-            RunConfig(bound_expansion=None)
 
     def test_to_dict_round_trips_ga(self):
         d = RunConfig(method="bo", seed=3).to_dict()
@@ -340,11 +345,16 @@ class TestRun:
         corpus = [parse_smiles(s) for s in
                   ["C", "CC", "CCO", "CC(C)O", "CCC", "COC"]]
         cfg = RunConfig(method="bo", seed=1, max_total=25, max_unique=1000,
-                        ad_enabled=False, bo_init=10, bo_batch=5)
+                        ad_enabled=False)
         records, summary = run(cfg, grammar, tiny_ensemble, corpus=corpus)
         assert len(records) == 25
         assert all(r.latent_reduced is not None for r in records)
         assert all(len(r.latent_full) == 4 for r in records)
+
+    def test_bo_needs_a_corpus(self, grammar, tiny_ensemble):
+        cfg = RunConfig(method="bo", max_total=5, ad_enabled=False)
+        with pytest.raises(ConfigError, match="corpus"):
+            run(cfg, grammar, tiny_ensemble, bounds=(np.zeros(4), np.ones(4)))
 
     def test_replay_is_deterministic(self, grammar, tiny_ensemble):
         cfg = RunConfig(method="ga", seed=7, max_total=40, max_unique=1000,
@@ -385,7 +395,7 @@ def uncached_evaluate(z, ctx):
     duplicate = smiles in ctx.observed
     ctx.observed.add(smiles)
     in_ad, vote_sum, pred = None, None, None
-    if ctx.ad_enabled:
+    if ctx.ad is not None:
         in_ad, vote_sum = ad_vote(ctx.ensemble.fingerprints(g), ctx.ad)
     if in_ad is not False:
         ctx.seen.add(smiles)
@@ -473,7 +483,7 @@ class TestCellCache:
                                        real_models, ad_enabled):
         ensemble, ad, corpus = real_models
         cfg = RunConfig(method="bo", seed=1, max_total=20, max_unique=1000,
-                        ad_enabled=ad_enabled, bo_init=10, bo_batch=5)
+                        ad_enabled=ad_enabled)
         records, cached, reference = _run_both(
             monkeypatch, tmp_path, cfg, grammar, ensemble, ad, corpus=corpus)
         assert cached == reference

@@ -82,9 +82,11 @@ def test_workload_name_exists(perfbench, name):
 @pytest.mark.parametrize("name, method", [("run_ga", "ga"), ("run_bo", "bo")])
 def test_loop_hands_bounds_second(perfbench, name, method):
     # workloads.py captures the search box as the optimizer's second
-    # positional argument
+    # positional argument: the latent box for GA, the corpus's PCA box
+    # for BO
     _, workloads = perfbench
     from moldesign import gnn, grammar, loop, optimizers
+    from moldesign.molgraph import parse_smiles
 
     assert list(inspect.signature(getattr(optimizers, name)).parameters)[1] \
         == "bounds"
@@ -92,10 +94,17 @@ def test_loop_hands_bounds_second(perfbench, name, method):
     ens = gnn.GnnEnsemble(n_models=1, config=gnn.GnnConfig(
         hidden_dim=4, fp_dim=4, mlp_hidden=4), seed=0)
     box = (np.zeros(4), np.ones(4))
+    corpus = [parse_smiles(s) for s in ("C", "CC", "CCO", "CC(C)O", "CCC")]
+    expected = box
+    if method == "bo":
+        latents = np.array([grammar.encode(g, fg, box) for g in corpus])
+        reduced = optimizers.pca_fit(latents).project(latents)
+        expected = loop.expand_bounds(reduced.min(axis=0),
+                                      reduced.max(axis=0),
+                                      loop.BOUND_EXPANSION)
     store = []
-    cfg = loop.RunConfig(method=method, max_total=12, ad_enabled=False,
-                         use_pca=False)
+    cfg = loop.RunConfig(method=method, max_total=12, ad_enabled=False)
     with workloads.hooked(optimizers, name, workloads._captured_bounds(store)):
-        loop.run(cfg, fg, ens, bounds=box)
+        loop.run(cfg, fg, ens, bounds=box, corpus=corpus)
     assert len(store) == 1
-    assert all(np.array_equal(a, b) for a, b in zip(store[0], box))
+    assert all(np.array_equal(a, b) for a, b in zip(store[0], expected))
