@@ -242,11 +242,15 @@ def build_parser():
 
 
 def main(argv=None):
-    logging.basicConfig(level=os.environ.get("MOLDESIGN_LOG", "WARNING"))
     args = build_parser().parse_args(argv)
     handler, keys, _, _ = COMMANDS[args.command]
     seed = [args.seed] if "seed" in args else []   # for seeded handlers only
     try:
+        level = os.environ.get("MOLDESIGN_LOG", "WARNING")
+        if not isinstance(logging.getLevelName(level), int):
+            raise ConfigError("MOLDESIGN_LOG must name a logging level such "
+                              "as INFO or DEBUG, not %r" % level)
+        logging.basicConfig(level=level)
         if seed and args.seed < 0:
             raise ConfigError("--seed must be >= 0")
         cfg = _load_config(args.config, keys)

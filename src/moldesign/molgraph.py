@@ -90,19 +90,8 @@ class MolecularGraph:
     def implicit_h(self, i):
         return MAX_VALENCE[self.atoms[i]] - self.bond_order_sum(i)
 
-    def total_h(self):
-        return sum(self.implicit_h(i) for i in range(self.n_atoms))
-
     def count(self, element):
         return sum(1 for a in self.atoms if a == element)
-
-    def permuted(self, perm):
-        """Relabel atoms: new index of old atom i is perm[i]."""
-        atoms = [None] * self.n_atoms
-        for i, a in enumerate(self.atoms):
-            atoms[perm[i]] = a
-        bonds = [(perm[u], perm[v], order) for u, v, order in self.bonds]
-        return MolecularGraph(atoms, bonds)
 
 
 def validate(g):
@@ -502,10 +491,3 @@ def _emit(g, ranks):
         return s
 
     return render(start, 1)
-
-
-def is_isomorphic(a, b):
-    """Labeled-multigraph isomorphism via canonical strings."""
-    if sorted(a.atoms) != sorted(b.atoms) or len(a.bonds) != len(b.bonds):
-        return False
-    return canonical_smiles(a) == canonical_smiles(b)

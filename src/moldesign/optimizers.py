@@ -1,11 +1,13 @@
-"""Black-box maximizers over a box: GP-based BO (with PCA pre-reduction)
-and a real-valued genetic algorithm.
+"""Black-box maximizers over a box: GP-based BO and a real-valued genetic
+algorithm, plus the PCA that the design loop fits to reduce BO's box.
 
 The BO surrogate is an exact GP with a Matern 5/2 kernel; batches of 10
 come from Thompson sampling on a uniform candidate cloud plus one
-multi-start refinement of the expected-improvement maximizer. The GA
-uses elitism, a top-30% parent pool, uniform crossover, and per-gene
-uniform-resample mutation.
+expected-improvement maximizer, refined by N_RESTARTS pattern searches
+that run in lockstep so that each trial step is one batched EI call (as
+BoTorch's optimize_acqf batches its restarts). The GA uses elitism, a
+top-30% parent pool, uniform crossover, and per-gene uniform-resample
+mutation.
 """
 
 from __future__ import annotations
@@ -217,24 +219,36 @@ def _ei_closed(mean, sigma, best):
     return (mean - best) * ndtr(u) + sigma * (np.exp(-u ** 2 / 2.0) / _SQRT_2PI)
 
 
-def _pattern_search(fn, x0, lo, hi):
-    """Derivative-free coordinate search with step halving, down to
-    PATTERN_MIN_STEP."""
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+def _pattern_search(fn, starts, lo, hi):
+    """Coordinate pattern search from each row of the (n, d) array starts,
+    all n searches in lockstep; returns the (n, d) refined points and their
+    (n,) values of fn.
+
+    Each search tries +step then -step on each coordinate in turn, clipped
+    to the box, and moves on a strict improvement; after a sweep with none
+    it halves its step, and it stops once the step is at most
+    PATTERN_MIN_STEP. Every sweep makes 2 * d trials, so the searches still
+    running are all at the same trial: fn maps an (m, d) array of one trial
+    per running search to (m,) values, and each search makes the same
+    trials in the same order as it would on its own.
+    """
+    x = np.clip(np.asarray(starts, dtype=float), lo, hi)
     fx = fn(x)
-    step = 0.1 * (hi - lo)
-    while np.max(step) > PATTERN_MIN_STEP:
-        improved = False
-        for i in range(len(x)):
+    step = np.tile(0.1 * (hi - lo), (len(x), 1))
+    live = np.flatnonzero(np.max(step, axis=1) > PATTERN_MIN_STEP)
+    while live.size:
+        improved = np.zeros(len(live), dtype=bool)
+        for i in range(x.shape[1]):
             for sgn in (1.0, -1.0):
-                trial = x.copy()
-                trial[i] = np.clip(trial[i] + sgn * step[i], lo[i], hi[i])
+                trial = x[live]
+                trial[:, i] = np.clip(trial[:, i] + sgn * step[live, i],
+                                      lo[i], hi[i])
                 ft = fn(trial)
-                if ft > fx:
-                    x, fx = trial, ft
-                    improved = True
-        if not improved:
-            step *= 0.5
+                up = ft > fx[live]
+                x[live[up]], fx[live[up]] = trial[up], ft[up]
+                improved |= up
+        step[live[~improved]] *= 0.5
+        live = live[np.max(step[live], axis=1) > PATTERN_MIN_STEP]
     return x, fx
 
 
@@ -271,18 +285,15 @@ def propose_batch(s, bounds, batch_size, rng):
         draw = mean + solve.T @ (fa - mean_a)
         picks.append(cloud[int(np.argmax(draw))])
 
-    # EI refinement with multi-start pattern search
+    # EI refinement: a pattern search from the cloud's best EI point and
+    # N_RESTARTS - 1 uniform starts; the first of the best results wins
     best = float(np.max(s.y_train))
-    ei_fn = lambda x: expected_improvement(s, x[None], best)[0]
     ei_cloud = expected_improvement(s, cloud, best)
-    starts = [cloud[int(np.argmax(ei_cloud))]]
-    starts.extend(rng.uniform(lo, hi, size=(N_RESTARTS - 1, len(lo))))
-    best_x, best_ei = None, -np.inf
-    for x0 in starts:
-        x, v = _pattern_search(ei_fn, x0, lo, hi)
-        if v > best_ei:
-            best_x, best_ei = x, v
-    picks.insert(0, best_x)
+    starts = np.vstack([cloud[int(np.argmax(ei_cloud))],
+                        rng.uniform(lo, hi, size=(N_RESTARTS - 1, len(lo)))])
+    xs, eis = _pattern_search(lambda x: expected_improvement(s, x, best),
+                              starts, lo, hi)
+    picks.insert(0, xs[int(np.argmax(eis))])
 
     batch = []
     for p in picks:
@@ -373,9 +384,6 @@ class RunHistory:
     points: list
     scores: list
     seed: int
-
-    def best_so_far(self):
-        return np.maximum.accumulate(self.scores)
 
     def __len__(self):
         return len(self.scores)

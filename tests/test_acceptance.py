@@ -32,11 +32,12 @@ from moldesign.gnn import (
 from moldesign.grammar import FragmentGrammar, enumerate_grammar
 from moldesign.molgraph import (
     canonical_smiles,
-    is_isomorphic,
     parse_smiles,
     validate,
 )
 from moldesign.optimizers import gp_fit, gp_posterior, run_bo, run_ga
+
+from graph_helpers import is_isomorphic, permuted
 
 TABLE2 = [
     "C1CC1", "CC", "CCc1cccc(C)c1", "COC(C)(C)C", "CCOC(C)(C)C",
@@ -123,7 +124,7 @@ def test_permutation_invariance(enumerated):
             _, ref = model.forward(g)
             for _ in range(50):
                 perm = list(rng.permutation(g.n_atoms))
-                _, out = model.forward(g.permuted(perm))
+                _, out = model.forward(permuted(g, perm))
                 assert np.max(np.abs(out - ref)) < 1e-9
 
 
@@ -213,6 +214,21 @@ def test_bo_branin_benchmark():
             assert len(hist) == 60
             wins += max(hist.scores) >= oracle - 0.5
         assert wins >= 8
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "8ebd2614dfc2923240b2b17d78fd96b9469603dd3d3ec21fd07ad94119f708c9"),
+    (1, "571d0136a852162ec0163c8ab4d849b9454da2aec17ced3c16241fd62a124f84"),
+    (2, "6f1cce72ec063e0b21cf09bff96de4f73ebd511f7279fc78a02d16318762b895"),
+])
+def test_bo_records_pinned(seed, digest):
+    with criterion("bo-records-pinned", 10.0):
+        # every point and score of a 60-evaluation Branin run, byte for byte
+        hist = run_bo(lambda z: -float(branin(z[0], z[1])),
+                      (np.array([-5.0, 0.0]), np.array([10.0, 15.0])), 2,
+                      stop=60, seed=seed)
+        blob = np.array(hist.points).tobytes() + np.array(hist.scores).tobytes()
+        assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_ga_sphere_benchmark():

@@ -517,6 +517,18 @@ class TestConfigHandling:
         assert rc == 1
         assert "error[E_CONFIG]" in capsys.readouterr().err
 
+    def test_unknown_log_level(self, tmp_path, workdir, capsys, monkeypatch):
+        monkeypatch.setenv("MOLDESIGN_LOG", "bogus")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grammar": str(workdir / "grammar.json")}))
+        rc = main(["enumerate", "--config", str(cfg),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[E_CONFIG]: MOLDESIGN_LOG")
+        assert "'bogus'" in err
+        assert not (tmp_path / "o").exists()
+
     def test_grammar_file_without_n_dims(self, tmp_path, capsys):
         grammar = FragmentGrammar(n_dims=4).to_config()
         del grammar["n_dims"]

@@ -24,6 +24,8 @@ from moldesign.gnn import (
 from moldesign.grammar import FragmentGrammar, enumerate_grammar
 from moldesign.molgraph import atom_features, parse_smiles
 
+from graph_helpers import permuted
+
 SMALL = GnnConfig(hidden_dim=8, fp_dim=8, mlp_hidden=4)
 
 MOLECULES = ["C", "CC", "CCO", "COC(C)(C)C", "C1CC1", "CC(C)(C)C=O"]
@@ -149,7 +151,7 @@ class TestForward:
             fp, out = model.forward(g)
             for _ in range(50):
                 perm = list(rng.permutation(g.n_atoms))
-                fp2, out2 = model.forward(g.permuted(perm))
+                fp2, out2 = model.forward(permuted(g, perm))
                 assert np.max(np.abs(fp - fp2)) < 1e-9
                 assert np.max(np.abs(out - out2)) < 1e-9
 

@@ -18,7 +18,9 @@ from moldesign.grammar import (
     encode_cells,
     enumerate_grammar,
 )
-from moldesign.molgraph import canonical_smiles, is_isomorphic, parse_smiles, validate
+from moldesign.molgraph import canonical_smiles, parse_smiles, validate
+
+from graph_helpers import is_isomorphic
 
 
 @pytest.fixture(scope="module")

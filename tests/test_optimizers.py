@@ -212,6 +212,91 @@ class TestProposeBatch:
                               np.random.default_rng(1))
         assert np.linalg.norm(batch[0]) < 0.3
 
+    def test_ei_search_is_batched(self, surrogate, monkeypatch):
+        # one EI call on the candidate cloud, then one call per trial step
+        # of the lockstep search, each with a row per running restart; the
+        # one-start-at-a-time search made about 2,800 one-row calls here
+        rows = []
+
+        def counting_ei(s, x, best):
+            rows.append(len(x))
+            return expected_improvement(s, x, best)
+
+        monkeypatch.setattr(optimizers, "expected_improvement", counting_ei)
+        lo, hi = np.full(3, -1.0), np.full(3, 1.0)
+        propose_batch(surrogate, (lo, hi), 10, np.random.default_rng(0))
+        assert rows[0] == optimizers.N_CANDIDATES
+        assert 0 < len(rows[1:]) <= 300
+        assert max(rows[1:]) == optimizers.N_RESTARTS
+
+    def test_refined_pick_is_first_best(self, surrogate, monkeypatch):
+        # of restarts with equal EI the first wins, as one start at a time
+        # with `if v > best_ei` did
+        seen = []
+
+        def tied_search(fn, starts, lo, hi):
+            seen.append(starts)
+            eis = np.zeros(len(starts))
+            eis[[2, 5]] = 1.0
+            return starts, eis
+
+        monkeypatch.setattr(optimizers, "_pattern_search", tied_search)
+        lo, hi = np.full(3, -1.0), np.full(3, 1.0)
+        batch = propose_batch(surrogate, (lo, hi), 10, np.random.default_rng(0))
+        assert np.array_equal(batch[0], seen[0][2])
+
+
+def reference_pattern_search(fn, x0, lo, hi):
+    """The search from one start, one trial per call of fn(point) -> value,
+    as propose_batch ran it before its restarts moved in lockstep."""
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    fx = fn(x)
+    step = 0.1 * (hi - lo)
+    while np.max(step) > optimizers.PATTERN_MIN_STEP:
+        improved = False
+        for i in range(len(x)):
+            for sgn in (1.0, -1.0):
+                trial = x.copy()
+                trial[i] = np.clip(trial[i] + sgn * step[i], lo[i], hi[i])
+                ft = fn(trial)
+                if ft > fx:
+                    x, fx = trial, ft
+                    improved = True
+        if not improved:
+            step *= 0.5
+    return x, fx
+
+
+class TestPatternSearch:
+    # row-independent objectives: a row's value does not depend on the
+    # other rows of the call, so each lockstep search must match its
+    # one-start reference bit for bit
+    OBJECTIVES = {
+        "interior peak": lambda c: lambda x: -((x - 0.3 * c) ** 2).sum(axis=1),
+        "peak outside the box": lambda c: lambda x: -((x - 2.0 * c) ** 2).sum(axis=1),
+        "plateaus": lambda c: lambda x: -np.floor(4.0 * ((x - c) ** 2).sum(axis=1)),
+    }
+
+    @pytest.mark.parametrize("d", [3, 6])
+    @pytest.mark.parametrize("objective", sorted(OBJECTIVES))
+    def test_matches_one_start_search(self, d, objective):
+        rng = np.random.default_rng(d)
+        lo, hi = rng.uniform(-2.0, -1.0, d), rng.uniform(1.0, 3.0, d)
+        fn = self.OBJECTIVES[objective](rng.uniform(lo, hi))
+        starts = rng.uniform(lo, hi, (optimizers.N_RESTARTS, d))
+        starts[1] = lo                      # a corner of the box
+        starts[2] = hi
+        starts[3, ::2] = lo[::2]            # starts on the box faces
+        starts[4, 1::2] = hi[1::2]
+        starts[5] = hi + 1.0                # outside: clipped to the corner
+        xs, fxs = optimizers._pattern_search(fn, starts, lo, hi)
+        assert xs.shape == (optimizers.N_RESTARTS, d)
+        for x0, x, fx in zip(starts, xs, fxs):
+            ref_x, ref_fx = reference_pattern_search(
+                lambda p: fn(p[None])[0], x0, lo, hi)
+            assert np.array_equal(x, ref_x)
+            assert fx == ref_fx
+
 
 class TestGaStep:
     def test_elite_preserved(self):
@@ -367,7 +452,7 @@ class TestDrivers:
     def test_best_so_far_monotone(self):
         hist = run_ga(lambda z: float(np.sin(10 * z[0])),
                       (np.zeros(1), np.ones(1)), 1, stop=200, seed=5)
-        b = hist.best_so_far()
+        b = np.maximum.accumulate(hist.scores)
         assert np.all(np.diff(b) >= 0)
         assert b[-1] == max(hist.scores)
 
