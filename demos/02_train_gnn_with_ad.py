@@ -45,7 +45,7 @@ def main():
               % (p.ron, y["ron"], p.mon, y["mon"], p.os))
 
     # applicability domain: one SVM per ensemble member
-    fps = [[m.fingerprint(g) for g, _ in data] for m in ensemble.models]
+    fps = list(ensemble.forward([g for g, _ in data])[0])
     ad = fit_ad_ensemble(fps, nu=0.05)
 
     inside_train = sum(ad_vote(ensemble.fingerprints(g), ad)[0]

@@ -31,7 +31,7 @@ def main():
         seed=0)
     train_ensemble(data, ensemble,
                    TrainConfig(epochs=300, learning_rate=4e-3))
-    fps = [[m.fingerprint(g) for g, _ in data] for m in ensemble.models]
+    fps = list(ensemble.forward([g for g, _ in data])[0])
     ad = fit_ad_ensemble(fps, nu=0.05)
 
     # exhaustive oracle over the in-domain part of the grammar

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 
 from .adomain import AdEnsemble
-from .gnn import GnnEnsemble
+from .gnn import GnnEnsemble, GnnError
 
 CHECKPOINT_VERSION = 1
 
@@ -45,16 +45,17 @@ def load_checkpoint(path):
     try:
         ensemble = GnnEnsemble.from_state(payload["gnn"])
         ad = AdEnsemble.from_state(payload["ad"]) if "ad" in payload else None
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError, GnnError) as e:
         raise CheckpointError("malformed checkpoint: %s: %s"
                               % (type(e).__name__, e))
     if ad is not None and ad.n_members != ensemble.n_models:
         raise CheckpointError("AD ensemble size %d != GNN ensemble size %d"
                               % (ad.n_members, ensemble.n_models))
-    if ad is not None:
-        fp_dim = ensemble.models[0].config.fp_dim
-        sv_dim = ad.svms[0].support_vectors.shape[1]
-        if sv_dim != fp_dim:
-            raise CheckpointError("AD fingerprint dim %d != GNN fp_dim %d"
-                                  % (sv_dim, fp_dim))
+    for k, svm in enumerate(ad.svms if ad is not None else ()):
+        sv, fp_dim = svm.support_vectors, ensemble.models[k].config.fp_dim
+        if sv.ndim != 2 or sv.shape[1] != fp_dim \
+                or svm.alphas.shape != (len(sv),):
+            raise CheckpointError(
+                "AD member %d: support vectors of shape %s and %d alphas "
+                "for GNN fp_dim %d" % (k, sv.shape, svm.alphas.size, fp_dim))
     return ensemble, ad, payload

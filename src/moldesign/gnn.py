@@ -174,6 +174,17 @@ def stacked_forward(params, n_layers, batch, layers=None):
     return fp, a1, h1, out
 
 
+def param_shapes(c):
+    """The shape of each weight of a GNN with GnnConfig c, in the order
+    GNN.__init__ draws them."""
+    dims = [molgraph.ATOM_FEATURE_DIM] \
+        + [c.hidden_dim] * (c.n_layers - 1) + [c.fp_dim]
+    shapes = {"W%d_%d" % (i, l): (dims[l], dims[l + 1])
+              for l in range(c.n_layers) for i in (1, 2)}
+    return {**shapes, "M1": (c.fp_dim, c.mlp_hidden), "b1": (c.mlp_hidden,),
+            "M2": (c.mlp_hidden, len(TASKS)), "b2": (len(TASKS),)}
+
+
 class GNN:
     """One message-passing model. Weights live in a flat dict of arrays."""
 
@@ -181,18 +192,11 @@ class GNN:
         self.config = config or GnnConfig()
         self.seed = seed
         rng = np.random.default_rng(seed)
-        c = self.config
-        dims = [molgraph.ATOM_FEATURE_DIM] \
-            + [c.hidden_dim] * (c.n_layers - 1) + [c.fp_dim]
-        self.params = {}
-        for l in range(c.n_layers):
-            self.params["W1_%d" % l] = _uniform_init(rng, dims[l], dims[l + 1])
-            self.params["W2_%d" % l] = _uniform_init(rng, dims[l], dims[l + 1])
-        self.params["M1"] = _uniform_init(rng, c.fp_dim, c.mlp_hidden)
         # small positive bias keeps fresh hidden units off the ReLU kink
-        self.params["b1"] = np.full(c.mlp_hidden, 0.1)
-        self.params["M2"] = _uniform_init(rng, c.mlp_hidden, len(TASKS))
-        self.params["b2"] = np.zeros(len(TASKS))
+        bias = {"b1": 0.1, "b2": 0.0}
+        self.params = {k: np.full(shape, bias[k]) if k in bias
+                       else _uniform_init(rng, *shape)
+                       for k, shape in param_shapes(self.config).items()}
 
     def forward(self, g):
         """(fingerprint, raw prediction vector [ron, mon, dcn]) of one
@@ -200,10 +204,6 @@ class GNN:
         fp, _, _, out = stacked_forward(self.params, self.config.n_layers,
                                         GraphBatch.of([g]))
         return fp[0], out[0]
-
-    def predict(self, g):
-        _, out = self.forward(g)
-        return PropertyPrediction(float(out[0]), float(out[1]), float(out[2]))
 
     def fingerprint(self, g):
         return self.forward(g)[0]
@@ -273,8 +273,14 @@ class GNN:
                 raise GnnConfigError("%s must be %d" % (name, fixed))
         model.config = GnnConfig(**config)
         model.seed = state["seed"]
+        want = param_shapes(model.config)
         model.params = {k: np.array(v, dtype=float)
                         for k, v in state["params"].items()}
+        for k in sorted(want.keys() | model.params.keys()):
+            got = model.params[k].shape if k in model.params else None
+            if got != want.get(k):
+                raise DimensionMismatch("param %s has shape %s; the config "
+                                        "needs %s" % (k, got, want.get(k)))
         return model
 
 
@@ -340,8 +346,7 @@ class GnnEnsemble:
         array with row k from model k."""
         fp, out = self.forward([g])
         mean = out.mean(axis=0).ravel()  # (K, 1, 3) -> (3,)
-        return fp[:, 0], PropertyPrediction(float(mean[0]), float(mean[1]),
-                                            float(mean[2]))
+        return fp[:, 0], PropertyPrediction(*map(float, mean))
 
     def predict(self, g):
         return self.evaluate(g)[1]

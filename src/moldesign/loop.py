@@ -16,6 +16,7 @@ bit, while the same graph always gets the same bits.
 from __future__ import annotations
 
 import json
+import logging
 import time
 from dataclasses import dataclass, field
 
@@ -27,6 +28,8 @@ from .checks import is_int, is_real
 from .grammar import NotExpressible, cell_center, decision_cells, \
     decode_cells, encode_cells
 from .molgraph import canonical_smiles
+
+log = logging.getLogger("moldesign")
 
 PENALTY = optimizers.PENALTY_SCORE
 PROMISING_RON = 110
@@ -110,12 +113,15 @@ def bounds_from_corpus(corpus, grammar, expansion=BOUND_EXPANSION):
 
 def _corpus_cells(corpus, grammar):
     """Decision cells of every expressible corpus molecule, in order."""
-    out = []
+    out, skipped = [], 0
     for g in corpus:
         try:
             out.append(encode_cells(g, grammar))
         except NotExpressible:
-            continue
+            skipped += 1
+    if skipped:
+        log.warning("corpus: skipped %d of %d molecules that the grammar "
+                    "cannot express", skipped, skipped + len(out))
     return out
 
 
@@ -170,12 +176,8 @@ def evaluate_candidate(z, ctx):
     result; its record is still its own (latent, index, duplicate).
     """
     z = np.asarray(z, dtype=float)
-    if ctx.pca is not None:
-        z_reduced = z
-        z_full = ctx.pca.lift(z)
-    else:
-        z_reduced = None
-        z_full = z
+    z_reduced, z_full = (z, ctx.pca.lift(z)) if ctx.pca is not None \
+        else (None, z)
     g = decode_cells(decision_cells(z_full, ctx.grammar, ctx.bounds),
                      ctx.grammar)
     entry = ctx.cache.get(g)

@@ -5,13 +5,16 @@ The BO surrogate is an exact GP with a Matern 5/2 kernel; batches of 10
 come from Thompson sampling on a uniform candidate cloud plus one
 expected-improvement maximizer, refined by N_RESTARTS pattern searches
 that run in lockstep so that each trial step is one batched EI call (as
-BoTorch's optimize_acqf batches its restarts). The GA uses elitism, a
-top-30% parent pool, uniform crossover, and per-gene uniform-resample
-mutation.
+BoTorch's optimize_acqf batches its restarts). The cloud and the Thompson
+anchors each get one posterior, whose cross-kernel and Cholesky solve
+also give their covariances (Rasmussen & Williams 2006, Alg. 2.1). The GA
+uses elitism, a top-30% parent pool, uniform crossover, and per-gene
+uniform-resample mutation.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -169,16 +172,21 @@ def gp_fit(x, y, signal_var=1.0, lengthscale=1.0, noise_var=0.0):
     return GpSurrogate(x, y, signal_var, lengthscale, noise_var, chol, weights)
 
 
-def gp_posterior(s, x):
-    """Posterior (mean, variance) at query points."""
+def _posterior(s, x):
+    """(mean, variance, kq = k(x, X), v = K^-1 kq.T) at the rows of x; the
+    posterior covariance of points y with x is k(y, x) - k(y, X) @ v."""
     from scipy.linalg import cho_solve
     x = np.atleast_2d(np.asarray(x, dtype=float))
     kq = matern52(x, s.x_train, s.signal_var, s.lengthscale)
     mean = kq @ s.weights
     v = cho_solve(s.chol, kq.T)
     var = s.signal_var - np.sum(kq * v.T, axis=1)
-    var = np.where(var < 0, 0.0, var)
-    return mean, var
+    return mean, np.where(var < 0, 0.0, var), kq, v
+
+
+def gp_posterior(s, x):
+    """Posterior (mean, variance) at query points."""
+    return _posterior(s, x)[:2]
 
 
 def default_gp_params(x, y):
@@ -200,23 +208,20 @@ def default_gp_params(x, y):
 def expected_improvement(s, x, best):
     """EI for maximization at each row of the (n, d) array x, as an (n,)
     array; always >= 0."""
-    mean, var = gp_posterior(s, x)
-    sigma = np.sqrt(var)
-    ei = np.where(sigma > 1e-12,
-                  _ei_closed(mean, np.maximum(sigma, 1e-12), best),
-                  np.maximum(mean - best, 0.0))
-    return np.maximum(ei, 0.0)
+    return _ei(*gp_posterior(s, x), best)
 
 
-_SQRT_2PI = np.sqrt(2 * np.pi)
-
-
-def _ei_closed(mean, sigma, best):
+def _ei(mean, var, best):
     # the standard normal cdf and pdf computed as scipy.stats.norm does,
     # without its per-call argument handling
     from scipy.special import ndtr
-    u = (mean - best) / sigma
-    return (mean - best) * ndtr(u) + sigma * (np.exp(-u ** 2 / 2.0) / _SQRT_2PI)
+    sigma = np.sqrt(var)
+    sd = np.maximum(sigma, 1e-12)
+    u = (mean - best) / sd
+    closed = (mean - best) * ndtr(u) \
+        + sd * (np.exp(-u ** 2 / 2.0) / np.sqrt(2 * np.pi))
+    ei = np.where(sigma > 1e-12, closed, np.maximum(mean - best, 0.0))
+    return np.maximum(ei, 0.0)
 
 
 def _pattern_search(fn, starts, lo, hi):
@@ -257,18 +262,20 @@ def propose_batch(s, bounds, batch_size, rng):
     from the generator rng.
 
     Posterior function draws are rank-limited: values are sampled jointly
-    at anchor points and kriged onto the rest of the candidate cloud.
+    at anchor points and kriged onto the rest of the candidate cloud. The
+    cloud's one posterior gives the draws' mean, the kriging and the EI.
+    Duplicate picks are dropped; the cloud's best EI points fill the gap.
     """
     from scipy.linalg import cholesky
     lo, hi = (np.asarray(b, dtype=float) for b in bounds)
     cloud = rng.uniform(lo, hi, size=(N_CANDIDATES, len(lo)))
-    mean, _ = gp_posterior(s, cloud)
+    mean, var, k_cloud, _ = _posterior(s, cloud)
 
     r = min(len(s.x_train), THOMPSON_RANK, N_CANDIDATES)
     anchor_idx = rng.choice(N_CANDIDATES, size=r, replace=False)
     anchors = cloud[anchor_idx]
-    mean_a, _ = gp_posterior(s, anchors)
-    cov_a = _posterior_cov(s, anchors, anchors)
+    mean_a, _, k_a, v_a = _posterior(s, anchors)
+    cov_a = matern52(anchors, anchors, s.signal_var, s.lengthscale) - k_a @ v_a
     cov_a[np.diag_indices_from(cov_a)] += 1e-10 * max(s.signal_var, 1.0)
     try:
         la = cholesky(cov_a, lower=True)
@@ -276,7 +283,8 @@ def propose_batch(s, bounds, batch_size, rng):
         log.warning("propose_batch: anchor covariance is not positive "
                     "definite; Thompson draws use its diagonal")
         la = np.diag(np.sqrt(np.maximum(np.diag(cov_a), 0.0)))
-    cross = _posterior_cov(s, cloud, anchors)
+    cross = (matern52(cloud, anchors, s.signal_var, s.lengthscale)
+             - k_cloud @ v_a)
     solve = np.linalg.lstsq(cov_a, cross.T, rcond=None)[0]
 
     picks = []
@@ -288,7 +296,7 @@ def propose_batch(s, bounds, batch_size, rng):
     # EI refinement: a pattern search from the cloud's best EI point and
     # N_RESTARTS - 1 uniform starts; the first of the best results wins
     best = float(np.max(s.y_train))
-    ei_cloud = expected_improvement(s, cloud, best)
+    ei_cloud = _ei(mean, var, best)
     starts = np.vstack([cloud[int(np.argmax(ei_cloud))],
                         rng.uniform(lo, hi, size=(N_RESTARTS - 1, len(lo)))])
     xs, eis = _pattern_search(lambda x: expected_improvement(s, x, best),
@@ -296,28 +304,12 @@ def propose_batch(s, bounds, batch_size, rng):
     picks.insert(0, xs[int(np.argmax(eis))])
 
     batch = []
-    for p in picks:
+    for p in itertools.chain(picks, cloud[np.argsort(ei_cloud)[::-1]]):
         if not any(np.array_equal(p, q) for q in batch):
             batch.append(p)
         if len(batch) == batch_size:
             break
-    # top up from the cloud by EI if deduplication removed too many
-    if len(batch) < batch_size:
-        for i in np.argsort(ei_cloud)[::-1]:
-            p = cloud[int(i)]
-            if not any(np.array_equal(p, q) for q in batch):
-                batch.append(p)
-            if len(batch) == batch_size:
-                break
     return [np.array(p) for p in batch]
-
-
-def _posterior_cov(s, a, b):
-    from scipy.linalg import cho_solve
-    kab = matern52(a, b, s.signal_var, s.lengthscale)
-    ka = matern52(a, s.x_train, s.signal_var, s.lengthscale)
-    kb = matern52(b, s.x_train, s.signal_var, s.lengthscale)
-    return kab - ka @ cho_solve(s.chol, kb.T)
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ def test_synthetic_training(enumerated):
         model = GNN(seed=0)
         train_model(model, data,
                     TrainConfig(epochs=500, learning_rate=4e-3))
-        mae = float(np.mean([abs(model.predict(g).ron - y["ron"])
+        mae = float(np.mean([abs(model.forward(g)[1][0] - y["ron"])
                              for g, y in data]))
         assert mae < 0.5
 
@@ -250,7 +250,7 @@ def test_end_to_end_oracle_equivalence(grammar6, enumerated):
         ensemble = GnnEnsemble(n_models=5, seed=0)
         train_ensemble(data, ensemble,
                        TrainConfig(epochs=500, learning_rate=4e-3))
-        fps = [[m.fingerprint(g) for g, _ in data] for m in ensemble.models]
+        fps = list(ensemble.forward([g for g, _ in data])[0])
         gamma = 20.0 * scale_gamma(np.vstack(fps))
         ad = fit_ad_ensemble(fps, nu=0.05, gamma=gamma)
 

@@ -57,6 +57,33 @@ def workdir(tmp_path_factory):
     return d
 
 
+def _narrow(rows):
+    return [row[:-1] for row in rows]
+
+
+# a damaged copy of a fit-ad checkpoint (two models, two SVMs), and the
+# text the load error names
+CHECKPOINT_DAMAGE = {
+    "W1_0 one column short": (
+        lambda p: p["gnn"]["models"][0]["params"].update(
+            W1_0=_narrow(p["gnn"]["models"][0]["params"]["W1_0"])),
+        "param W1_0 has shape (4, 7); the config needs (4, 8)"),
+    "M2 missing": (lambda p: p["gnn"]["models"][1]["params"].pop("M2"),
+                   "param M2 has shape None"),
+    "second SVM too narrow": (
+        lambda p: p["ad"]["svms"][1].update(
+            support_vectors=_narrow(p["ad"]["svms"][1]["support_vectors"])),
+        "AD member 1"),
+    "second SVM an alpha short": (
+        lambda p: p["ad"]["svms"][1]["alphas"].pop(), "AD member 1"),
+    "no models": (lambda p: p["gnn"].update(models=[]),
+                  "malformed checkpoint"),
+    "params not an object": (
+        lambda p: p["gnn"]["models"][0].update(params=[]),
+        "malformed checkpoint"),
+}
+
+
 def loop_config(workdir, **loop_kw):
     cfg = {
         "schema_version": 1,
@@ -259,6 +286,24 @@ class TestTrainAndFit:
                    "--out", str(tmp_path / "o.ckpt")])
         assert rc == 1
         assert "malformed checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(CHECKPOINT_DAMAGE))
+    def test_checkpoint_shapes_checked_at_load(self, tmp_path, workdir,
+                                               capsys, case):
+        damage, message = CHECKPOINT_DAMAGE[case]
+        payload = json.loads((workdir / "full.ckpt").read_text())
+        damage(payload)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text(json.dumps(payload))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"checkpoint": str(bad),
+                                   "dataset": str(workdir / "dataset.csv")}))
+        rc = main(["fit-ad", "--config", str(cfg),
+                   "--out", str(tmp_path / "o.ckpt")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error[E_CONFIG]: ") and message in err
+        assert not (tmp_path / "o.ckpt").exists()
 
 
 class TestRunLoop:

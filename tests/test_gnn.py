@@ -157,7 +157,8 @@ class TestForward:
 
     def test_os_identity(self):
         model = GNN(SMALL, seed=3)
-        pred = model.predict(parse_smiles("CCO"))
+        pred = PropertyPrediction(
+            *map(float, model.forward(parse_smiles("CCO"))[1]))
         assert pred.os == pred.ron - pred.mon
         assert pred.score == 2 * pred.ron - pred.mon
 
@@ -174,7 +175,7 @@ class TestEnsemble:
     def test_k1_equals_single_model(self):
         ens = GnnEnsemble(n_models=1, config=SMALL, seed=5)
         g = parse_smiles("COC(C)(C)C")
-        single = ens.models[0].predict(g)
+        single = PropertyPrediction(*map(float, ens.models[0].forward(g)[1]))
         mean = ens.predict(g)
         assert mean == single
 
@@ -264,7 +265,7 @@ class TestTraining:
                      "mon": None, "dcn": None}) for g in mols]
         model = GNN(seed=1)
         train_model(model, data, TrainConfig(epochs=400, learning_rate=4e-3))
-        mae = np.mean([abs(model.predict(g).ron - y["ron"])
+        mae = np.mean([abs(model.forward(g)[1][0] - y["ron"])
                        for g, y in data])
         assert mae < 0.5
 
@@ -372,7 +373,7 @@ class TestGnnConfig:
         loaded = GNN.from_state(state)
         assert vars(loaded.config) == vars(SMALL)
         g = parse_smiles("CC(C)O")
-        assert loaded.predict(g) == model.predict(g)
+        assert np.array_equal(loaded.forward(g)[1], model.forward(g)[1])
 
     @pytest.mark.parametrize("value", [7, 4.0])
     def test_older_checkpoint_in_dim_is_checked(self, value):

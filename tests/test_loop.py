@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -351,6 +353,27 @@ class TestRun:
         assert all(r.latent_reduced is not None for r in records)
         assert all(len(r.latent_full) == 4 for r in records)
 
+    def test_skipped_corpus_molecules_warn_once(self, grammar, tiny_ensemble,
+                                                caplog):
+        # molecules the grammar cannot express leave the records as they
+        # are, and one WARNING per encode of the corpus counts them
+        corpus = [parse_smiles(s) for s in
+                  ["C", "CC", "CCO", "CC(C)O", "CCC", "COC"]]
+        foreign = [parse_smiles(s) for s in ["C1CCC1", "C1CCC1C"]]
+        cfg = RunConfig(method="bo", seed=1, max_total=15, max_unique=1000,
+                        ad_enabled=False)
+        with caplog.at_level(logging.WARNING, logger="moldesign"):
+            clean, _ = run(cfg, grammar, tiny_ensemble, corpus=corpus)
+            assert not [r for r in caplog.records
+                        if r.getMessage().startswith("corpus:")]
+            mixed, _ = run(cfg, grammar, tiny_ensemble,
+                           corpus=corpus[:3] + foreign + corpus[3:])
+        assert [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("corpus:")] == [
+            "corpus: skipped 2 of 8 molecules that the grammar cannot "
+            "express"]
+        assert [vars(r) for r in mixed] == [vars(r) for r in clean]
+
     def test_bo_needs_a_corpus(self, grammar, tiny_ensemble):
         cfg = RunConfig(method="bo", max_total=5, ad_enabled=False)
         with pytest.raises(ConfigError, match="corpus"):
@@ -444,8 +467,7 @@ def real_models(grammar):
                            config=GnnConfig(hidden_dim=8, fp_dim=8,
                                             mlp_hidden=4), seed=0)
     molecules = list(enumerate_grammar(grammar).values())
-    per_model = [[m.fingerprint(g) for g in molecules[::10]]
-                 for m in ensemble.models]
+    per_model = list(ensemble.forward(molecules[::10])[0])
     ad = fit_ad_ensemble(per_model, nu=0.2,
                          gamma=5.0 * scale_gamma(np.vstack(per_model)))
     return ensemble, ad, molecules[:40:5]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import os
@@ -213,9 +214,10 @@ class TestProposeBatch:
         assert np.linalg.norm(batch[0]) < 0.3
 
     def test_ei_search_is_batched(self, surrogate, monkeypatch):
-        # one EI call on the candidate cloud, then one call per trial step
-        # of the lockstep search, each with a row per running restart; the
-        # one-start-at-a-time search made about 2,800 one-row calls here
+        # the cloud's EI comes from the cloud's posterior, so every EI call
+        # is a trial step of the lockstep search, with a row per running
+        # restart; the one-start-at-a-time search made about 2,800
+        # one-row calls here
         rows = []
 
         def counting_ei(s, x, best):
@@ -225,9 +227,42 @@ class TestProposeBatch:
         monkeypatch.setattr(optimizers, "expected_improvement", counting_ei)
         lo, hi = np.full(3, -1.0), np.full(3, 1.0)
         propose_batch(surrogate, (lo, hi), 10, np.random.default_rng(0))
-        assert rows[0] == optimizers.N_CANDIDATES
-        assert 0 < len(rows[1:]) <= 300
-        assert max(rows[1:]) == optimizers.N_RESTARTS
+        assert optimizers.N_CANDIDATES not in rows
+        assert 0 < len(rows) <= 300
+        assert max(rows) == optimizers.N_RESTARTS
+
+    def test_one_posterior_per_point_set(self, surrogate, monkeypatch):
+        # the cloud's kernel to the training points and to the anchors are
+        # each computed once; the Thompson mean, the kriging and the
+        # cloud's EI all reuse them
+        calls = []
+
+        def counting_matern52(a, b, *args):
+            calls.append((len(a), len(b)))
+            return matern52(a, b, *args)
+
+        monkeypatch.setattr(optimizers, "matern52", counting_matern52)
+        lo, hi = np.full(3, -1.0), np.full(3, 1.0)
+        propose_batch(surrogate, (lo, hi), 10, np.random.default_rng(0))
+        n, r = len(surrogate.x_train), min(len(surrogate.x_train),
+                                           optimizers.THOMPSON_RANK)
+        assert [c for c in calls if c[0] == optimizers.N_CANDIDATES] == [
+            (optimizers.N_CANDIDATES, n), (optimizers.N_CANDIDATES, r)]
+
+    def test_kriged_batches_pinned(self):
+        # 100 training points, more than THOMPSON_RANK anchors, so the
+        # Thompson draws are kriged from r < n anchors; recorded before
+        # propose_batch shared one posterior per point set
+        rng = np.random.default_rng(12)
+        x = rng.uniform(-1, 1, (100, 3))
+        y = np.sin(3 * x[:, 0]) - np.sum(x ** 2, axis=1)
+        s = gp_fit(x, y, *default_gp_params(x, y))
+        lo, hi = np.full(3, -1.0), np.full(3, 1.0)
+        blob = b"".join(p.tobytes() for seed in range(3) for p in
+                        propose_batch(s, (lo, hi), 10,
+                                      np.random.default_rng(seed)))
+        assert hashlib.sha256(blob).hexdigest() == (
+            "9833408dfe2c297763fef7f32d81828d4c61ebd7bc63f4f2068ea74f54e48843")
 
     def test_refined_pick_is_first_best(self, surrogate, monkeypatch):
         # of restarts with equal EI the first wins, as one start at a time
