@@ -10,6 +10,7 @@ an exact inverse on expressible molecules.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,40 +253,87 @@ def encode(g, grammar, bounds):
     return cell_center(encode_cells(g, grammar), grammar, bounds)
 
 
+def _parts(atoms, bonds, n_atoms=0, n_bonds=0):
+    """The elements of atoms[n_atoms:] and the types of bonds[n_bonds:]; a
+    bond type is the sorted element pair plus the order."""
+    return list(atoms[n_atoms:]) + [tuple(sorted((atoms[u], atoms[v]))) + (o,)
+                                    for u, v, o in bonds[n_bonds:]]
+
+
+def _spend(budget, parts):
+    """budget, a count per part, less one per part; None if some count
+    would fall below zero."""
+    budget = dict(budget)
+    for part in parts:
+        left = budget.get(part, 0) - 1
+        if left < 0:
+            return None
+        budget[part] = left
+    return budget
+
+
+def _signature(atoms, bonds):
+    """The sorted (element, degree, bond-order sum) of every atom: equal
+    for isomorphic graphs."""
+    degree, sums = [0] * len(atoms), [0] * len(atoms)
+    for u, v, o in bonds:
+        degree[u] += 1
+        degree[v] += 1
+        sums[u] += o
+        sums[v] += o
+    return sorted(zip(atoms, degree, sums))
+
+
 def encode_cells(g, grammar):
     """The lexicographically smallest decision sequence producing a graph
     isomorphic to g (possibly shorter than n_dims).
 
-    A depth-first walk over the grammar in cell order. Attachments only add
-    atoms and bonds, so a state with more C, more O or more rings than g is
-    a dead end, and so is a state of g's size that does not match it. Only
-    a state with g's element counts and bond count is canonicalised.
+    A depth-first walk over the grammar in cell order that skips only
+    states from which no match can be reached. An attachment only adds
+    atoms and bonds: it never bonds two existing atoms or changes an
+    element or a bond order. So every state is a labelled induced subgraph
+    of all its descendants, and three bounds are admissible (McKay 1998):
+
+    1. Bond-type counts. A state with more atoms of an element, or more
+       bonds of a type (sorted element pair plus order), than g is a dead
+       end: its counts only grow.
+    2. Reachable size. Each slot adds at most the largest fragment's
+       atoms, so a state that cannot reach g's size that way is a dead end.
+    3. Signature filter. A state of g's size is canonicalised only if its
+       sorted (element, degree, bond-order sum) tuples equal g's, which
+       isomorphism preserves.
+
+    The surviving states are met in the unpruned walk's order, so the
+    result is the unpruned walk's.
     """
     target = canonical_smiles(g)
-    n_c, n_o = g.atoms.count("C"), g.atoms.count("O")
+    full = Counter(_parts(g.atoms, g.bonds))
+    t_signature = _signature(g.atoms, g.bonds)
+    growth = max((len(_FRAGMENT_BUILDERS[f][0]) for f in grammar.fragments),
+                 default=0)
 
-    def search(state, slots_left):
+    def search(state, slots_left, budget):
         """The cell suffix (with a trailing stop if a slot is left) that
-        turns state into g, or None."""
+        turns state into g, or None; budget is g's parts less state's."""
         atoms, bonds, _ = state
-        if atoms.count("C") > n_c or atoms.count("O") > n_o \
-                or len(bonds) - len(atoms) + 1 > g.n_rings:
+        if budget is None or len(atoms) + slots_left * growth < g.n_atoms:
             return None
         if len(atoms) == g.n_atoms:
-            if len(bonds) == len(g.bonds) \
+            if _signature(atoms, bonds) == t_signature \
                     and canonical_smiles(MolecularGraph(atoms, bonds)) == target:
                 return [0] if slots_left > 0 else []
             return None
-        if slots_left == 0:
-            return None
         for c, child in _children(state, grammar):
-            tail = search(child, slots_left - 1)
+            tail = search(child, slots_left - 1, _spend(
+                budget, _parts(*child[:2], len(atoms), len(bonds))))
             if tail is not None:
                 return [c] + tail
         return None
 
     for s in range(len(grammar.scaffolds)):
-        tail = search(_scaffold(grammar, s), grammar.n_dims - 1)
+        state = _scaffold(grammar, s)
+        tail = search(state, grammar.n_dims - 1,
+                      _spend(full, _parts(*state[:2])))
         if tail is not None:
             return [s] + tail
     raise NotExpressible("no decision sequence produces %s" % target)

@@ -178,6 +178,26 @@ class TestEncode:
                 cells, small, unit_bounds), small, unit_bounds)) \
                 == canonical_smiles(g)
 
+    def test_bo_design_corpus_cells_pinned(self):
+        # perfbench's bo-design corpus, cells as the unpruned walk found them
+        six = FragmentGrammar(n_dims=6)
+        pinned = {
+            "CC": [0, 1, 0],
+            "C": [0, 0],
+            "CCC2(CC2C1CC1)O": [3, 2, 3, 8, 0],
+            "C1CCCCC1": [5, 0],
+            "CC(O)=O": [0, 1, 3, 5, 0],
+            "CC(C)C1=CC=CC=C1": [0, 1, 1, 9, 0],
+            "COC1CCCCC1=O": [5, 4, 5, 0],
+            "CC1(CCCC1)C=O": [4, 1, 6, 0],
+            "CC1(CC1)C=O": [3, 1, 6, 0],
+            "COC(=O)OC": [0, 3, 3, 5, 1, 1],
+            "COC1CC1": [3, 4, 0],
+            "CCC(C(C1CC1)=O)=O": [0, 1, 2, 5, 5, 8],
+        }
+        for smiles, cells in pinned.items():
+            assert encode_cells(parse_smiles(smiles), six) == cells, smiles
+
     def test_foreign_structure_not_expressible(self, small, unit_bounds):
         # 4-membered ring: no scaffold or fragment builds one
         ring4 = parse_smiles("C1CCC1")
@@ -313,6 +333,22 @@ def reference_enumerate(grammar):
     return dict(sorted(found.items())), n_states
 
 
+def assert_encodes_like_reference(g, grammar):
+    try:
+        expected = reference_encode_cells(g, grammar)
+    except NotExpressible:
+        with pytest.raises(NotExpressible):
+            encode_cells(g, grammar)
+    else:
+        assert encode_cells(g, grammar) == expected
+
+
+def atom_signature(g):
+    """The sorted (element, degree, bond-order sum) of every atom."""
+    return sorted((a, len(adj), sum(o for _, o in adj))
+                  for a, adj in zip(g.atoms, g.adjacency))
+
+
 @pytest.fixture
 def canonical_calls(monkeypatch):
     """Every graph the grammar module canonicalises, in call order."""
@@ -343,8 +379,15 @@ class TestAgainstReference:
         assert len(canonical_calls) == n_states
 
     def test_encode_equals_reference(self, small):
+        # cells and NotExpressible alike, also where the grammar is too
+        # short for some molecules
+        three = FragmentGrammar(n_dims=3)
         for g in list(enumerate_grammar(small).values())[::23]:
-            assert encode_cells(g, small) == reference_encode_cells(g, small)
+            assert_encodes_like_reference(g, small)
+            assert_encodes_like_reference(g, three)
+        for g in enumerate_grammar(three).values():
+            assert_encodes_like_reference(g, three)
+            assert_encodes_like_reference(g, FragmentGrammar(n_dims=2))
 
     @pytest.mark.parametrize("smiles", ["C1CCC1", "CCCCCCCCCC"])
     def test_not_expressible_like_reference(self, small, smiles):
@@ -357,14 +400,24 @@ class TestAgainstReference:
     def test_encode_canonicalises_only_matching_sizes(self, small,
                                                       canonical_calls):
         # the walk passes butane (C4, one bond fewer) before reaching
-        # methylcyclopropane
+        # methylcyclopropane; only a state with g's atom signature is
+        # canonicalised
         g = parse_smiles("CC1CC1")
         assert encode_cells(g, small) == [0, 8, 0]
         assert canonical_calls[0] is g
         assert len(canonical_calls) == 2
         for partial in canonical_calls[1:]:
-            assert sorted(partial.atoms) == sorted(g.atoms)
-            assert len(partial.bonds) == len(g.bonds)
+            assert atom_signature(partial) == atom_signature(g)
+
+    def test_encode_prunes_before_canonicalising(self, canonical_calls):
+        # the walk exhausts scaffolds 0-4 before ring6; without the bounds
+        # it canonicalised 1,476 graphs
+        g = parse_smiles("COC1CCCCC1=O")
+        assert encode_cells(g, FragmentGrammar(n_dims=6)) == [5, 4, 5, 0]
+        assert canonical_calls[0] is g
+        assert len(canonical_calls) <= 18
+        for partial in canonical_calls[1:]:
+            assert atom_signature(partial) == atom_signature(g)
 
 
 class TestConfig:

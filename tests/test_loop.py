@@ -1,3 +1,4 @@
+import hashlib
 import logging
 
 import numpy as np
@@ -11,6 +12,7 @@ from moldesign.grammar import (
     decision_cells,
     decode,
     decode_cells,
+    encode_cells,
     enumerate_grammar,
 )
 from moldesign.loop import (
@@ -373,6 +375,41 @@ class TestRun:
             "corpus: skipped 2 of 8 molecules that the grammar cannot "
             "express"]
         assert [vars(r) for r in mixed] == [vars(r) for r in clean]
+
+    def test_bo_records_from_corpus_pinned(self, tmp_path, grammar,
+                                           tiny_ensemble):
+        # the corpus fixes the box and the PCA: one molecule's encode walk
+        # passes five scaffolds, one is inexpressible, one is repeated
+        corpus = [parse_smiles(s) for s in
+                  ["CC", "CCO", "O=C1CCCCC1", "C1CCC1", "CC(C)O", "OCC",
+                   "COC1CC1", "CC1CCCC1"]]
+        cfg = RunConfig(method="bo", seed=1, max_total=15, max_unique=1000,
+                        ad_enabled=False)
+        records, _ = run(cfg, grammar, tiny_ensemble, corpus=corpus)
+        path = tmp_path / "records.jsonl"
+        write_records(path, records)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "9f77285d12693b23660533174728d2ddedb82e099b583c7f896eb30ae4de9541")
+
+    def test_corpus_encodes_each_molecule_once(self, monkeypatch, grammar,
+                                               caplog):
+        smiles = ["CCO", "C1CCC1", "OCC", "CC", "C1CCC1", "CCO", "O=C1CCCCC1"]
+        corpus = [parse_smiles(s) for s in smiles]
+        expected = [encode_cells(g, grammar)
+                    for s, g in zip(smiles, corpus) if s != "C1CCC1"]
+        calls = []
+
+        def counting(g, grammar):
+            calls.append(canonical_smiles(g))
+            return encode_cells(g, grammar)
+
+        monkeypatch.setattr(loop, "encode_cells", counting)
+        with caplog.at_level(logging.WARNING, logger="moldesign"):
+            assert loop._corpus_cells(corpus, grammar) == expected
+        assert sorted(calls) == sorted({canonical_smiles(g) for g in corpus})
+        assert [r.getMessage() for r in caplog.records] == [
+            "corpus: skipped 2 of 7 molecules that the grammar cannot "
+            "express"]
 
     def test_bo_needs_a_corpus(self, grammar, tiny_ensemble):
         cfg = RunConfig(method="bo", max_total=5, ad_enabled=False)
