@@ -294,9 +294,10 @@ def encode_cells(g, grammar):
     element or a bond order. So every state is a labelled induced subgraph
     of all its descendants, and three bounds are admissible (McKay 1998):
 
-    1. Bond-type counts. A state with more atoms of an element, or more
-       bonds of a type (sorted element pair plus order), than g is a dead
-       end: its counts only grow.
+    1. Counts. A state with more atoms of an element, more bonds of a
+       type (sorted element pair plus order) or more rings than g is a
+       dead end: its counts only grow, and each fragment is connected and
+       hangs on one bond, so the ring count bonds - atoms + 1 never falls.
     2. Reachable size. Each slot adds at most the largest fragment's
        atoms, so a state that cannot reach g's size that way is a dead end.
     3. Signature filter. A state of g's size is canonicalised only if its
@@ -316,7 +317,8 @@ def encode_cells(g, grammar):
         """The cell suffix (with a trailing stop if a slot is left) that
         turns state into g, or None; budget is g's parts less state's."""
         atoms, bonds, _ = state
-        if budget is None or len(atoms) + slots_left * growth < g.n_atoms:
+        if budget is None or len(atoms) + slots_left * growth < g.n_atoms \
+                or len(bonds) - len(atoms) + 1 > g.n_rings:
             return None
         if len(atoms) == g.n_atoms:
             if _signature(atoms, bonds) == t_signature \

@@ -112,21 +112,13 @@ def bounds_from_corpus(corpus, grammar, expansion=BOUND_EXPANSION):
 
 
 def _corpus_cells(corpus, grammar):
-    """Decision cells of every expressible corpus molecule, in order and
-    with repeats; each distinct molecule is encoded once."""
-    encoded = {}   # canonical SMILES -> cells, or None if not expressible
+    """Decision cells of every expressible corpus molecule, in order."""
     out, skipped = [], 0
     for g in corpus:
-        key = canonical_smiles(g)
-        if key not in encoded:
-            try:
-                encoded[key] = encode_cells(g, grammar)
-            except NotExpressible:
-                encoded[key] = None
-        if encoded[key] is None:
+        try:
+            out.append(encode_cells(g, grammar))
+        except NotExpressible:
             skipped += 1
-        else:
-            out.append(encoded[key])
     if skipped:
         log.warning("corpus: skipped %d of %d molecules that the grammar "
                     "cannot express", skipped, skipped + len(out))

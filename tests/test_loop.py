@@ -12,7 +12,6 @@ from moldesign.grammar import (
     decision_cells,
     decode,
     decode_cells,
-    encode_cells,
     enumerate_grammar,
 )
 from moldesign.loop import (
@@ -390,26 +389,6 @@ class TestRun:
         write_records(path, records)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "9f77285d12693b23660533174728d2ddedb82e099b583c7f896eb30ae4de9541")
-
-    def test_corpus_encodes_each_molecule_once(self, monkeypatch, grammar,
-                                               caplog):
-        smiles = ["CCO", "C1CCC1", "OCC", "CC", "C1CCC1", "CCO", "O=C1CCCCC1"]
-        corpus = [parse_smiles(s) for s in smiles]
-        expected = [encode_cells(g, grammar)
-                    for s, g in zip(smiles, corpus) if s != "C1CCC1"]
-        calls = []
-
-        def counting(g, grammar):
-            calls.append(canonical_smiles(g))
-            return encode_cells(g, grammar)
-
-        monkeypatch.setattr(loop, "encode_cells", counting)
-        with caplog.at_level(logging.WARNING, logger="moldesign"):
-            assert loop._corpus_cells(corpus, grammar) == expected
-        assert sorted(calls) == sorted({canonical_smiles(g) for g in corpus})
-        assert [r.getMessage() for r in caplog.records] == [
-            "corpus: skipped 2 of 7 molecules that the grammar cannot "
-            "express"]
 
     def test_bo_needs_a_corpus(self, grammar, tiny_ensemble):
         cfg = RunConfig(method="bo", max_total=5, ad_enabled=False)
