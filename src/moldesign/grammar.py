@@ -10,13 +10,17 @@ an exact inverse on expressible molecules.
 from __future__ import annotations
 
 import json
+import logging
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .checks import as_box, is_int
-from .molgraph import MAX_VALENCE, MolecularGraph, canonical_smiles
+from .molgraph import (MAX_VALENCE, MolecularGraph, canonical_form,
+                       canonical_smiles)
+
+log = logging.getLogger("moldesign")
 
 DEFAULT_FRAGMENTS = (
     "methyl",
@@ -348,30 +352,77 @@ def enumerate_grammar(grammar):
     """All distinct molecules the grammar can produce, sorted by SMILES.
 
     Returns a dict canonical SMILES -> MolecularGraph; each value is the
-    first graph built for that SMILES in decision order. Each built state is
-    canonicalised once, and walked again only when it is reached with more
-    slots left than before.
+    first graph built for that SMILES in decision order.
+
+    The walk carries each state's canonical SMILES and each atom's position
+    in that string (`canonical_form`) and derives a child's from its
+    parent's (canonical augmentation, McKay 1998). Atoms matched by string
+    position map two graphs with one SMILES onto each other, and `_attach`
+    appends the fragment's atoms after the parent's and bonds its anchor to
+    the site, so two such parents with their sites at one string position
+    give isomorphic children under the same fragment. Children are
+    therefore memoised on (parent SMILES, site position, cell), the parent's
+    atoms indexed by position in the parent's string; a miss canonicalises
+    the child, and no labelled state is canonicalised twice. A labelled
+    state is walked again only when it is reached with more slots left
+    than before, as `_attach`'s lowest-index site depends on the labelling.
+    A MolecularGraph is kept only for a SMILES not found before.
     """
     if grammar.decision_space_size() > MAX_DECISION_SPACE:
         raise TooLarge("decision space %d exceeds cap %d"
                        % (grammar.decision_space_size(), MAX_DECISION_SPACE))
     found = {}
     walked = {}  # (atoms, sorted bonds) -> most slots left it was walked with
+    formed = {}  # (atoms, sorted bonds) -> canonical_form's (SMILES, positions)
+    # (SMILES, site position, cell) -> (SMILES, positions of the parent's
+    # atoms in parent-string order, then of the fragment's atoms)
+    children = {}
 
-    def walk(state, slots_left):
+    def canonical(key):
+        """The state's SMILES and each atom's position in it."""
+        if key not in formed:
+            smiles, order = canonical_form(MolecularGraph(*key))
+            pos = [0] * len(order)
+            for k, atom in enumerate(order):
+                pos[atom] = k
+            formed[key] = smiles, pos
+        return formed[key]
+
+    def child_form(key, site, parent):
+        """The (SMILES, positions) of a state attached at site from parent,
+        the parent's (SMILES, positions, cell)."""
+        parent_smiles, parent_pos, c = parent
+        n = len(parent_pos)
+        memo = (parent_smiles, parent_pos[site], c)
+        if memo in children:
+            smiles, rel = children[memo]
+            return smiles, [rel[k] for k in parent_pos] + rel[n:]
+        smiles, pos = canonical(key)
+        rel = [0] * n + pos[n:]
+        for i, k in enumerate(parent_pos):
+            rel[k] = pos[i]
+        children[memo] = smiles, rel
+        return smiles, pos
+
+    def walk(state, slots_left, parent):
+        """parent is as in child_form, or None for a scaffold."""
         atoms, bonds, _ = state
         key = (tuple(atoms), tuple(sorted(bonds)))
-        if key in walked:
-            if walked[key] >= slots_left:
-                return
-        else:
-            g = MolecularGraph(atoms, bonds)
-            found.setdefault(canonical_smiles(g), g)
+        if walked.get(key, -1) >= slots_left:
+            return
+        # the bond _attach adds last joins the site to the fragment
+        form = canonical(key) if parent is None \
+            else child_form(key, bonds[-1][0], parent)
+        if key not in walked and form[0] not in found:
+            found[form[0]] = MolecularGraph(atoms, bonds)
         walked[key] = slots_left
         if slots_left > 0:
-            for _, child in _children(state, grammar):
-                walk(child, slots_left - 1)
+            for c, child in _children(state, grammar):
+                walk(child, slots_left - 1, form + (c,))
 
     for s in range(len(grammar.scaffolds)):
-        walk(_scaffold(grammar, s), grammar.n_dims - 1)
+        walk(_scaffold(grammar, s), grammar.n_dims - 1, None)
+    log.debug("enumerate_grammar: %d labelled states walked, %d "
+              "canonicalisations, %d molecules", len(walked), len(formed),
+              len(found))
     return dict(sorted(found.items()))

@@ -303,10 +303,19 @@ def _kekulize(atoms, aromatic, bonds):
 # ---------------------------------------------------------------------------
 
 def canonical_smiles(g):
-    """Deterministic canonical SMILES; equal iff graphs are isomorphic.
+    """Deterministic canonical SMILES; equal iff graphs are isomorphic."""
+    return canonical_form(g)[0]
 
-    The smallest string `_emit` writes over the leaves of the refinement
-    search; `_canonical_candidates` prunes branches that repeat a leaf set.
+
+def canonical_form(g):
+    """(canonical SMILES, order): order[k] is the atom the string writes k-th.
+
+    The smallest (string, order) pair `_emit` writes over the leaves of the
+    refinement search; `_canonical_candidates` prunes branches that repeat a
+    leaf set. Two graphs with one string are isomorphic, and matching their
+    atoms by position in that string is an isomorphism: parsing the string
+    gives one graph whose atom k is the k-th written, and each graph's
+    order maps onto it.
     """
     verdict, sums = _validate(g)
     if verdict != OK:
@@ -372,7 +381,8 @@ def _find(parent, i):
 
 
 def _canonical_candidates(g, ranks):
-    """Strings of the leaves the pruned search emits; min is canonical.
+    """`_emit`'s (string, order) of each leaf the pruned search reaches; the
+    min is canonical.
 
     A leaf is a refined ranking with no ties. An acyclic graph is its own
     universal cover, so colour refinement of the tree (atoms, bond orders
@@ -397,7 +407,7 @@ def _canonical_candidates(g, ranks):
         return [_emit(g, ranks)]
 
     leaves = {}     # relabelled bond set -> (path, ranks) of its first leaf
-    strings = []
+    forms = []
     orbits = []     # union-find parents, one per node on the current path
 
     def search(ranks, path):
@@ -410,7 +420,7 @@ def _canonical_candidates(g, ranks):
                             for u, v, order in g.bonds)
             if key not in leaves:
                 leaves[key] = (path, ranks)
-                strings.append(_emit(g, ranks))
+                forms.append(_emit(g, ranks))
                 return None
             first_path, first_ranks = leaves[key]
             atom_at = [0] * n
@@ -443,14 +453,18 @@ def _canonical_candidates(g, ranks):
         return back
 
     search(ranks, [])
-    return strings
+    return forms
 
 
 def _emit(g, ranks):
-    """Write SMILES by DFS from the rank-0 atom, neighbors in rank order."""
+    """Write SMILES by DFS from the rank-0 atom, neighbors in rank order.
+
+    Returns (string, atoms in visit order), which is the order the string
+    writes them."""
     n = g.n_atoms
     nbrs = [sorted(adj, key=lambda e: ranks[e[0]]) for adj in g.adjacency]
     visited = [False] * n
+    written = []
     children = [[] for _ in range(n)]
     ring_at = [[] for _ in range(n)]
     closed = set()
@@ -459,6 +473,7 @@ def _emit(g, ranks):
     def visit(v, parent):
         nonlocal counter
         visited[v] = True
+        written.append(v)
         for u, order in nbrs[v]:
             if u == parent:
                 continue
@@ -490,4 +505,4 @@ def _emit(g, ranks):
             s += render(u, order)
         return s
 
-    return render(start, 1)
+    return render(start, 1), written

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from moldesign import grammar as grammar_mod, molgraph
 from moldesign.grammar import (
+    DEFAULT_FRAGMENTS,
     FragmentGrammar,
     GrammarError,
     NotExpressible,
@@ -351,7 +353,8 @@ def atom_signature(g):
 
 @pytest.fixture
 def canonical_calls(monkeypatch):
-    """Every graph the grammar module canonicalises, in call order."""
+    """Every graph the grammar module passes to canonical_smiles (the
+    encoder's calls), in call order."""
     calls = []
 
     def counting(g):
@@ -362,21 +365,51 @@ def canonical_calls(monkeypatch):
     return calls
 
 
+# two grammars whose site and fragment orders differ from the default's
+REVERSED = FragmentGrammar(n_dims=4, fragments=DEFAULT_FRAGMENTS[::-1],
+                           scaffolds=("ring5", "CO", "C", "ring3"),
+                           max_heavy_atoms=7)
+FEW_FRAGMENTS = FragmentGrammar(
+    n_dims=4, fragments=("carbonyl", "methyl", "hydroxyl", "phenyl", "formyl"),
+    scaffolds=("ring6", "CC"))
+
+
 class TestAgainstReference:
-    @pytest.mark.parametrize("n_dims", [1, 2, 3, 4])
-    def test_enumerate_equals_reference(self, n_dims):
-        grammar = FragmentGrammar(n_dims=n_dims)
+    @pytest.mark.parametrize("grammar", [
+        FragmentGrammar(n_dims=1), FragmentGrammar(n_dims=2),
+        FragmentGrammar(n_dims=3), FragmentGrammar(n_dims=4), REVERSED,
+        FEW_FRAGMENTS], ids=["1", "2", "3", "4", "reversed", "few"])
+    def test_enumerate_equals_reference(self, grammar):
         mols = enumerate_grammar(grammar)
         ref, _ = reference_enumerate(grammar)
         assert list(mols) == list(ref)
         for smi in ref:
             assert mols[smi] == ref[smi], smi
 
-    def test_enumerate_canonicalises_each_state_once(self, small,
-                                                     canonical_calls):
+    def test_enumerate_canonicalises_no_state_twice(self, small,
+                                                    monkeypatch):
+        # 1,985 labelled states and 643 molecules; a child whose parent's
+        # SMILES, site position and cell were met before is not
+        # canonicalised, nor is a labelled state met before
+        calls = []
+
+        def counting(g):
+            calls.append((g.atoms, g.bonds))
+            return molgraph.canonical_form(g)
+
+        monkeypatch.setattr(grammar_mod, "canonical_form", counting)
         enumerate_grammar(small)
         _, n_states = reference_enumerate(small)
-        assert len(canonical_calls) == n_states
+        assert n_states == 1985
+        assert len(calls) == 1182
+        assert len(set(calls)) == len(calls)
+
+    def test_enumerate_logs_its_counts(self, small, caplog):
+        with caplog.at_level(logging.DEBUG, logger="moldesign"):
+            enumerate_grammar(small)
+        assert [r.getMessage() for r in caplog.records] == [
+            "enumerate_grammar: 1985 labelled states walked, "
+            "1182 canonicalisations, 643 molecules"]
 
     def test_encode_equals_reference(self, small):
         # cells and NotExpressible alike, also where the grammar is too

@@ -245,7 +245,7 @@ def _reference_candidates(g, ranks):
         cells.setdefault(r, []).append(i)
     tied = [cells[r] for r in sorted(cells) if len(cells[r]) > 1]
     if not tied:
-        yield molgraph._emit(g, ranks)
+        yield molgraph._emit(g, ranks)[0]
         return
     for atom in tied[0]:
         branched = [2 * r for r in ranks]
@@ -346,3 +346,35 @@ class TestPrunedSearch:
         monkeypatch.setattr(molgraph, "_emit", counting_emit)
         assert canonical_smiles(g) == expected
         assert counts == {"leaves": leaves, "emits": emits}
+
+
+def by_position(g, order):
+    """g's element list and bond set with atoms renumbered by their
+    position in the string, order[k] being the atom written k-th."""
+    pos = [0] * g.n_atoms
+    for k, atom in enumerate(order):
+        pos[atom] = k
+    return ([g.atoms[atom] for atom in order],
+            {(min(pos[u], pos[v]), max(pos[u], pos[v]), o)
+             for u, v, o in g.bonds})
+
+
+graphs = st.one_of(
+    latents6.map(lambda z: decode(z, GRAMMAR6, UNIT6)),
+    co_trees(),
+    st.sampled_from(CUBIC8).map(parse_smiles))
+
+
+class TestCanonicalForm:
+    """What enumerate_grammar's child memo relies on: the string's atom
+    order matches two graphs with one string atom for atom."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=graphs, data=st.data())
+    def test_order_is_an_isomorphism_to_the_string(self, g, data):
+        copy = permuted(g, data.draw(st.permutations(range(g.n_atoms))))
+        smiles, order = molgraph.canonical_form(g)
+        copy_smiles, copy_order = molgraph.canonical_form(copy)
+        assert smiles == copy_smiles == canonical_smiles(g)
+        assert sorted(order) == sorted(copy_order) == list(range(g.n_atoms))
+        assert by_position(g, order) == by_position(copy, copy_order)
