@@ -1,12 +1,14 @@
 """Versioned checkpoint container: GNN weights and AD SVMs.
 
 Stored as JSON; float round-tripping through repr keeps reloads
-bit-exact.
+bit-exact. A load refuses NaN and infinite weights, which JSON accepts.
 """
 
 from __future__ import annotations
 
 import json
+
+import numpy as np
 
 from .adomain import AdEnsemble
 from .gnn import GnnEnsemble, GnnError
@@ -51,6 +53,8 @@ def load_checkpoint(path):
     if ad is not None and ad.n_members != ensemble.n_models:
         raise CheckpointError("AD ensemble size %d != GNN ensemble size %d"
                               % (ad.n_members, ensemble.n_models))
+    for k, model in enumerate(ensemble.models):
+        _check_finite("GNN member %d" % k, model.params)
     for k, svm in enumerate(ad.svms if ad is not None else ()):
         sv, fp_dim = svm.support_vectors, ensemble.models[k].config.fp_dim
         if sv.ndim != 2 or sv.shape[1] != fp_dim \
@@ -58,4 +62,16 @@ def load_checkpoint(path):
             raise CheckpointError(
                 "AD member %d: support vectors of shape %s and %d alphas "
                 "for GNN fp_dim %d" % (k, sv.shape, svm.alphas.size, fp_dim))
+        _check_finite("AD member %d" % k, {
+            name: getattr(svm, name)
+            for name in ("support_vectors", "alphas", "rho", "gamma")})
     return ensemble, ad, payload
+
+
+def _check_finite(member, values):
+    """Refuse a NaN or infinite entry in any of the named arrays, which
+    JSON loads without complaint and a run would carry into its scores."""
+    for name, value in sorted(values.items()):
+        if not np.all(np.isfinite(value)):
+            raise CheckpointError("%s: %s holds a non-finite value"
+                                  % (member, name))

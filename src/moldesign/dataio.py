@@ -1,7 +1,8 @@
 """Dataset and corpus file ingestion.
 
 Property datasets are CSV with header "smiles,ron,mon,dcn"; empty cells
-are missing labels. Corpus files hold one SMILES per line with optional
+are missing labels; a row with an unparsable or non-finite label is
+skipped as an issue. Corpus files hold one SMILES per line with optional
 "#" comments.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 
+from .checks import is_real
 from .molgraph import MolGraphError, canonical_smiles, parse_smiles
 
 EXPECTED_HEADER = ["smiles", "ron", "mon", "dcn"]
@@ -52,14 +54,17 @@ class PropertyDataset:
         return len(self.rows)
 
 
-def _parse_cell(cell, line_no, name):
+def _parse_cell(cell, name):
     cell = cell.strip()
     if not cell:
         return None
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
-        raise DataError("line %d: bad %s value %r" % (line_no, name, cell))
+        value = None
+    if not is_real(value):   # unparsable, nan, inf or past the float range
+        raise DataError("bad %s value %r" % (name, cell))
+    return value
 
 
 def ingest_dataset(path):
@@ -89,7 +94,7 @@ def ingest_dataset(path):
             try:
                 g = parse_smiles(smiles)
                 canon = canonical_smiles(g)
-                labels = {name: _parse_cell(cells[i + 1], line_no, name)
+                labels = {name: _parse_cell(cells[i + 1], name)
                           for i, name in enumerate(("ron", "mon", "dcn"))}
             except (MolGraphError, DataError) as e:
                 issues.append("line %d: %s" % (line_no, e))

@@ -63,11 +63,13 @@ class FragmentGrammar:
             raise GrammarError("n_dims must be an integer >= 1")
         if not is_int(self.max_heavy_atoms, 1):
             raise GrammarError("max_heavy_atoms must be an integer >= 1")
+        if not self.scaffolds:
+            raise GrammarError("scaffolds must not be empty")
         for f in self.fragments:
-            if f not in _FRAGMENT_BUILDERS:
+            if not (isinstance(f, str) and f in _FRAGMENT_BUILDERS):
                 raise GrammarError("unknown fragment %r" % f)
         for s in self.scaffolds:
-            if s not in _SCAFFOLD_BUILDERS:
+            if not (isinstance(s, str) and s in _SCAFFOLD_BUILDERS):
                 raise GrammarError("unknown scaffold %r" % s)
 
     @property
@@ -97,6 +99,9 @@ class FragmentGrammar:
         if not isinstance(cfg, dict) or any(k not in cfg for k in keys):
             raise GrammarError("grammar config needs keys %s"
                                % ", ".join(keys))
+        for k in cfg:
+            if k not in keys and k != "schema_version":
+                raise GrammarError("unknown grammar key %r" % k)
         for k in ("fragments", "scaffolds"):
             if not isinstance(cfg[k], list):
                 raise GrammarError("%s must be a list" % k)

@@ -5,11 +5,11 @@ The BO surrogate is an exact GP with a Matern 5/2 kernel; batches of 10
 come from Thompson sampling on a uniform candidate cloud plus one
 expected-improvement maximizer, refined by N_RESTARTS pattern searches
 that run in lockstep so that each trial step is one batched EI call (as
-BoTorch's optimize_acqf batches its restarts). The cloud and the Thompson
-anchors each get one posterior, whose cross-kernel and Cholesky solve
-also give their covariances (Rasmussen & Williams 2006, Alg. 2.1). The GA
-uses elitism, a top-30% parent pool, uniform crossover, and per-gene
-uniform-resample mutation.
+BoTorch's optimize_acqf batches its restarts). The Thompson anchors are
+rows of the cloud, whose one posterior gives their covariance; the draws
+are kriged through its Cholesky factor (Rasmussen & Williams 2006, Alg.
+2.1). The GA uses elitism, a top-30% parent pool, uniform crossover, and
+per-gene uniform-resample mutation.
 """
 
 from __future__ import annotations
@@ -262,36 +262,34 @@ def propose_batch(s, bounds, batch_size, rng):
     from the generator rng.
 
     Posterior function draws are rank-limited: values are sampled jointly
-    at anchor points and kriged onto the rest of the candidate cloud. The
-    cloud's one posterior gives the draws' mean, the kriging and the EI.
+    at r anchor rows of the candidate cloud and kriged onto the rest
+    through the Cholesky factor la of the anchors' covariance, as
+    mean + cross @ la^-T z for each standard normal z. The cloud's one
+    posterior gives the mean, that covariance, cross and the EI.
     Duplicate picks are dropped; the cloud's best EI points fill the gap.
     """
-    from scipy.linalg import cholesky
+    from scipy.linalg import cholesky, solve_triangular
     lo, hi = (np.asarray(b, dtype=float) for b in bounds)
     cloud = rng.uniform(lo, hi, size=(N_CANDIDATES, len(lo)))
-    mean, var, k_cloud, _ = _posterior(s, cloud)
+    mean, var, k_cloud, v_cloud = _posterior(s, cloud)
 
     r = min(len(s.x_train), THOMPSON_RANK, N_CANDIDATES)
     anchor_idx = rng.choice(N_CANDIDATES, size=r, replace=False)
-    anchors = cloud[anchor_idx]
-    mean_a, _, k_a, v_a = _posterior(s, anchors)
-    cov_a = matern52(anchors, anchors, s.signal_var, s.lengthscale) - k_a @ v_a
-    cov_a[np.diag_indices_from(cov_a)] += 1e-10 * max(s.signal_var, 1.0)
+    cross = (matern52(cloud, cloud[anchor_idx], s.signal_var, s.lengthscale)
+             - k_cloud @ v_cloud[:, anchor_idx])
+    jitter = 1e-10 * max(s.signal_var, 1.0)
+    cov_a = cross[anchor_idx]
+    cov_a[np.diag_indices_from(cov_a)] += jitter
     try:
         la = cholesky(cov_a, lower=True)
     except np.linalg.LinAlgError:
         log.warning("propose_batch: anchor covariance is not positive "
                     "definite; Thompson draws use its diagonal")
-        la = np.diag(np.sqrt(np.maximum(np.diag(cov_a), 0.0)))
-    cross = (matern52(cloud, anchors, s.signal_var, s.lengthscale)
-             - k_cloud @ v_a)
-    solve = np.linalg.lstsq(cov_a, cross.T, rcond=None)[0]
-
-    picks = []
-    for _ in range(batch_size):
-        fa = mean_a + la @ rng.standard_normal(r)
-        draw = mean + solve.T @ (fa - mean_a)
-        picks.append(cloud[int(np.argmax(draw))])
+        la = np.diag(np.sqrt(np.maximum(np.diag(cov_a), jitter)))
+    z = rng.standard_normal((batch_size, r)).T
+    draws = mean[:, None] + cross @ solve_triangular(la, z, lower=True,
+                                                     trans="T")
+    picks = list(cloud[np.argmax(draws, axis=0)])
 
     # EI refinement: a pattern search from the cloud's best EI point and
     # N_RESTARTS - 1 uniform starts; the first of the best results wins

@@ -4,6 +4,7 @@ import logging
 import os
 import re
 
+import numpy as np
 import pytest
 
 from moldesign import gnn, loop, optimizers
@@ -81,6 +82,25 @@ CHECKPOINT_DAMAGE = {
     "params not an object": (
         lambda p: p["gnn"]["models"][0].update(params=[]),
         "malformed checkpoint"),
+    "NaN GNN bias": (
+        lambda p: p["gnn"]["models"][1]["params"]["b1"].__setitem__(
+            0, float("nan")),
+        "GNN member 1: b1 holds a non-finite value"),
+    "infinite GNN weight": (
+        lambda p: p["gnn"]["models"][0]["params"]["W2_0"][1].__setitem__(
+            2, -float("inf")),
+        "GNN member 0: W2_0 holds a non-finite value"),
+    "NaN support vector": (
+        lambda p: p["ad"]["svms"][1]["support_vectors"][0].__setitem__(
+            3, float("nan")),
+        "AD member 1: support_vectors holds a non-finite value"),
+    "NaN alpha": (
+        lambda p: p["ad"]["svms"][0]["alphas"].__setitem__(0, float("nan")),
+        "AD member 0: alphas holds a non-finite value"),
+    "infinite rho": (lambda p: p["ad"]["svms"][1].update(rho=float("inf")),
+                     "AD member 1: rho holds a non-finite value"),
+    "NaN gamma": (lambda p: p["ad"]["svms"][0].update(gamma=float("nan")),
+                  "AD member 0: gamma holds a non-finite value"),
 }
 
 
@@ -255,6 +275,24 @@ class TestTrainAndFit:
         assert "error[E_CONFIG]" in err and key in err
         assert not (tmp_path / "o.ckpt").exists()
 
+    def test_non_finite_label_row_skipped(self, tmp_path, workdir, caplog,
+                                          recwarn):
+        data = tmp_path / "data.csv"
+        data.write_text(DATASET + "CCCC,nan,90,\nCCCO,1e400,,\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": str(data), "n_models": 1,
+                                   "train": {"epochs": 2}}))
+        with caplog.at_level(logging.WARNING, logger="moldesign"):
+            rc = main(["train-gnn", "--config", str(cfg),
+                       "--out", str(tmp_path / "o.ckpt")])
+        assert rc == 0
+        assert [r.getMessage() for r in caplog.records] == [
+            "dataset: line 10: bad ron value 'nan'",
+            "dataset: line 11: bad ron value '1e400'"]
+        losses = json.loads((tmp_path / "o.ckpt.losses.json").read_text())
+        assert np.all(np.isfinite(losses["loss_histories"]))
+        assert not recwarn.list
+
     @pytest.mark.parametrize("command", ["train-gnn", "fit-ad"])
     def test_dataset_issue_logged_once(self, tmp_path, workdir, caplog,
                                        recwarn, command):
@@ -307,6 +345,21 @@ class TestTrainAndFit:
 
 
 class TestRunLoop:
+    def test_non_finite_checkpoint_refused(self, workdir, tmp_path, capsys):
+        payload = json.loads((workdir / "full.ckpt").read_text())
+        payload["gnn"]["models"][0]["params"]["b2"][0] = float("nan")
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text(json.dumps(payload))
+        cfg = json.loads(open(loop_config(workdir)).read())
+        cfg["checkpoint"] = str(bad)
+        (tmp_path / "loop.json").write_text(json.dumps(cfg))
+        rc = main(["run-loop", "--config", str(tmp_path / "loop.json"),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error[E_CONFIG]: GNN member 0: b2 holds a non-finite value\n")
+        assert not (tmp_path / "run").exists()
+
     def test_budget_and_outputs(self, workdir, tmp_path):
         rc = main(["run-loop", "--config", loop_config(workdir),
                    "--seed", "0", "--out", str(tmp_path / "run")])
@@ -585,6 +638,27 @@ class TestConfigHandling:
         assert rc == 1
         err = capsys.readouterr().err
         assert "error[E_CONFIG]" in err and "n_dims" in err
+
+    @pytest.mark.parametrize("change,message", [
+        ({"scaffolds": []}, "scaffolds must not be empty"),
+        ({"fragments": [["methyl"]]}, "unknown fragment ['methyl']"),
+        ({"max_heavy_atom": 9}, "unknown grammar key 'max_heavy_atom'"),
+    ])
+    @pytest.mark.parametrize("command", ["enumerate", "run-loop"])
+    def test_bad_grammar_file(self, tmp_path, workdir, capsys, change,
+                              message, command):
+        grammar = dict(FragmentGrammar(n_dims=4).to_config(), **change)
+        (tmp_path / "grammar.json").write_text(json.dumps(grammar))
+        cfg = json.loads(open(loop_config(workdir)).read())
+        cfg["grammar"] = str(tmp_path / "grammar.json")
+        if command == "enumerate":
+            cfg = {"grammar": cfg["grammar"]}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        rc = main([command, "--config", str(tmp_path / "cfg.json"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error[E_CONFIG]: %s\n" % message
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -49,6 +49,14 @@ class TestIngest:
         assert len(data) == 1
         assert any("ron" in m for m in data.issues)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_label_becomes_issue(self, tmp_path, cell):
+        path = write(tmp_path, "smiles,ron,mon,dcn\nCC,100,,\n"
+                               "CCO,%s,90,\nCCC,95,,\n" % cell)
+        data = ingest_dataset(path)
+        assert [row.canonical for row in data.rows] == ["CC", "CCC"]
+        assert data.issues == ["line 3: bad ron value %r" % cell]
+
     def test_duplicate_canonical_rejected_with_warning(self, tmp_path):
         # OCC and CCO are the same molecule
         path = write(tmp_path, "smiles,ron,mon,dcn\nCCO,100,,\nOCC,90,,\n")

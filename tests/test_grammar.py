@@ -470,6 +470,10 @@ class TestConfig:
         {"max_heavy_atoms": 9.5},
         {"max_heavy_atoms": True},
         {"scaffolds": "CC"},
+        {"scaffolds": []},
+        {"fragments": [["methyl"]]},
+        {"scaffolds": [{"C": 1}]},
+        {"max_heavy_atom": 9},      # a typo of a field
     ])
     def test_bad_config_rejected(self, small, change):
         cfg = small.to_config()

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -190,18 +191,34 @@ class TestProposeBatch:
 
     def test_diagonal_fallback_warns(self, surrogate, monkeypatch, caplog):
         lo, hi = np.full(3, -1.0), np.full(3, 1.0)
+        factored = []
+
+        def not_definite(a, **kwargs):
+            factored.append(np.diag(a).copy())
+            raise np.linalg.LinAlgError("not positive definite")
+
+        def zero_to_anchors(a, b, *args):
+            k = matern52(a, b, *args)
+            return k if b is surrogate.x_train else np.zeros_like(k)
+
         with caplog.at_level(logging.WARNING, logger="moldesign"):
             propose_batch(surrogate, (lo, hi), 10, np.random.default_rng(2))
             assert not caplog.records
 
-            def not_definite(*args, **kwargs):
-                raise np.linalg.LinAlgError("not positive definite")
-
             monkeypatch.setattr(scipy.linalg, "cholesky", not_definite)
-            batch = propose_batch(surrogate, (lo, hi), 10,
-                                  np.random.default_rng(2))
-        assert len(batch) == 10
-        assert [r.getMessage() for r in caplog.records] == [
+            batches = [propose_batch(surrogate, (lo, hi), 10,
+                                     np.random.default_rng(2))]
+            # with no prior covariance between the cloud and the anchors,
+            # an anchor's variance is the jitter less its posterior
+            # reduction, mostly negative; the diagonal factor is floored
+            # at the jitter, so the draws stay finite
+            monkeypatch.setattr(optimizers, "matern52", zero_to_anchors)
+            batches.append(propose_batch(surrogate, (lo, hi), 10,
+                                         np.random.default_rng(2)))
+        assert np.min(factored[1]) <= 0
+        for batch in batches:
+            assert len(batch) == 10 and np.all(np.isfinite(batch))
+        assert [r.getMessage() for r in caplog.records] == 2 * [
             "propose_batch: anchor covariance is not positive definite; "
             "Thompson draws use its diagonal"]
 
@@ -233,21 +250,29 @@ class TestProposeBatch:
 
     def test_one_posterior_per_point_set(self, surrogate, monkeypatch):
         # the cloud's kernel to the training points and to the anchors are
-        # each computed once; the Thompson mean, the kriging and the
-        # cloud's EI all reuse them
+        # each computed once; the anchors are rows of the cloud, so the
+        # Thompson mean, the anchors' covariance, the kriging and the
+        # cloud's EI all reuse them, and the draws go through the anchor
+        # covariance's Cholesky factor with no least-squares solve
         calls = []
 
         def counting_matern52(a, b, *args):
             calls.append((len(a), len(b)))
             return matern52(a, b, *args)
 
+        def no_lstsq(*args, **kwargs):
+            raise AssertionError("np.linalg.lstsq called")
+
         monkeypatch.setattr(optimizers, "matern52", counting_matern52)
+        monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
         lo, hi = np.full(3, -1.0), np.full(3, 1.0)
         propose_batch(surrogate, (lo, hi), 10, np.random.default_rng(0))
         n, r = len(surrogate.x_train), min(len(surrogate.x_train),
                                            optimizers.THOMPSON_RANK)
+        assert r > optimizers.N_RESTARTS   # an EI step has fewer rows
         assert [c for c in calls if c[0] == optimizers.N_CANDIDATES] == [
             (optimizers.N_CANDIDATES, n), (optimizers.N_CANDIDATES, r)]
+        assert (r, n) not in calls and (r, r) not in calls
 
     def test_kriged_batches_pinned(self):
         # 100 training points, more than THOMPSON_RANK anchors, so the
@@ -279,6 +304,72 @@ class TestProposeBatch:
         lo, hi = np.full(3, -1.0), np.full(3, 1.0)
         batch = propose_batch(surrogate, (lo, hi), 10, np.random.default_rng(0))
         assert np.array_equal(batch[0], seen[0][2])
+
+
+def reference_propose_batch(s, bounds, batch_size, rng):
+    """propose_batch as it was before the anchors' terms came from the
+    cloud's posterior: a second posterior for the anchors, their own
+    kernel, a least-squares kriging solve and one draw per loop step."""
+    from scipy.linalg import cholesky
+    lo, hi = (np.asarray(b, dtype=float) for b in bounds)
+    cloud = rng.uniform(lo, hi, size=(optimizers.N_CANDIDATES, len(lo)))
+    mean, var, k_cloud, _ = optimizers._posterior(s, cloud)
+
+    r = min(len(s.x_train), optimizers.THOMPSON_RANK, optimizers.N_CANDIDATES)
+    anchor_idx = rng.choice(optimizers.N_CANDIDATES, size=r, replace=False)
+    anchors = cloud[anchor_idx]
+    mean_a, _, k_a, v_a = optimizers._posterior(s, anchors)
+    cov_a = matern52(anchors, anchors, s.signal_var, s.lengthscale) - k_a @ v_a
+    cov_a[np.diag_indices_from(cov_a)] += 1e-10 * max(s.signal_var, 1.0)
+    try:
+        la = cholesky(cov_a, lower=True)
+    except np.linalg.LinAlgError:
+        la = np.diag(np.sqrt(np.maximum(np.diag(cov_a), 0.0)))
+    cross = (matern52(cloud, anchors, s.signal_var, s.lengthscale)
+             - k_cloud @ v_a)
+    solve = np.linalg.lstsq(cov_a, cross.T, rcond=None)[0]
+
+    picks = []
+    for _ in range(batch_size):
+        fa = mean_a + la @ rng.standard_normal(r)
+        draw = mean + solve.T @ (fa - mean_a)
+        picks.append(cloud[int(np.argmax(draw))])
+
+    best = float(np.max(s.y_train))
+    ei_cloud = optimizers._ei(mean, var, best)
+    starts = np.vstack([cloud[int(np.argmax(ei_cloud))],
+                        rng.uniform(lo, hi, size=(optimizers.N_RESTARTS - 1,
+                                                  len(lo)))])
+    xs, eis = optimizers._pattern_search(
+        lambda x: expected_improvement(s, x, best), starts, lo, hi)
+    picks.insert(0, xs[int(np.argmax(eis))])
+
+    batch = []
+    for p in itertools.chain(picks, cloud[np.argsort(ei_cloud)[::-1]]):
+        if not any(np.array_equal(p, q) for q in batch):
+            batch.append(p)
+        if len(batch) == batch_size:
+            break
+    return [np.array(p) for p in batch]
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("n", [12, 100])
+def test_propose_batch_matches_reference(n, d):
+    # n below and above THOMPSON_RANK: all n training points are anchors,
+    # or the draws are kriged from r < n of them
+    rng = np.random.default_rng(100 * n + d)
+    x = rng.uniform(-1, 1, (n, d))
+    y = np.sin(3 * x[:, 0]) - np.sum(x ** 2, axis=1) \
+        + 0.1 * rng.standard_normal(n)
+    s = gp_fit(x, y, *default_gp_params(x, y))
+    lo, hi = np.full(d, -1.0), np.full(d, 1.0)
+    for seed in range(3):
+        got = propose_batch(s, (lo, hi), 10, np.random.default_rng(seed))
+        want = reference_propose_batch(s, (lo, hi), 10,
+                                       np.random.default_rng(seed))
+        assert len(got) == len(want) == 10
+        assert all(np.array_equal(p, q) for p, q in zip(got, want))
 
 
 def reference_pattern_search(fn, x0, lo, hi):
