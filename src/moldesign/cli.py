@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import adomain, checkpoint, dataio, gnn, loop, optimizers
-from .checks import ConfigError, is_int, is_real
+from .checks import ConfigError, check_keys, is_int, is_real
 from .grammar import FragmentGrammar, GrammarError, enumerate_grammar
 
 log = logging.getLogger("moldesign")
@@ -34,20 +34,15 @@ CONFIG_ERRORS = (
 
 
 def _load_config(path, keys):
-    """The config object at path ({} without one), refusing a top-level
-    key outside keys other than schema_version."""
+    """The config object at path ({} without one), refusing a
+    schema_version other than 1 and a top-level key outside keys."""
     if path is None:
         return {}
     with open(path) as f:
         cfg = json.load(f)
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    version = cfg.get("schema_version", 1)
-    if version != 1:
-        raise ConfigError("unsupported config schema %r" % version)
-    for key in cfg:
-        if key not in keys and key != "schema_version":
-            raise ConfigError("unknown config key %r" % key)
+    check_keys(cfg, keys, ConfigError)
     return cfg
 
 

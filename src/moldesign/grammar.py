@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import as_box, is_int
+from .checks import as_box, check_keys, is_int
 from .molgraph import (MAX_VALENCE, MolecularGraph, canonical_form,
                        canonical_smiles)
 
@@ -99,9 +99,7 @@ class FragmentGrammar:
         if not isinstance(cfg, dict) or any(k not in cfg for k in keys):
             raise GrammarError("grammar config needs keys %s"
                                % ", ".join(keys))
-        for k in cfg:
-            if k not in keys and k != "schema_version":
-                raise GrammarError("unknown grammar key %r" % k)
+        check_keys(cfg, keys, GrammarError, "grammar")
         for k in ("fragments", "scaffolds"):
             if not isinstance(cfg[k], list):
                 raise GrammarError("%s must be a list" % k)
@@ -262,11 +260,69 @@ def encode(g, grammar, bounds):
     return cell_center(encode_cells(g, grammar), grammar, bounds)
 
 
-def _parts(atoms, bonds, n_atoms=0, n_bonds=0):
-    """The elements of atoms[n_atoms:] and the types of bonds[n_bonds:]; a
-    bond type is the sorted element pair plus the order."""
-    return list(atoms[n_atoms:]) + [tuple(sorted((atoms[u], atoms[v]))) + (o,)
-                                    for u, v, o in bonds[n_bonds:]]
+def _bond_type(atoms, bond):
+    """The sorted element pair of a bond plus its order."""
+    u, v, o = bond
+    return tuple(sorted((atoms[u], atoms[v]))) + (o,)
+
+
+def _ring_blocks(atoms, bonds):
+    """One ("ring", size) part per 2-edge-connected block of the graph
+    that is a simple cycle, and one ("ring", atoms, bonds) part per block
+    that is not (fused, bridged or spiro rings).
+
+    Each bond outside a spanning forest closes a cycle with the forest
+    path between its ends; the atoms on such cycles, joined, are the
+    blocks, and a bond lies in a block when both its ends do.
+    """
+    adj = [[] for _ in atoms]
+    for k, (u, v, _) in enumerate(bonds):
+        adj[u].append((v, k))
+        adj[v].append((u, k))
+    depth, up = [0] * len(atoms), [None] * len(atoms)  # up: (parent, bond)
+    for root in range(len(atoms)):
+        if not depth[root]:
+            depth[root], frontier = 1, [root]
+            for a in frontier:
+                for b, k in adj[a]:
+                    if not depth[b]:
+                        depth[b], up[b] = depth[a] + 1, (a, k)
+                        frontier.append(b)
+    tree = {step[1] for step in up if step}
+    block = list(range(len(atoms)))   # union-find over atoms
+
+    def find(a):
+        while block[a] != a:
+            a = block[a]
+        return a
+
+    for k, (u, v, _) in enumerate(bonds):
+        if k not in tree:
+            while u != v:
+                if depth[u] < depth[v]:
+                    u, v = v, u
+                block[find(u)] = find(up[u][0])
+                u = up[u][0]
+    n_bonds = Counter(find(u) for u, v, _ in bonds if find(u) == find(v))
+    n_atoms = Counter(find(a) for a in range(len(atoms)))
+    return [("ring", n_atoms[r]) if n_atoms[r] == m
+            else ("ring", n_atoms[r], m) for r, m in n_bonds.items()]
+
+
+def _parts(atoms, bonds):
+    """The elements, bond types and ring blocks of a graph."""
+    return list(atoms) + [_bond_type(atoms, b) for b in bonds] \
+        + _ring_blocks(atoms, bonds)
+
+
+# the parts each scaffold starts with and each fragment adds before the
+# bond to its site; every fragment is connected and hangs on that one
+# bond, a bridge, so a state's ring blocks are those of its scaffold and
+# fragments and carry over unchanged into every descendant
+_SCAFFOLD_PARTS = {name: _parts(*build())
+                   for name, build in _SCAFFOLD_BUILDERS.items()}
+_FRAGMENT_PARTS = {name: _parts(atoms, bonds)
+                   for name, (atoms, bonds, *_) in _FRAGMENT_BUILDERS.items()}
 
 
 def _spend(budget, parts):
@@ -299,17 +355,30 @@ def encode_cells(g, grammar):
 
     A depth-first walk over the grammar in cell order that skips only
     states from which no match can be reached. An attachment only adds
-    atoms and bonds: it never bonds two existing atoms or changes an
-    element or a bond order. So every state is a labelled induced subgraph
-    of all its descendants, and three bounds are admissible (McKay 1998):
+    atoms and bonds, and joins them to the state by one bond, a bridge: it
+    never bonds two existing atoms or changes an element or a bond order.
+    So every state is a labelled induced subgraph of all its descendants,
+    its ring blocks (2-edge-connected blocks) are blocks of all of them,
+    and these bounds are admissible (McKay 1998):
 
-    1. Counts. A state with more atoms of an element, more bonds of a
-       type (sorted element pair plus order) or more rings than g is a
-       dead end: its counts only grow, and each fragment is connected and
-       hangs on one bond, so the ring count bonds - atoms + 1 never falls.
-    2. Reachable size. Each slot adds at most the largest fragment's
-       atoms, so a state that cannot reach g's size that way is a dead end.
-    3. Signature filter. A state of g's size is canonicalised only if its
+    1. Budget. g's parts are its elements, its bond types (sorted element
+       pair plus order) and one ("ring", size) per ring block; a fused or
+       spiro block of g is a part that no scaffold or fragment supplies.
+       Each state carries g's parts less its own and is a dead end once a
+       count would fall below zero: its parts only grow.
+    2. Usable fragments. A fragment whose own parts (its atoms, internal
+       bonds and rings) overspend g's budget appears on no path to g, so
+       the walk never attaches it, and it skips any fragment whose own
+       parts overspend a state's budget before building the child.
+    3. Reachable size. Each slot adds at most the largest usable
+       fragment's atoms, so a state that cannot reach g's size that way
+       is a dead end.
+    4. Rings left. Each slot adds at most the most rings a usable fragment
+       has, and a ring block g still needs must come from a usable
+       fragment that has it; a state with more rings left to add, or one
+       no usable fragment has, is a dead end. A fused or spiro g is
+       therefore NotExpressible at once.
+    5. Signature filter. A state of g's size is canonicalised only if its
        sorted (element, degree, bond-order sum) tuples equal g's, which
        isomorphism preserves.
 
@@ -319,32 +388,47 @@ def encode_cells(g, grammar):
     target = canonical_smiles(g)
     full = Counter(_parts(g.atoms, g.bonds))
     t_signature = _signature(g.atoms, g.bonds)
-    growth = max((len(_FRAGMENT_BUILDERS[f][0]) for f in grammar.fragments),
+    usable = [(c, f, _FRAGMENT_PARTS[f])
+              for c, f in enumerate(grammar.fragments, start=1)
+              if _spend(full, _FRAGMENT_PARTS[f]) is not None]
+    growth = max((len(_FRAGMENT_BUILDERS[f][0]) for _, f, _ in usable),
                  default=0)
+    ring_growth = max((sum(p[0] == "ring" for p in parts)
+                       for _, _, parts in usable), default=0)
+    rings = [p for p in full if p[0] == "ring"]
+    supplied = {p for _, _, parts in usable for p in parts}
+    unsupplied = [p for p in rings if p not in supplied]
 
     def search(state, slots_left, budget):
         """The cell suffix (with a trailing stop if a slot is left) that
         turns state into g, or None; budget is g's parts less state's."""
         atoms, bonds, _ = state
         if budget is None or len(atoms) + slots_left * growth < g.n_atoms \
-                or len(bonds) - len(atoms) + 1 > g.n_rings:
+                or sum(budget[p] for p in rings) > slots_left * ring_growth \
+                or any(budget[p] for p in unsupplied):
             return None
         if len(atoms) == g.n_atoms:
             if _signature(atoms, bonds) == t_signature \
                     and canonical_smiles(MolecularGraph(atoms, bonds)) == target:
                 return [0] if slots_left > 0 else []
             return None
-        for c, child in _children(state, grammar):
-            tail = search(child, slots_left - 1, _spend(
-                budget, _parts(*child[:2], len(atoms), len(bonds))))
+        for c, fragment, parts in usable:
+            left = _spend(budget, parts)
+            if left is None:
+                continue
+            child = _attach(*state, fragment, grammar.max_heavy_atoms)
+            if child is None:
+                continue
+            # the bond _attach adds last joins the site to the fragment
+            tail = search(child, slots_left - 1,
+                          _spend(left, [_bond_type(child[0], child[1][-1])]))
             if tail is not None:
                 return [c] + tail
         return None
 
-    for s in range(len(grammar.scaffolds)):
-        state = _scaffold(grammar, s)
-        tail = search(state, grammar.n_dims - 1,
-                      _spend(full, _parts(*state[:2])))
+    for s, name in enumerate(grammar.scaffolds):
+        tail = search(_scaffold(grammar, s), grammar.n_dims - 1,
+                      _spend(full, _SCAFFOLD_PARTS[name]))
         if tail is not None:
             return [s] + tail
     raise NotExpressible("no decision sequence produces %s" % target)

@@ -4,8 +4,9 @@ algorithm, plus the PCA that the design loop fits to reduce BO's box.
 The BO surrogate is an exact GP with a Matern 5/2 kernel; batches of 10
 come from Thompson sampling on a uniform candidate cloud plus one
 expected-improvement maximizer, refined by N_RESTARTS pattern searches
-that run in lockstep so that each trial step is one batched EI call (as
-BoTorch's optimize_acqf batches its restarts). The Thompson anchors are
+that run together, each round one batched EI call holding the rest of
+every search's current sweep (as BoTorch's optimize_acqf batches its
+restarts). The Thompson anchors are
 rows of the cloud, whose one posterior gives their covariance; the draws
 are kriged through its Cholesky factor (Rasmussen & Williams 2006, Alg.
 2.1). The GA uses elitism, a top-30% parent pool, uniform crossover, and
@@ -149,9 +150,9 @@ class GpSurrogate:
 
 def gp_fit(x, y, signal_var=1.0, lengthscale=1.0, noise_var=0.0):
     """Exact GP regression (zero prior mean) via Cholesky."""
-    from scipy.linalg import cho_factor, cho_solve
+    from scipy.linalg import cho_factor
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
+    y = np.asarray_chkfinite(y, dtype=float)
     if len(x) < 1:
         raise OptimizerError("need at least one training point")
     k = matern52(x, x, signal_var, lengthscale)
@@ -168,18 +169,29 @@ def gp_fit(x, y, signal_var=1.0, lengthscale=1.0, noise_var=0.0):
     if jitter > 1e-8:
         log.warning("gp_fit: kernel matrix needed jitter %g for Cholesky",
                     jitter)
-    weights = cho_solve(chol, y)
+    weights = _cho_solve(chol, y)
     return GpSurrogate(x, y, signal_var, lengthscale, noise_var, chol, weights)
+
+
+def _cho_solve(chol, b):
+    """scipy.linalg.cho_solve(chol, b) as one LAPACK dpotrs call, the
+    routine it calls, so with the same bits, but without its per-call
+    argument handling and finiteness checks (cho_factor has checked the
+    factor)."""
+    from scipy.linalg.lapack import dpotrs
+    v, info = dpotrs(chol[0], b, lower=chol[1])
+    if info:
+        raise OptimizerError("dpotrs: illegal argument %d" % -info)
+    return v
 
 
 def _posterior(s, x):
     """(mean, variance, kq = k(x, X), v = K^-1 kq.T) at the rows of x; the
     posterior covariance of points y with x is k(y, x) - k(y, X) @ v."""
-    from scipy.linalg import cho_solve
     x = np.atleast_2d(np.asarray(x, dtype=float))
     kq = matern52(x, s.x_train, s.signal_var, s.lengthscale)
     mean = kq @ s.weights
-    v = cho_solve(s.chol, kq.T)
+    v = _cho_solve(s.chol, kq.T)
     var = s.signal_var - np.sum(kq * v.T, axis=1)
     return mean, np.where(var < 0, 0.0, var), kq, v
 
@@ -226,33 +238,57 @@ def _ei(mean, var, best):
 
 def _pattern_search(fn, starts, lo, hi):
     """Coordinate pattern search from each row of the (n, d) array starts,
-    all n searches in lockstep; returns the (n, d) refined points and their
+    all n searches together; returns the (n, d) refined points and their
     (n,) values of fn.
 
     Each search tries +step then -step on each coordinate in turn, clipped
     to the box, and moves on a strict improvement; after a sweep with none
     it halves its step, and it stops once the step is at most
-    PATTERN_MIN_STEP. Every sweep makes 2 * d trials, so the searches still
-    running are all at the same trial: fn maps an (m, d) array of one trial
-    per running search to (m,) values, and each search makes the same
-    trials in the same order as it would on its own.
+    PATTERN_MIN_STEP. The trials of a sweep are built from the point the
+    search holds when it makes them, and that point changes only when a
+    trial improves on it. So each round makes one call of fn, which maps
+    an (m, d) array to (m,) values, holding every running search's
+    remaining trials of its sweep, all built from its current point; each
+    search takes its first improving trial, if any, and its next round
+    starts at the trial after it. Each search thus makes the same moves as
+    it would on its own, one trial per call, whenever a row's value of fn
+    does not depend on the other rows of the call.
+
+    EI's does, in its last bits: with numpy's bundled OpenBLAS, the
+    matrix-vector product in the posterior mean rounds the rows of a
+    trailing block of m mod 4 rows differently, and sq_distances rounds a
+    one-row call differently. So which trials share a call can move EI in
+    its last bits, and the BO records stay the same only as far as the
+    pinned record tests show.
     """
     x = np.clip(np.asarray(starts, dtype=float), lo, hi)
     fx = fn(x)
-    step = np.tile(0.1 * (hi - lo), (len(x), 1))
+    n, d = x.shape
+    trial_no = np.arange(2 * d)
+    coord = np.repeat(np.arange(d), 2)        # trial t moves coord[t]
+    sign = np.tile([1.0, -1.0], d)            # by sign[t] * step
+    step = np.tile(0.1 * (hi - lo), (n, 1))
+    first = np.zeros(n, dtype=int)            # the next trial of each sweep
+    improved = np.zeros(n, dtype=bool)
     live = np.flatnonzero(np.max(step, axis=1) > PATTERN_MIN_STEP)
     while live.size:
-        improved = np.zeros(len(live), dtype=bool)
-        for i in range(x.shape[1]):
-            for sgn in (1.0, -1.0):
-                trial = x[live]
-                trial[:, i] = np.clip(trial[:, i] + sgn * step[live, i],
-                                      lo[i], hi[i])
-                ft = fn(trial)
-                up = ft > fx[live]
-                x[live[up]], fx[live[up]] = trial[up], ft[up]
-                improved |= up
-        step[live[~improved]] *= 0.5
+        trials = np.repeat(x[live, None, :], 2 * d, axis=1)
+        trials[:, trial_no, coord] = np.clip(
+            x[live][:, coord] + sign * step[live][:, coord], lo[coord],
+            hi[coord])
+        todo = trial_no >= first[live, None]
+        ft = np.full(todo.shape, -np.inf)
+        ft[todo] = fn(trials[todo])
+        up = todo & (ft > fx[live, None])
+        hit = up.any(axis=1)
+        t = np.where(hit, np.argmax(up, axis=1), 2 * d)
+        k = live[hit]
+        x[k], fx[k] = trials[hit, t[hit]], ft[hit, t[hit]]
+        improved[k] = True
+        first[live] = t + 1
+        done = live[first[live] >= 2 * d]     # searches that ended a sweep
+        step[done[~improved[done]]] *= 0.5
+        first[done], improved[done] = 0, False
         live = live[np.max(step[live], axis=1) > PATTERN_MIN_STEP]
     return x, fx
 

@@ -643,6 +643,7 @@ class TestConfigHandling:
         ({"scaffolds": []}, "scaffolds must not be empty"),
         ({"fragments": [["methyl"]]}, "unknown fragment ['methyl']"),
         ({"max_heavy_atom": 9}, "unknown grammar key 'max_heavy_atom'"),
+        ({"schema_version": 7}, "unsupported grammar schema 7"),
     ])
     @pytest.mark.parametrize("command", ["enumerate", "run-loop"])
     def test_bad_grammar_file(self, tmp_path, workdir, capsys, change,

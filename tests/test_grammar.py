@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -365,6 +366,20 @@ def canonical_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def attach_calls(monkeypatch):
+    """The number of _attach calls the grammar module makes, in a list."""
+    calls = [0]
+    attach = grammar_mod._attach
+
+    def counting(*args):
+        calls[0] += 1
+        return attach(*args)
+
+    monkeypatch.setattr(grammar_mod, "_attach", counting)
+    return calls
+
+
 # two grammars whose site and fragment orders differ from the default's
 REVERSED = FragmentGrammar(n_dims=4, fragments=DEFAULT_FRAGMENTS[::-1],
                            scaffolds=("ring5", "CO", "C", "ring3"),
@@ -452,6 +467,78 @@ class TestAgainstReference:
         for partial in canonical_calls[1:]:
             assert atom_signature(partial) == atom_signature(g)
 
+    @pytest.mark.parametrize("smiles,cells,calls", [
+        # no usable fragment has g's 6-ring (phenyl's C=C bonds overspend
+        # g's budget), so only the ring6 scaffold can reach g
+        ("COC1CCCCC1=O", [5, 4, 5, 0], 12),
+        # cyclopropyl gives g's 3-ring but not its 6-ring, which the
+        # scaffolds before ring6 then lack
+        ("C1CCCCC1C1CC1", [5, 8, 0], 7),
+    ])
+    def test_encode_attaches_only_usable_fragments(self, smiles, cells,
+                                                   calls, attach_calls):
+        # the walk before ring blocks and the fragment pre-check made
+        # 16,380 and 1,637 calls
+        g = parse_smiles(smiles)
+        assert encode_cells(g, FragmentGrammar(n_dims=6)) == cells
+        assert attach_calls == [calls]
+
+    @pytest.mark.parametrize("smiles", [
+        "C1CCC2CCCCC2C1",     # decalin: two fused rings
+        "C1CC2CC1C2",         # norbornane: a bridged pair
+        "C1CCC2(CC1)CC2",     # spiro[2.5]octane
+    ])
+    def test_fused_rings_not_expressible_like_reference(self, smiles,
+                                                        attach_calls):
+        # the grammar has room for their atoms, so only the ring block
+        # refuses them, and it does so before any attachment
+        grammar = FragmentGrammar(n_dims=3, max_heavy_atoms=10)
+        g = parse_smiles(smiles)
+        with pytest.raises(NotExpressible):
+            encode_cells(g, grammar)
+        assert attach_calls == [0]
+        with pytest.raises(NotExpressible):
+            reference_encode_cells(g, grammar)
+
+
+@pytest.mark.parametrize("smiles,blocks", [
+    ("CCO", []),
+    ("C1CC1", [("ring", 3)]),
+    ("C1CC1C1CC1", [("ring", 3), ("ring", 3)]),
+    ("C1CCCCC1CC1=CC=CC=C1", [("ring", 6), ("ring", 6)]),
+    ("C1CCC2CCCCC2C1", [("ring", 10, 11)]),
+    ("C1CC2CC1C2", [("ring", 6, 7)]),
+    ("C1CCC2(CC1)CC2", [("ring", 8, 9)]),
+    ("C1CC1C1CCC2CC2C1", [("ring", 3), ("ring", 7, 8)]),
+])
+def test_ring_blocks(smiles, blocks):
+    g = parse_smiles(smiles)
+    assert sorted(grammar_mod._ring_blocks(g.atoms, g.bonds)) == sorted(blocks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=st.integers(0, len(grammar_mod.DEFAULT_SCAFFOLDS) - 1),
+       cells=st.lists(st.integers(0, len(DEFAULT_FRAGMENTS)), min_size=5,
+                      max_size=5))
+def test_ring_blocks_only_grow_along_a_decode_path(s, cells):
+    # encode's ring bounds rest on this: an attachment hangs on a bridge,
+    # so each state's ring blocks are simple rings and are ring blocks of
+    # every later state
+    grammar = FragmentGrammar(n_dims=6)
+    path = [grammar_mod._scaffold(grammar, s)]
+    for c in cells:
+        child = None if c == 0 else grammar_mod._attach(
+            *path[-1], grammar.fragments[c - 1], grammar.max_heavy_atoms)
+        if child is None:
+            break
+        path.append(child)
+    final = Counter(grammar_mod._ring_blocks(*path[-1][:2]))
+    for atoms, bonds, _ in path:
+        blocks = Counter(grammar_mod._ring_blocks(atoms, bonds))
+        assert not blocks - final
+        assert all(len(b) == 2 for b in blocks)
+        assert sum(blocks.values()) == len(bonds) - len(atoms) + 1
+
 
 class TestConfig:
     def test_round_trip(self, tmp_path, small):
@@ -474,6 +561,8 @@ class TestConfig:
         {"fragments": [["methyl"]]},
         {"scaffolds": [{"C": 1}]},
         {"max_heavy_atom": 9},      # a typo of a field
+        {"schema_version": 7},
+        {"schema_version": "1"},
     ])
     def test_bad_config_rejected(self, small, change):
         cfg = small.to_config()
@@ -484,6 +573,13 @@ class TestConfig:
                 cfg[key] = value
         with pytest.raises(GrammarError):
             FragmentGrammar.from_config(cfg)
+
+    @pytest.mark.parametrize("version", [1, None])
+    def test_schema_version_one_or_none(self, small, version):
+        cfg = small.to_config()
+        if version is None:
+            del cfg["schema_version"]
+        assert FragmentGrammar.from_config(cfg) == small
 
     def test_config_must_be_an_object(self):
         with pytest.raises(GrammarError):
