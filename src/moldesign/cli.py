@@ -30,6 +30,7 @@ CONFIG_ERRORS = (
     GrammarError,
     OSError,
     json.JSONDecodeError,
+    UnicodeDecodeError,
 )
 
 

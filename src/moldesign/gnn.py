@@ -298,7 +298,7 @@ class GnnEnsemble:
     Each weight of the K members is held as one stacked array, (K, 1, ...),
     and each member's params are views into those stacks, so one
     stacked_forward serves the whole ensemble and in-place updates of a
-    member (training, gradient_check) reach the stacks. Assigning models
+    member's weights, as training makes, reach the stacks. Assigning models
     builds the stacks anew.
     """
 
@@ -482,34 +482,3 @@ def train_ensemble(data, ensemble, cfg=None):
         idx = np.random.default_rng(model.seed).integers(0, n, size=n)
         histories.append(train_model(model, [data[j] for j in idx], cfg))
     return histories
-
-
-GRADIENT_CHECK_STEP = 1e-5   # central-difference step of gradient_check
-
-
-def gradient_check(model, g):
-    """Max relative error of analytic vs central finite-difference grads
-    of the loss on graph g with every label 1."""
-    batch = GraphBatch.of([g])
-    labels = np.ones((1, len(TASKS)))
-    mask = np.ones_like(labels)
-    _, grads = model.loss_and_grad(batch, labels, mask)
-
-    def loss_only():
-        return model.loss_and_grad(batch, labels, mask)[0]
-
-    worst = 0.0
-    for k, w in model.params.items():
-        flat = w.reshape(-1)
-        gflat = grads[k].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + GRADIENT_CHECK_STEP
-            up = loss_only()
-            flat[i] = orig - GRADIENT_CHECK_STEP
-            down = loss_only()
-            flat[i] = orig
-            numeric = (up - down) / (2 * GRADIENT_CHECK_STEP)
-            denom = max(abs(gflat[i]), abs(numeric), 1e-6)
-            worst = max(worst, abs(gflat[i] - numeric) / denom)
-    return worst

@@ -13,29 +13,15 @@ import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .checks import as_box, check_keys, is_int
-from .molgraph import (MAX_VALENCE, MolecularGraph, canonical_form,
+from .molgraph import (MAX_VALENCE, MolecularGraph, _find, canonical_form,
                        canonical_smiles)
 
 log = logging.getLogger("moldesign")
-
-DEFAULT_FRAGMENTS = (
-    "methyl",
-    "ethyl",
-    "hydroxyl",
-    "methoxy",
-    "carbonyl",
-    "formyl",
-    "tert_butyl",
-    "cyclopropyl",
-    "phenyl",
-)
-
-DEFAULT_SCAFFOLDS = ("C", "CC", "CO", "ring3", "ring5", "ring6")
-
 
 class GrammarError(Exception):
     pass
@@ -47,6 +33,114 @@ class NotExpressible(GrammarError):
 
 class TooLarge(GrammarError):
     pass
+
+
+# --- scaffolds and fragments -----------------------------------------------
+
+def _bond_type(atoms, bond):
+    """The sorted element pair of a bond plus its order."""
+    u, v, o = bond
+    return tuple(sorted((atoms[u], atoms[v]))) + (o,)
+
+
+def _ring_blocks(atoms, bonds):
+    """One ("ring", size) part per 2-edge-connected block of the graph
+    that is a simple cycle, and one ("ring", atoms, bonds) part per block
+    that is not (fused, bridged or spiro rings).
+
+    Each bond outside a spanning forest closes a cycle with the forest
+    path between its ends; the atoms on such cycles, joined, are the
+    blocks, and a bond lies in a block when both its ends do.
+    """
+    adj = [[] for _ in atoms]
+    for k, (u, v, _) in enumerate(bonds):
+        adj[u].append((v, k))
+        adj[v].append((u, k))
+    depth, up = [0] * len(atoms), [None] * len(atoms)  # up: (parent, bond)
+    for root in range(len(atoms)):
+        if not depth[root]:
+            depth[root], frontier = 1, [root]
+            for a in frontier:
+                for b, k in adj[a]:
+                    if not depth[b]:
+                        depth[b], up[b] = depth[a] + 1, (a, k)
+                        frontier.append(b)
+    tree = {step[1] for step in up if step}
+    block = list(range(len(atoms)))   # union-find over atoms
+    for k, (u, v, _) in enumerate(bonds):
+        if k not in tree:
+            while u != v:
+                if depth[u] < depth[v]:
+                    u, v = v, u
+                block[_find(block, u)] = _find(block, up[u][0])
+                u = up[u][0]
+    n_bonds = Counter(_find(block, u) for u, v, _ in bonds
+                      if _find(block, u) == _find(block, v))
+    n_atoms = Counter(_find(block, a) for a in range(len(atoms)))
+    return [("ring", n_atoms[r]) if n_atoms[r] == m
+            else ("ring", n_atoms[r], m) for r, m in n_bonds.items()]
+
+
+def _parts(atoms, bonds):
+    """The elements, bond types and ring blocks of a graph."""
+    return list(atoms) + [_bond_type(atoms, b) for b in bonds] \
+        + _ring_blocks(atoms, bonds)
+
+
+class _Piece(NamedTuple):
+    """A scaffold or fragment: its atoms, its internal bonds, each atom's
+    bond-order sum over them, its budget parts (`_parts`) and, for a
+    fragment, the order of the bond from its atom 0 to its site."""
+
+    atoms: tuple
+    bonds: tuple
+    sums: tuple
+    parts: tuple
+    order: int
+
+
+def _piece(atoms, bonds, order=None):
+    sums = [0] * len(atoms)
+    for u, v, o in bonds:
+        sums[u] += o
+        sums[v] += o
+    return _Piece(tuple(atoms), tuple(bonds), tuple(sums),
+                  tuple(_parts(atoms, bonds)), order)
+
+
+def _ring(k):
+    return _piece(["C"] * k, [(i, (i + 1) % k, 1) for i in range(k)])
+
+
+# each piece is built once here, as it does not depend on the grammar. A
+# fragment is connected and hangs on the one bond to its site, a bridge,
+# so a state's ring blocks are those of its scaffold and fragments and
+# carry over unchanged into every descendant; a piece's parts are then
+# exactly what it adds to a state's, the bond to the site aside.
+_SCAFFOLDS = {
+    "C": _piece(["C"], []),
+    "CC": _piece(["C", "C"], [(0, 1, 1)]),
+    "CO": _piece(["C", "O"], [(0, 1, 1)]),
+    "ring3": _ring(3),
+    "ring5": _ring(5),
+    "ring6": _ring(6),
+}
+
+_FRAGMENTS = {
+    "methyl": _piece(["C"], [], 1),
+    "ethyl": _piece(["C", "C"], [(0, 1, 1)], 1),
+    "hydroxyl": _piece(["O"], [], 1),
+    "methoxy": _piece(["O", "C"], [(0, 1, 1)], 1),
+    "carbonyl": _piece(["O"], [], 2),
+    "formyl": _piece(["C", "O"], [(0, 1, 2)], 1),
+    "tert_butyl": _piece(["C"] * 4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)], 1),
+    "cyclopropyl": _piece(["C"] * 3, [(0, 1, 1), (0, 2, 1), (1, 2, 1)], 1),
+    "phenyl": _piece(["C"] * 6, [(0, 1, 2), (1, 2, 1), (2, 3, 2), (3, 4, 1),
+                                 (4, 5, 2), (5, 0, 1)], 1),
+}
+
+DEFAULT_FRAGMENTS = tuple(_FRAGMENTS)
+DEFAULT_SCAFFOLDS = tuple(_SCAFFOLDS)
 
 
 @dataclass(frozen=True)
@@ -66,10 +160,10 @@ class FragmentGrammar:
         if not self.scaffolds:
             raise GrammarError("scaffolds must not be empty")
         for f in self.fragments:
-            if not (isinstance(f, str) and f in _FRAGMENT_BUILDERS):
+            if not (isinstance(f, str) and f in _FRAGMENTS):
                 raise GrammarError("unknown fragment %r" % f)
         for s in self.scaffolds:
-            if not (isinstance(s, str) and s in _SCAFFOLD_BUILDERS):
+            if not (isinstance(s, str) and s in _SCAFFOLDS):
                 raise GrammarError("unknown scaffold %r" % s)
 
     @property
@@ -117,84 +211,40 @@ class FragmentGrammar:
             return cls.from_config(json.load(f))
 
 
-# --- scaffold and fragment construction ------------------------------------
-
-def _ring(k):
-    atoms = ["C"] * k
-    bonds = [(i, (i + 1) % k, 1) for i in range(k)]
-    return atoms, bonds
-
-
-_SCAFFOLD_BUILDERS = {
-    "C": lambda: (["C"], []),
-    "CC": lambda: (["C", "C"], [(0, 1, 1)]),
-    "CO": lambda: (["C", "O"], [(0, 1, 1)]),
-    "ring3": lambda: _ring(3),
-    "ring5": lambda: _ring(5),
-    "ring6": lambda: _ring(6),
-}
-
-# (new atoms, internal bonds among new atoms, anchor local index,
-#  bond order to site, required site element or None)
-_FRAGMENT_BUILDERS = {
-    "methyl": (["C"], [], 0, 1, None),
-    "ethyl": (["C", "C"], [(0, 1, 1)], 0, 1, None),
-    "hydroxyl": (["O"], [], 0, 1, "C"),
-    "methoxy": (["O", "C"], [(0, 1, 1)], 0, 1, "C"),
-    "carbonyl": (["O"], [], 0, 2, "C"),
-    "formyl": (["C", "O"], [(0, 1, 2)], 0, 1, None),
-    "tert_butyl": (["C", "C", "C", "C"],
-                   [(0, 1, 1), (0, 2, 1), (0, 3, 1)], 0, 1, None),
-    "cyclopropyl": (["C", "C", "C"],
-                    [(0, 1, 1), (0, 2, 1), (1, 2, 1)], 0, 1, None),
-    "phenyl": (["C"] * 6,
-               [(0, 1, 2), (1, 2, 1), (2, 3, 2), (3, 4, 1), (4, 5, 2),
-                (5, 0, 1)], 0, 1, None),
-}
-
+# --- building states -------------------------------------------------------
 
 def _scaffold(grammar, s):
     """The (atoms, bonds, bond-order sums) state of scaffold number s."""
-    atoms, bonds = _SCAFFOLD_BUILDERS[grammar.scaffolds[s]]()
-    sums = [0] * len(atoms)
-    for u, v, o in bonds:
-        sums[u] += o
-        sums[v] += o
-    return atoms, bonds, sums
+    atoms, bonds, sums, _, _ = _SCAFFOLDS[grammar.scaffolds[s]]
+    return atoms, list(bonds), list(sums)
 
 
 def _attach(atoms, bonds, bond_sums, fragment, max_heavy):
-    """Attach a fragment at the lowest-index legal site.
+    """Attach a fragment by its atom 0 to the lowest-index atom with enough
+    free valence that is not an O when atom 0 is an O.
 
-    Returns updated (atoms, bonds, bond_sums) lists or None if no site is
-    legal or the heavy-atom cap would be exceeded.
+    Returns the updated (atoms, bonds, bond_sums) state, or None if no atom
+    qualifies or the heavy-atom cap would be exceeded.
     """
-    frag_atoms, frag_bonds, anchor, order, site_elem = _FRAGMENT_BUILDERS[fragment]
-    if len(atoms) + len(frag_atoms) > max_heavy:
-        return None
-    site = None
-    for i in range(len(atoms)):
-        if site_elem is not None and atoms[i] != site_elem:
-            continue
-        if frag_atoms[anchor] == "O" and atoms[i] == "O":
-            continue  # no O-O bonds
-        if MAX_VALENCE[atoms[i]] - bond_sums[i] >= order:
-            site = i
-            break
-    if site is None:
-        return None
+    frag_atoms, frag_bonds, frag_sums, _, order = _FRAGMENTS[fragment]
     base = len(atoms)
-    atoms = atoms + frag_atoms
-    sums = bond_sums + [0] * len(frag_atoms)
+    if base + len(frag_atoms) > max_heavy:
+        return None
+    no_o = frag_atoms[0] == "O"   # no O-O bonds
+    for site, a in enumerate(atoms):
+        if MAX_VALENCE[a] - bond_sums[site] >= order \
+                and not (no_o and a == "O"):
+            break
+    else:
+        return None
     bonds = list(bonds)
     for a, b, o in frag_bonds:
         bonds.append((base + a, base + b, o))
-        sums[base + a] += o
-        sums[base + b] += o
-    bonds.append((site, base + anchor, order))
+    bonds.append((site, base, order))
+    sums = [*bond_sums, *frag_sums]
     sums[site] += order
-    sums[base + anchor] += order
-    return atoms, bonds, sums
+    sums[base] += order
+    return atoms + frag_atoms, bonds, sums
 
 
 def _children(state, grammar):
@@ -260,71 +310,6 @@ def encode(g, grammar, bounds):
     return cell_center(encode_cells(g, grammar), grammar, bounds)
 
 
-def _bond_type(atoms, bond):
-    """The sorted element pair of a bond plus its order."""
-    u, v, o = bond
-    return tuple(sorted((atoms[u], atoms[v]))) + (o,)
-
-
-def _ring_blocks(atoms, bonds):
-    """One ("ring", size) part per 2-edge-connected block of the graph
-    that is a simple cycle, and one ("ring", atoms, bonds) part per block
-    that is not (fused, bridged or spiro rings).
-
-    Each bond outside a spanning forest closes a cycle with the forest
-    path between its ends; the atoms on such cycles, joined, are the
-    blocks, and a bond lies in a block when both its ends do.
-    """
-    adj = [[] for _ in atoms]
-    for k, (u, v, _) in enumerate(bonds):
-        adj[u].append((v, k))
-        adj[v].append((u, k))
-    depth, up = [0] * len(atoms), [None] * len(atoms)  # up: (parent, bond)
-    for root in range(len(atoms)):
-        if not depth[root]:
-            depth[root], frontier = 1, [root]
-            for a in frontier:
-                for b, k in adj[a]:
-                    if not depth[b]:
-                        depth[b], up[b] = depth[a] + 1, (a, k)
-                        frontier.append(b)
-    tree = {step[1] for step in up if step}
-    block = list(range(len(atoms)))   # union-find over atoms
-
-    def find(a):
-        while block[a] != a:
-            a = block[a]
-        return a
-
-    for k, (u, v, _) in enumerate(bonds):
-        if k not in tree:
-            while u != v:
-                if depth[u] < depth[v]:
-                    u, v = v, u
-                block[find(u)] = find(up[u][0])
-                u = up[u][0]
-    n_bonds = Counter(find(u) for u, v, _ in bonds if find(u) == find(v))
-    n_atoms = Counter(find(a) for a in range(len(atoms)))
-    return [("ring", n_atoms[r]) if n_atoms[r] == m
-            else ("ring", n_atoms[r], m) for r, m in n_bonds.items()]
-
-
-def _parts(atoms, bonds):
-    """The elements, bond types and ring blocks of a graph."""
-    return list(atoms) + [_bond_type(atoms, b) for b in bonds] \
-        + _ring_blocks(atoms, bonds)
-
-
-# the parts each scaffold starts with and each fragment adds before the
-# bond to its site; every fragment is connected and hangs on that one
-# bond, a bridge, so a state's ring blocks are those of its scaffold and
-# fragments and carry over unchanged into every descendant
-_SCAFFOLD_PARTS = {name: _parts(*build())
-                   for name, build in _SCAFFOLD_BUILDERS.items()}
-_FRAGMENT_PARTS = {name: _parts(atoms, bonds)
-                   for name, (atoms, bonds, *_) in _FRAGMENT_BUILDERS.items()}
-
-
 def _spend(budget, parts):
     """budget, a count per part, less one per part; None if some count
     would fall below zero."""
@@ -388,10 +373,10 @@ def encode_cells(g, grammar):
     target = canonical_smiles(g)
     full = Counter(_parts(g.atoms, g.bonds))
     t_signature = _signature(g.atoms, g.bonds)
-    usable = [(c, f, _FRAGMENT_PARTS[f])
+    usable = [(c, f, _FRAGMENTS[f].parts)
               for c, f in enumerate(grammar.fragments, start=1)
-              if _spend(full, _FRAGMENT_PARTS[f]) is not None]
-    growth = max((len(_FRAGMENT_BUILDERS[f][0]) for _, f, _ in usable),
+              if _spend(full, _FRAGMENTS[f].parts) is not None]
+    growth = max((len(_FRAGMENTS[f].atoms) for _, f, _ in usable),
                  default=0)
     ring_growth = max((sum(p[0] == "ring" for p in parts)
                        for _, _, parts in usable), default=0)
@@ -428,7 +413,7 @@ def encode_cells(g, grammar):
 
     for s, name in enumerate(grammar.scaffolds):
         tail = search(_scaffold(grammar, s), grammar.n_dims - 1,
-                      _spend(full, _SCAFFOLD_PARTS[name]))
+                      _spend(full, _SCAFFOLDS[name].parts))
         if tail is not None:
             return [s] + tail
     raise NotExpressible("no decision sequence produces %s" % target)
@@ -447,7 +432,7 @@ def enumerate_grammar(grammar):
     in that string (`canonical_form`) and derives a child's from its
     parent's (canonical augmentation, McKay 1998). Atoms matched by string
     position map two graphs with one SMILES onto each other, and `_attach`
-    appends the fragment's atoms after the parent's and bonds its anchor to
+    appends the fragment's atoms after the parent's and bonds its atom 0 to
     the site, so two such parents with their sites at one string position
     give isomorphic children under the same fragment. Children are
     therefore memoised on (parent SMILES, site position, cell), the parent's

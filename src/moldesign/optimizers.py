@@ -409,7 +409,6 @@ def ga_step(genes, fitness, bounds, rng, cfg=None):
 class RunHistory:
     points: list
     scores: list
-    seed: int
 
     def __len__(self):
         return len(self.scores)
@@ -429,7 +428,7 @@ def run_ga(objective, bounds, n_dims, stop, seed=0, cfg=None):
     lo, hi = as_box(bounds, n_dims, DimensionMismatch)
     stop_fn = _make_stop(stop)
     rng = np.random.default_rng(seed)
-    history = RunHistory([], [], seed)
+    history = RunHistory([], [])
     genes = rng.uniform(lo, hi, size=(cfg.population_size, n_dims))
     # Points already evaluated bit for bit (surviving elites) reuse their
     # score and are not passed to the objective again, so they add no
@@ -472,7 +471,7 @@ def run_bo(objective, bounds, n_dims, stop, seed=0, n_init=10, batch_size=10):
     lo, hi = as_box(bounds, n_dims, DimensionMismatch)
     stop_fn = _make_stop(stop)
     rng = np.random.default_rng(seed)
-    history = RunHistory([], [], seed)
+    history = RunHistory([], [])
 
     def evaluate(z):
         score = float(objective(z))

@@ -25,7 +25,6 @@ from moldesign.gnn import (
     GnnConfig,
     GnnEnsemble,
     TrainConfig,
-    gradient_check,
     train_ensemble,
     train_model,
 )
@@ -37,7 +36,7 @@ from moldesign.molgraph import (
 )
 from moldesign.optimizers import gp_fit, gp_posterior, run_bo, run_ga
 
-from graph_helpers import is_isomorphic, permuted
+from graph_helpers import gradient_check, is_isomorphic, permuted
 
 TABLE2 = [
     "C1CC1", "CC", "CCc1cccc(C)c1", "COC(C)(C)C", "CCOC(C)(C)C",

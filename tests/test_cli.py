@@ -669,6 +669,28 @@ class TestConfigHandling:
         assert rc == 1
         assert "error[E_CONFIG]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which", ["config", "grammar", "corpus",
+                                       "dataset", "checkpoint"])
+    def test_non_utf8_input_file(self, tmp_path, workdir, capsys, which):
+        bad = tmp_path / ("bad." + which)
+        bad.write_bytes(b"C\n\xff\n")
+        cfg = json.loads(open(loop_config(workdir)).read())
+        command = "run-loop"
+        if which in ("dataset", "checkpoint"):
+            command = "fit-ad"
+            cfg = {"checkpoint": cfg["checkpoint"],
+                   "dataset": str(workdir / "dataset.csv")}
+        cfg[which] = str(bad)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        if which == "config":
+            path = bad
+        rc = main([command, "--config", str(path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error[E_CONFIG]: ")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("section,value", [("gnn", 5), ("train", [1])])
     def test_section_not_an_object(self, tmp_path, workdir, capsys, section,
                                    value):

@@ -16,7 +16,6 @@ from moldesign.gnn import (
     PropertyPrediction,
     TrainConfig,
     TrainConfigError,
-    gradient_check,
     stacked_forward,
     train_ensemble,
     train_model,
@@ -24,7 +23,7 @@ from moldesign.gnn import (
 from moldesign.grammar import FragmentGrammar, enumerate_grammar
 from moldesign.molgraph import atom_features, parse_smiles
 
-from graph_helpers import permuted
+from graph_helpers import gradient_check, permuted
 
 SMALL = GnnConfig(hidden_dim=8, fp_dim=8, mlp_hidden=4)
 

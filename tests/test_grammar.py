@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import logging
 from collections import Counter
@@ -17,6 +18,7 @@ from moldesign.grammar import (
     cell_center,
     decision_cells,
     decode,
+    decode_cells,
     encode,
     encode_cells,
     enumerate_grammar,
@@ -242,6 +244,15 @@ class TestEnumerate:
         assert hashlib.sha256(dump.encode()).hexdigest() == (
             "9cb87de0413e8189b471241cdb48aaf8ea59ff3394b36400a1e430973902fbb3")
 
+    def test_every_cell_row_decodes_as_pinned(self, small):
+        # every row of the decision space, atoms in build order
+        rows = itertools.product(*map(range, small.choices_per_slot))
+        dump = json.dumps([[list(g.atoms), [list(b) for b in g.bonds]]
+                           for g in (decode_cells(list(cells), small)
+                                     for cells in rows)])
+        assert hashlib.sha256(dump.encode()).hexdigest() == (
+            "21aae84a083803851737a400de660a4af50a0fdd5dd1f3dfdf803b676d634898")
+
     def test_too_large(self):
         g = FragmentGrammar(n_dims=32)
         with pytest.raises(TooLarge):
@@ -257,8 +268,7 @@ class TestEnumerate:
 # --- test-only references: the grammar walks before they shared one core ---
 
 def _reference_scaffold(grammar, name):
-    atoms, bonds = grammar_mod._SCAFFOLD_BUILDERS[name]()
-    atoms = list(atoms)
+    atoms, bonds = grammar_mod._SCAFFOLDS[name][:2]
     bonds = list(bonds)
     sums = [0] * len(atoms)
     for u, v, o in bonds:

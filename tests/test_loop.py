@@ -390,6 +390,16 @@ class TestRun:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "9f77285d12693b23660533174728d2ddedb82e099b583c7f896eb30ae4de9541")
 
+    def test_ga_records_pinned(self, tmp_path, grammar, tiny_ensemble):
+        cfg = RunConfig(method="ga", seed=7, max_total=40, max_unique=1000,
+                        ad_enabled=False)
+        records, _ = run(cfg, grammar, tiny_ensemble,
+                         bounds=(np.zeros(4), np.ones(4)))
+        path = tmp_path / "records.jsonl"
+        write_records(path, records)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "8b2878a1800133c316ea97cb91e3d1b30ffe1de2b48e059b67b95f1f7ef21241")
+
     def test_bo_needs_a_corpus(self, grammar, tiny_ensemble):
         cfg = RunConfig(method="bo", max_total=5, ad_enabled=False)
         with pytest.raises(ConfigError, match="corpus"):
