@@ -23,6 +23,6 @@ from .gnn import (
 from .grammar import FragmentGrammar, decode, encode, enumerate_grammar
 from .loop import RunConfig, RunRecord, bounds_from_corpus, evaluate_candidate, run, summarize
 from .molgraph import MolecularGraph, canonical_smiles, parse_smiles, validate
-from .optimizers import GaConfig, ga_step, gp_fit, gp_posterior, pca_fit, run_bo, run_ga
+from .optimizers import ga_step, gp_fit, gp_posterior, pca_fit, run_bo, run_ga
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ import json
 import numpy as np
 
 from .adomain import AdEnsemble
+from .checks import read_text
 from .gnn import GnnEnsemble, GnnError
 
 CHECKPOINT_VERSION = 1
@@ -35,8 +36,7 @@ def save_checkpoint(path, ensemble, ad=None, extra=None):
 
 def load_checkpoint(path):
     """Returns (ensemble, ad-or-None, raw payload)."""
-    with open(path) as f:
-        payload = json.load(f)
+    payload = json.loads(read_text(path))
     if not isinstance(payload, dict):
         raise CheckpointError("checkpoint is not a JSON object")
     if payload.get("version") != CHECKPOINT_VERSION:

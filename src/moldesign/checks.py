@@ -1,5 +1,6 @@
 """Value checks shared by the config dataclasses, the CLI and the
-numeric entry points, and the one error type of a bad configuration.
+numeric entry points, the one error type of a bad configuration, and the
+reader of every text input file.
 
 A bool is not accepted as a number: JSON true would otherwise read as 1.
 """
@@ -45,3 +46,14 @@ def check_keys(cfg, keys, error, kind="config"):
     for key in cfg:
         if key not in keys and key != "schema_version":
             raise error("unknown %s key %r" % (kind, key))
+
+
+def read_text(path):
+    """The text of the file at path, decoded as UTF-8; a file that is not
+    UTF-8 raises ConfigError naming it."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as e:
+            raise ConfigError("%s is not UTF-8 text: %s" % (path, e)) \
+                from None

@@ -17,8 +17,8 @@ import os
 import sys
 import time
 
-from . import adomain, checkpoint, dataio, gnn, loop, optimizers
-from .checks import ConfigError, check_keys, is_int, is_real
+from . import adomain, checkpoint, dataio, gnn, loop
+from .checks import ConfigError, check_keys, is_int, is_real, read_text
 from .grammar import FragmentGrammar, GrammarError, enumerate_grammar
 
 log = logging.getLogger("moldesign")
@@ -30,7 +30,6 @@ CONFIG_ERRORS = (
     GrammarError,
     OSError,
     json.JSONDecodeError,
-    UnicodeDecodeError,
 )
 
 
@@ -39,8 +38,7 @@ def _load_config(path, keys):
     schema_version other than 1 and a top-level key outside keys."""
     if path is None:
         return {}
-    with open(path) as f:
-        cfg = json.load(f)
+    cfg = json.loads(read_text(path))
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     check_keys(cfg, keys, ConfigError)
@@ -141,12 +139,7 @@ def cmd_run_loop(cfg, seed, out):
         if "seed" in loop_cfg:
             raise ConfigError("key 'seed' in config section 'loop' is "
                               "refused: the loop seed is --seed")
-        if "ga" in loop_cfg and loop_cfg.get("method") == "bo":
-            raise ConfigError("key 'ga' in config section 'loop' has no "
-                              'effect when method is "bo"')
         loop_cfg = dict(loop_cfg, seed=seed)
-        loop_cfg["ga"] = _from_section(optimizers.GaConfig, "loop.ga",
-                                       loop_cfg.get("ga", {}))
     run_cfg = _from_section(loop.RunConfig, "loop", loop_cfg)
     ensemble, ad, _ = checkpoint.load_checkpoint(_required(cfg, "checkpoint"))
     grammar = FragmentGrammar.load(_required(cfg, "grammar"))

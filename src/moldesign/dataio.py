@@ -9,9 +9,10 @@ skipped as an issue. Corpus files hold one SMILES per line with optional
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 
-from .checks import is_real
+from .checks import is_real, read_text
 from .molgraph import MolGraphError, canonical_smiles, parse_smiles
 
 EXPECTED_HEADER = ["smiles", "ron", "mon", "dcn"]
@@ -54,6 +55,15 @@ class PropertyDataset:
         return len(self.rows)
 
 
+def _read(path):
+    """The text of the file at path; a file that cannot be opened raises
+    IoError."""
+    try:
+        return read_text(path)
+    except OSError as e:
+        raise IoError(str(e))
+
+
 def _parse_cell(cell, name):
     cell = cell.strip()
     if not cell:
@@ -69,45 +79,40 @@ def _parse_cell(cell, name):
 
 def ingest_dataset(path):
     """Load and validate a property dataset CSV."""
+    reader = csv.reader(io.StringIO(_read(path)))
     try:
-        f = open(path, newline="")
-    except OSError as e:
-        raise IoError(str(e))
-    with f:
-        reader = csv.reader(f)
+        header = next(reader)
+    except StopIteration:
+        raise HeaderMismatch("empty file")
+    if [h.strip().lower() for h in header] != EXPECTED_HEADER:
+        raise HeaderMismatch("expected header %s, got %s"
+                             % (",".join(EXPECTED_HEADER), ",".join(header)))
+    rows, issues, seen = [], [], {}
+    for line_no, cells in enumerate(reader, start=2):
+        if not cells or all(not c.strip() for c in cells):
+            continue
+        if len(cells) != 4:
+            issues.append("line %d: expected 4 columns, got %d"
+                          % (line_no, len(cells)))
+            continue
+        smiles = cells[0].strip()
         try:
-            header = next(reader)
-        except StopIteration:
-            raise HeaderMismatch("empty file")
-        if [h.strip().lower() for h in header] != EXPECTED_HEADER:
-            raise HeaderMismatch("expected header %s, got %s"
-                                 % (",".join(EXPECTED_HEADER), ",".join(header)))
-        rows, issues, seen = [], [], {}
-        for line_no, cells in enumerate(reader, start=2):
-            if not cells or all(not c.strip() for c in cells):
-                continue
-            if len(cells) != 4:
-                issues.append("line %d: expected 4 columns, got %d"
-                              % (line_no, len(cells)))
-                continue
-            smiles = cells[0].strip()
-            try:
-                g = parse_smiles(smiles)
-                canon = canonical_smiles(g)
-                labels = {name: _parse_cell(cells[i + 1], name)
-                          for i, name in enumerate(("ron", "mon", "dcn"))}
-            except (MolGraphError, DataError) as e:
-                issues.append("line %d: %s" % (line_no, e))
-                continue
-            if all(v is None for v in labels.values()):
-                issues.append("line %d: no labels" % line_no)
-                continue
-            if canon in seen:
-                issues.append("line %d: duplicate molecule %s (first on "
-                              "line %d)" % (line_no, canon, seen[canon]))
-                continue
-            seen[canon] = line_no
-            rows.append(DatasetRow(smiles=smiles, canonical=canon, **labels))
+            g = parse_smiles(smiles)
+            canon = canonical_smiles(g)
+            labels = {name: _parse_cell(cells[i + 1], name)
+                      for i, name in enumerate(("ron", "mon", "dcn"))}
+        except (MolGraphError, DataError) as e:
+            issues.append("line %d: %s" % (line_no, e))
+            continue
+        if all(v is None for v in labels.values()):
+            issues.append("line %d: no labels" % line_no)
+            continue
+        if canon in seen:
+            issues.append("line %d: duplicate molecule %s (first on "
+                          "line %d)" % (line_no, canon, seen[canon]))
+            continue
+        seen[canon] = line_no
+        rows.append(DatasetRow(smiles=smiles, canonical=canon, **labels))
     if not rows:
         raise AllRowsInvalid("no valid rows in %s" % path)
     return PropertyDataset(rows=rows, issues=issues)
@@ -115,18 +120,13 @@ def ingest_dataset(path):
 
 def read_smiles_corpus(path):
     """One SMILES per line; '#' starts a comment."""
-    try:
-        f = open(path)
-    except OSError as e:
-        raise IoError(str(e))
     graphs = []
-    with f:
-        for line_no, line in enumerate(f, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            try:
-                graphs.append(parse_smiles(text))
-            except MolGraphError as e:
-                raise DataError("line %d: %s" % (line_no, e))
+    for line_no, line in enumerate(_read(path).split("\n"), start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        try:
+            graphs.append(parse_smiles(text))
+        except MolGraphError as e:
+            raise DataError("line %d: %s" % (line_no, e))
     return graphs

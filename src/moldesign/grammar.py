@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import as_box, check_keys, is_int
+from .checks import as_box, check_keys, is_int, read_text
 from .molgraph import (MAX_VALENCE, MolecularGraph, _find, canonical_form,
                        canonical_smiles)
 
@@ -207,8 +207,7 @@ class FragmentGrammar:
 
     @classmethod
     def load(cls, path):
-        with open(path) as f:
-            return cls.from_config(json.load(f))
+        return cls.from_config(json.loads(read_text(path)))
 
 
 # --- building states -------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,15 +52,15 @@ class NoExpressibleMolecules(LoopError):
 @dataclass
 class RunConfig:
     """What one run varies. The rest is fixed: GA searches the full latent
-    box and BO the PCA space of the corpus, with pca_fit's and run_bo's
-    defaults, and each box is widened by BOUND_EXPANSION of its span."""
+    box with the optimizers.GA_* settings, BO the PCA space of the corpus
+    (optimizers.PCA_TARGET_RATIO) with run_bo's defaults, and each box is
+    widened by BOUND_EXPANSION of its span."""
     method: str = "ga"                  # "bo" or "ga"
     seed: int = 0
     max_unique: int = 1000
     max_total: int = 2000
     time_limit_s: float = None
     ad_enabled: bool = True
-    ga: optimizers.GaConfig = field(default_factory=optimizers.GaConfig)
     penalty = PENALTY   # the fixed score of penalized candidates, not a field
 
     def __post_init__(self):
@@ -79,13 +79,9 @@ class RunConfig:
             raise ConfigError("seed must be an integer >= 0")
         if not isinstance(self.ad_enabled, bool):
             raise ConfigError("ad_enabled must be true or false")
-        if not isinstance(self.ga, optimizers.GaConfig):
-            raise ConfigError("ga must be a GaConfig")
 
     def to_dict(self):
-        d = vars(self).copy()
-        d["ga"] = vars(self.ga).copy()
-        return d
+        return vars(self).copy()
 
 
 @dataclass
@@ -275,7 +271,7 @@ def run(config, grammar, ensemble, ad=None, corpus=None, bounds=None):
 
     if config.method == "ga":
         optimizers.run_ga(objective, search_bounds, n_dims, stop,
-                          seed=config.seed, cfg=config.ga)
+                          seed=config.seed)
     else:
         optimizers.run_bo(objective, search_bounds, n_dims, stop,
                           seed=config.seed)
@@ -344,10 +340,28 @@ def write_records(path, records):
 
 
 def read_records(path):
+    """The records of a records.jsonl file. A line that is not one record
+    (JSON object with exactly RunRecord's keys), or a file without any,
+    raises ConfigError naming the file and the line."""
+    keys = {f.name for f in fields(RunRecord)}
     out = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                out.append(RunRecord(**json.loads(line)))
+    lines = checks.read_text(path).split("\n")
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        where = "%s line %d" % (path, line_no)
+        try:
+            values = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ConfigError("%s: not JSON: %s" % (where, e)) from None
+        if not isinstance(values, dict):
+            raise ConfigError("%s: not a JSON object" % where)
+        if values.keys() != keys:
+            raise ConfigError("%s: not a record: missing keys %s, unknown "
+                              "keys %s" % (where, sorted(keys - set(values)),
+                                           sorted(set(values) - keys)))
+        out.append(RunRecord(**values))
+    if not out:
+        raise ConfigError("%s holds no records" % path)
     return out

@@ -9,8 +9,10 @@ every search's current sweep (as BoTorch's optimize_acqf batches its
 restarts). The Thompson anchors are
 rows of the cloud, whose one posterior gives their covariance; the draws
 are kriged through its Cholesky factor (Rasmussen & Williams 2006, Alg.
-2.1). The GA uses elitism, a top-30% parent pool, uniform crossover, and
-per-gene uniform-resample mutation.
+2.1). The GA keeps a population of 50 with the best 1% as elites, and
+breeds from a top-30% parent pool by uniform crossover (probability 0.5)
+and per-gene uniform-resample mutation (probability 0.1); the GA_*
+constants fix these values.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adomain import sq_distances
-from .checks import ConfigError, as_box, is_int, is_real
+from .checks import as_box
 
 # scipy.linalg and scipy.special are imported where the GP and EI use
 # them: loading them costs about 28 MB of resident memory, which the GA
@@ -31,6 +33,15 @@ from .checks import ConfigError, as_box, is_int, is_real
 log = logging.getLogger("moldesign")
 
 PENALTY_SCORE = -1000.0   # the score of out-of-domain candidates
+
+# the GA: population, per-gene mutation and per-child crossover
+# probabilities, and the shares of the population kept as elites and
+# drawn from as parents
+GA_POPULATION_SIZE = 50
+GA_MUTATION_PROB = 0.1
+GA_CROSSOVER_PROB = 0.5
+GA_ELITE_RATIO = 0.01
+GA_PARENTS_PORTION = 0.3
 
 # run_ga ends after this many consecutive generations that bring no point
 # the objective has not seen: every child then repeats a scored point, so
@@ -43,6 +54,9 @@ N_CANDIDATES = 2048
 THOMPSON_RANK = 64
 N_RESTARTS = 20
 PATTERN_MIN_STEP = 1e-4   # _pattern_search stops below this step
+
+# pca_fit keeps the fewest axes that explain this share of the variance
+PCA_TARGET_RATIO = 0.999
 
 
 class OptimizerError(Exception):
@@ -57,10 +71,6 @@ class DimensionMismatch(OptimizerError):
     pass
 
 
-class GaConfigError(OptimizerError, ConfigError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # PCA
 # ---------------------------------------------------------------------------
@@ -69,8 +79,6 @@ class GaConfigError(OptimizerError, ConfigError):
 class PcaModel:
     mean: np.ndarray
     axes: np.ndarray              # (r, d), rows orthonormal
-    explained_variance: np.ndarray
-    explained_ratio: np.ndarray
 
     @property
     def r(self):
@@ -90,17 +98,17 @@ class PcaModel:
         return self.mean + v @ self.axes
 
 
-def pca_fit(points, target_ratio=0.999):
+def pca_fit(points):
     """PCA by eigendecomposition of the sample covariance.
 
-    Keeps the smallest r whose cumulative explained-variance ratio
-    reaches target_ratio, capped at the data rank (a cap logs a WARNING).
+    Keeps the smallest r whose cumulative explained-variance ratio reaches
+    PCA_TARGET_RATIO. That r never exceeds the data rank: the eigenvalues
+    beyond the rank are each at most 1e-12 of the largest, so below 10^9
+    dimensions together they explain less than 1 - PCA_TARGET_RATIO.
     """
     x = np.asarray(points, dtype=float)
     if x.ndim != 2 or len(x) < 2:
         raise OptimizerError("need at least 2 points for PCA")
-    if not (0 < target_ratio <= 1):
-        raise OptimizerError("target ratio must be in (0, 1]")
     mean = x.mean(axis=0)
     cov = np.cov(x - mean, rowvar=False, bias=False)
     cov = np.atleast_2d(cov)
@@ -111,20 +119,9 @@ def pca_fit(points, target_ratio=0.999):
     total = evals.sum()
     if total <= 0:
         raise OptimizerError("degenerate point cloud: zero total variance")
-    ratio = evals / total
-    rank = int(np.sum(evals > 1e-12 * evals[0]))
-    cum = np.cumsum(ratio)
-    r = int(np.searchsorted(cum, target_ratio - 1e-12) + 1)
-    if r > rank:
-        log.warning("pca_fit: target ratio %.4g needs rank beyond data "
-                    "rank %d; keeping %d axes", target_ratio, rank, rank)
-        r = rank
-    return PcaModel(
-        mean=mean,
-        axes=evecs[:, :r].T.copy(),
-        explained_variance=evals[:r].copy(),
-        explained_ratio=ratio[:r].copy(),
-    )
+    cum = np.cumsum(evals / total)
+    r = int(np.searchsorted(cum, PCA_TARGET_RATIO - 1e-12) + 1)
+    return PcaModel(mean=mean, axes=evecs[:, :r].T.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -350,51 +347,27 @@ def propose_batch(s, bounds, batch_size, rng):
 # Genetic algorithm
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GaConfig:
-    population_size: int = 50
-    mutation_prob: float = 0.1
-    crossover_prob: float = 0.5
-    elite_ratio: float = 0.01
-    parents_portion: float = 0.3
-
-    def __post_init__(self):
-        # a generation of elites alone adds no new point, so a run whose
-        # budget counts new points would never end
-        if not is_int(self.population_size, 2):
-            raise GaConfigError("population_size must be an integer >= 2")
-        for name in ("mutation_prob", "crossover_prob", "elite_ratio",
-                     "parents_portion"):
-            value = getattr(self, name)
-            if not (is_real(value) and 0 <= value <= 1):
-                raise GaConfigError("%s must be a number in [0, 1]" % name)
-        if round(self.elite_ratio * self.population_size) \
-                >= self.population_size:
-            raise GaConfigError("elite_ratio leaves no room for children")
-
-
-def ga_step(genes, fitness, bounds, rng, cfg=None):
+def ga_step(genes, fitness, bounds, rng):
     """One generation: elitism, parent pool, crossover, mutation."""
-    cfg = cfg or GaConfig()
     genes = np.asarray(genes, dtype=float)
     fitness = np.asarray(fitness, dtype=float)
     lo, hi = (np.asarray(b, dtype=float) for b in bounds)
     pop = len(genes)
     order = np.argsort(fitness, kind="stable")[::-1]
-    n_elite = max(1, round(cfg.elite_ratio * pop))
-    n_parents = max(2, round(cfg.parents_portion * pop))
+    n_elite = max(1, round(GA_ELITE_RATIO * pop))
+    n_parents = max(2, round(GA_PARENTS_PORTION * pop))
     parents = genes[order[:n_parents]]
 
     out = [genes[i].copy() for i in order[:n_elite]]
     while len(out) < pop:
         ia, ib = rng.integers(0, n_parents, size=2)
         pa, pb = parents[ia], parents[ib]
-        if rng.random() < cfg.crossover_prob:
+        if rng.random() < GA_CROSSOVER_PROB:
             pick = rng.random(genes.shape[1]) < 0.5
             child = np.where(pick, pa, pb)
         else:
             child = pa.copy()
-        mut = rng.random(genes.shape[1]) < cfg.mutation_prob
+        mut = rng.random(genes.shape[1]) < GA_MUTATION_PROB
         if mut.any():
             child = np.where(mut, rng.uniform(lo, hi), child)
         out.append(child)
@@ -421,15 +394,14 @@ def _make_stop(stop):
     return lambda n_evals: n_evals >= max_evals
 
 
-def run_ga(objective, bounds, n_dims, stop, seed=0, cfg=None):
+def run_ga(objective, bounds, n_dims, stop, seed=0):
     """GA maximization over the box bounds = (lo, hi), two arrays of shape
     (n_dims,); history holds every objective evaluation in order."""
-    cfg = cfg or GaConfig()
     lo, hi = as_box(bounds, n_dims, DimensionMismatch)
     stop_fn = _make_stop(stop)
     rng = np.random.default_rng(seed)
     history = RunHistory([], [])
-    genes = rng.uniform(lo, hi, size=(cfg.population_size, n_dims))
+    genes = rng.uniform(lo, hi, size=(GA_POPULATION_SIZE, n_dims))
     # Points already evaluated bit for bit (surviving elites) reuse their
     # score and are not passed to the objective again, so they add no
     # record. This cache decides which points reach the objective, so it
@@ -461,7 +433,7 @@ def run_ga(objective, bounds, n_dims, stop, seed=0, cfg=None):
                         "point; stopping after %d objective calls",
                         stalled, len(cache))
             return history
-        genes = ga_step(genes, fits, (lo, hi), rng, cfg)
+        genes = ga_step(genes, fits, (lo, hi), rng)
 
 
 def run_bo(objective, bounds, n_dims, stop, seed=0, n_init=10, batch_size=10):

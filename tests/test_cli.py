@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import logging
 import os
@@ -7,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from moldesign import gnn, loop, optimizers
+from moldesign import gnn, loop
 from moldesign.checkpoint import load_checkpoint
 from moldesign.cli import COMMANDS, main
 from moldesign.grammar import FragmentGrammar, enumerate_grammar
@@ -416,18 +417,18 @@ class TestRunLoop:
         assert "error[E_CONFIG]" in err and "'seed'" in err
         assert not (tmp_path / "run").exists()
 
-    def test_ga_section_refused_for_bo(self, workdir, tmp_path, capsys):
-        ga = {"population_size": 7, "mutation_prob": 0.9}
-        rc = main(["run-loop", "--config",
-                   loop_config(workdir, method="bo", ga=ga),
-                   "--out", str(tmp_path / "bo")])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "error[E_CONFIG]" in err and "'ga'" in err
-        assert not (tmp_path / "bo").exists()
-        # the GA reads it
-        assert main(["run-loop", "--config", loop_config(workdir, ga=ga),
-                     "--out", str(tmp_path / "ga")]) == 0
+    def test_ga_section_refused(self, workdir, tmp_path, capsys):
+        # the GA's settings are constants, so neither method reads loop.ga
+        for method in ("ga", "bo"):
+            rc = main(["run-loop", "--config",
+                       loop_config(workdir, method=method,
+                                   ga={"population_size": 7}),
+                       "--out", str(tmp_path / method)])
+            assert rc == 1
+            assert capsys.readouterr().err == (
+                "error[E_CONFIG]: unknown key 'ga' in config section "
+                "'loop'\n")
+            assert not (tmp_path / method).exists()
 
     def test_bad_method_is_config_error(self, workdir, tmp_path, capsys):
         rc = main(["run-loop", "--config", loop_config(workdir,
@@ -456,7 +457,7 @@ class TestRunLoop:
 
     @pytest.mark.parametrize("loop_kw,section,key", [
         ({"max_uniq": 5}, "loop", "max_uniq"),
-        ({"ga": {"pop_size": 5}}, "loop.ga", "pop_size"),
+        ({"ga": {}}, "loop", "ga"),
         ({"penalty": -5.0}, "loop", "penalty"),   # fixed at -1000
     ])
     def test_unknown_loop_key(self, workdir, tmp_path, capsys, loop_kw,
@@ -490,9 +491,9 @@ class TestRunLoop:
         assert "error[E_CONFIG]" in err and field in err
 
     @pytest.mark.parametrize("loop_kw,key", [
-        ({"ga": {"population_size": 0}}, "population_size"),
-        ({"ga": {"population_size": 2.5}}, "population_size"),
-        ({"ga": {"elite_ratio": 2.0}}, "elite_ratio"),
+        ({"max_unique": 0}, "max_unique"),
+        ({"max_total": -3}, "max_total"),
+        ({"time_limit_s": True}, "time_limit_s"),
         ({"bo_batch": 0}, "bo_batch"),
         ({"bo_init": -1}, "bo_init"),
         ({"ad_enabled": "no"}, "ad_enabled"),
@@ -555,13 +556,15 @@ class TestReportAndEnumerate:
         assert report["summary"]["n_promising"] == len(report["promising"]) \
             == 1
 
-    def test_report_on_empty_records_is_runtime_error(self, tmp_path, capsys):
+    def test_report_on_empty_records_is_config_error(self, tmp_path, capsys):
         records = tmp_path / "records.jsonl"
         records.write_text("")
         rc = main(["report", "--records", str(records),
                    "--out", str(tmp_path / "r.json")])
-        assert rc == 2
-        assert "error[E_RUNTIME]" in capsys.readouterr().err
+        assert rc == 1
+        assert capsys.readouterr().err \
+            == "error[E_CONFIG]: %s holds no records\n" % records
+        assert not (tmp_path / "r.json").exists()
 
     def test_enumerate_matches_library(self, workdir, tmp_path):
         out = tmp_path / "mols.smi"
@@ -670,7 +673,7 @@ class TestConfigHandling:
         assert "error[E_CONFIG]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("which", ["config", "grammar", "corpus",
-                                       "dataset", "checkpoint"])
+                                       "dataset", "checkpoint", "records"])
     def test_non_utf8_input_file(self, tmp_path, workdir, capsys, which):
         bad = tmp_path / ("bad." + which)
         bad.write_bytes(b"C\n\xff\n")
@@ -680,6 +683,8 @@ class TestConfigHandling:
             command = "fit-ad"
             cfg = {"checkpoint": cfg["checkpoint"],
                    "dataset": str(workdir / "dataset.csv")}
+        elif which == "records":
+            command, cfg = "report", {}
         cfg[which] = str(bad)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -688,7 +693,8 @@ class TestConfigHandling:
         rc = main([command, "--config", str(path),
                    "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error[E_CONFIG]: ")
+        assert capsys.readouterr().err.startswith(
+            "error[E_CONFIG]: %s is not UTF-8 text: " % bad)
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("section,value", [("gnn", 5), ("train", [1])])
@@ -719,7 +725,7 @@ class TestConfigHandling:
                    "--out", str(tmp_path / "run")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "'loop.ga' must be an object" in err
+        assert "unknown key 'ga' in config section 'loop'" in err
         assert not (tmp_path / "run").exists()
 
 
@@ -729,7 +735,7 @@ README = os.path.join(os.path.dirname(os.path.dirname(
 
 def readme_config_keys():
     """Command -> the top-level keys its rows of the README's "Config keys"
-    table name (a section's row, such as loop.ga, names its section)."""
+    table name."""
     text = open(README).read().split("### Config keys", 1)[1]
     keys, command = {}, None
     for line in text.splitlines():
@@ -741,7 +747,7 @@ def readme_config_keys():
         if cells[0]:
             command = cells[0].strip("`")
         keys.setdefault(command, set()).update(
-            k.split(".")[0] for k in re.findall(r"`([^`]+)`", cells[1]))
+            re.findall(r"`([^`]+)`", cells[1]))
     return keys
 
 
@@ -757,6 +763,21 @@ def readme_section_keys():
             keys[cells[1].strip("`")] = set(
                 re.findall(r"(?:^|, )`(\w+)`", cells[3]))
     return keys
+
+
+def readme_fixed_constants():
+    """(module, name) of each constant the README's "design of the loop is
+    fixed" paragraph names: `module.NAME`, or a bare `NAME` of the module
+    named last before it. A name may end in * for a family of constants."""
+    text = open(README).read()
+    start = text.index("The design of the loop is fixed")
+    paragraph = text[start:text.index("\n\n", start)]
+    out, module = [], None
+    for ref in re.findall(r"`((?:\w+\.)?[A-Z][A-Z0-9_]*\*?)`", paragraph):
+        if "." in ref:
+            module, ref = ref.split(".")
+        out.append((module, ref))
+    return out
 
 
 def valid_config(command, workdir, tmp_path):
@@ -794,9 +815,19 @@ class TestCommandTable:
         assert readme_section_keys() == {
             "gnn": fields(gnn.GnnConfig),
             "train": fields(gnn.TrainConfig),
-            "loop": fields(loop.RunConfig) - {"seed", "ga"},
-            "loop.ga": fields(optimizers.GaConfig),
+            "loop": fields(loop.RunConfig) - {"seed"},
         }
+
+    def test_readme_fixed_constants_exist(self):
+        constants = readme_fixed_constants()
+        assert {module for module, _ in constants} \
+            == {"loop", "gnn", "optimizers"}
+        for module, name in constants:
+            names = vars(importlib.import_module("moldesign." + module))
+            if name.endswith("*"):
+                assert any(n.startswith(name[:-1]) for n in names), name
+            else:
+                assert name in names, "%s.%s" % (module, name)
 
     @pytest.mark.parametrize("command,key", [
         ("train-gnn", "epochs"), ("fit-ad", "gama"), ("run-loop", "seed"),

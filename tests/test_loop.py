@@ -1,4 +1,5 @@
 import hashlib
+import json
 import logging
 
 import numpy as np
@@ -30,7 +31,6 @@ from moldesign.loop import (
     write_records,
 )
 from moldesign.molgraph import canonical_smiles, parse_smiles
-from moldesign.optimizers import GaConfig
 
 
 @pytest.fixture(scope="module")
@@ -284,8 +284,6 @@ class TestRunConfig:
         {"seed": "3"},
         {"ad_enabled": None},
         {"ad_enabled": "true"},
-        {"ga": None},
-        {"ga": {"population_size": 5}},
     ])
     def test_rejected(self, kwargs):
         with pytest.raises(ConfigError, match=next(iter(kwargs))):
@@ -293,10 +291,11 @@ class TestRunConfig:
 
     def test_accepted(self):
         RunConfig(method="bo", ad_enabled=False, time_limit_s=0.5)
-        RunConfig(seed=np.int64(3), ga=GaConfig(population_size=2))
+        RunConfig(seed=np.int64(3))
 
     @pytest.mark.parametrize("key", ["use_pca", "pca_target_ratio",
-                                     "bound_expansion", "bo_init", "bo_batch"])
+                                     "bound_expansion", "bo_init", "bo_batch",
+                                     "ga"])
     def test_fixed_choices_are_not_fields(self, key):
         assert key not in RunConfig().to_dict()
         with pytest.raises(TypeError):
@@ -312,11 +311,6 @@ class TestRunConfig:
             RunConfig(max_unique=None, max_total=None, time_limit_s=None)
         RunConfig(max_unique=None, max_total=None, time_limit_s=1.0)
         RunConfig(max_unique=None, max_total=5)
-
-    def test_to_dict_round_trips_ga(self):
-        d = RunConfig(method="bo", seed=3).to_dict()
-        assert d["method"] == "bo"
-        assert d["ga"]["population_size"] == 50
 
 
 @pytest.fixture(scope="module")
@@ -432,6 +426,28 @@ class TestRecordIo:
         write_records(p1, records)
         write_records(p2, read_records(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("line,message", [
+        ("{not json", "line 2: not JSON"),
+        ("[1, 2]", "line 2: not a JSON object"),
+        ('{"index": 0}', "line 2: not a record: missing keys ['dcn', "),
+        (json.dumps(dict(vars(fake_record(0, "CC", 130.0)), extra=1)),
+         "line 2: not a record: missing keys [], unknown keys ['extra']"),
+    ], ids=["not-json", "not-object", "missing-keys", "unknown-key"])
+    def test_malformed_line_refused(self, tmp_path, line, message):
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(vars(fake_record(0, "CC", 130.0))) + "\n"
+                        + line + "\n")
+        with pytest.raises(ConfigError) as e:
+            read_records(path)
+        assert str(e.value).startswith("%s %s" % (path, message))
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank"])
+    def test_file_without_records_refused(self, tmp_path, text):
+        path = tmp_path / "records.jsonl"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="holds no records"):
+            read_records(path)
 
 
 def uncached_evaluate(z, ctx):

@@ -15,8 +15,6 @@ import moldesign
 from moldesign import loop, optimizers
 from moldesign.optimizers import (
     DimensionMismatch,
-    GaConfig,
-    GaConfigError,
     GpSurrogate,
     OptimizerError,
     PENALTY_SCORE,
@@ -43,43 +41,36 @@ def plane_cloud(seed, n=50, d=32, r=2):
 class TestPca:
     def test_plane_in_32d_gives_r2(self):
         pts, _ = plane_cloud(0)
-        model = pca_fit(pts, target_ratio=0.999)
+        model = pca_fit(pts)
         assert model.r == 2
 
     def test_isotropic_keeps_all(self):
         x = np.random.default_rng(1).standard_normal((300, 8))
-        model = pca_fit(x, target_ratio=0.999)
+        model = pca_fit(x)
         assert model.r == 8
 
     def test_axes_orthonormal(self):
         pts, _ = plane_cloud(2, r=5)
-        model = pca_fit(pts, target_ratio=0.999)
+        model = pca_fit(pts)
         assert np.allclose(model.axes @ model.axes.T, np.eye(model.r),
                            atol=1e-10)
 
     def test_project_lift_round_trip_on_plane(self):
         pts, _ = plane_cloud(3)
-        model = pca_fit(pts, target_ratio=0.999)
+        model = pca_fit(pts)
         back = model.lift(model.project(pts))
         assert np.max(np.abs(back - pts)) < 1e-8
 
-    def test_explained_ratio_sorted(self):
-        x = np.random.default_rng(4).standard_normal((100, 6)) * [5, 4, 3, 2, 1, 0.5]
-        model = pca_fit(x, target_ratio=0.999)
-        assert np.all(np.diff(model.explained_ratio) <= 1e-12)
-        assert model.explained_ratio.sum() <= 1.0 + 1e-12
-
-    def test_rank_deficient_warning(self, caplog):
+    def test_rank_one_cloud_keeps_one_axis(self, caplog):
+        # the 31 other axes hold 1e-13 of the variance each, below the
+        # data rank's 1e-12 cut, so the target needs no more than rank 1
         rng = np.random.default_rng(3)
         x = rng.standard_normal((2000, 32)) * np.sqrt(
             np.r_[1.0, np.full(31, 1e-13)])
-        with caplog.at_level(logging.WARNING, logger="moldesign"):
-            model = pca_fit(x, target_ratio=1.0)
-        [rec] = caplog.records
-        assert rec.levelno == logging.WARNING
-        assert rec.getMessage().startswith("pca_fit: target ratio 1 needs "
-                                           "rank beyond data rank 1")
+        with caplog.at_level(logging.DEBUG, logger="moldesign"):
+            model = pca_fit(x)
         assert model.r == 1
+        assert caplog.records == []
 
     def test_too_few_points(self):
         with pytest.raises(OptimizerError):
@@ -504,43 +495,18 @@ class TestGaStep:
         assert child.shape == (50, 6)
         assert np.all(child >= lo) and np.all(child <= hi)
 
-    def test_children_drawn_from_parent_pool(self):
+    def test_children_drawn_from_parent_pool(self, monkeypatch):
         # without mutation or crossover every child clones a top-30% parent
         rng = np.random.default_rng(3)
         genes = rng.uniform(0, 1, (50, 3))
         fitness = np.arange(50.0)
-        cfg = GaConfig(mutation_prob=0.0, crossover_prob=0.0)
+        monkeypatch.setattr(optimizers, "GA_MUTATION_PROB", 0.0)
+        monkeypatch.setattr(optimizers, "GA_CROSSOVER_PROB", 0.0)
         child = ga_step(genes, fitness, (np.zeros(3), np.ones(3)),
-                        np.random.default_rng(4), cfg)
+                        np.random.default_rng(4))
         pool = {genes[i].tobytes() for i in np.argsort(fitness)[::-1][:15]}
         for row in child:
             assert row.tobytes() in pool
-
-
-class TestGaConfig:
-    @pytest.mark.parametrize("kwargs", [
-        {"population_size": 0},     # run_ga would loop forever
-        {"population_size": 1},     # the one elite is never replaced
-        {"population_size": 2.5},
-        {"population_size": True},
-        {"elite_ratio": 2.0},
-        {"elite_ratio": 1.0},       # every member an elite: no children
-        {"elite_ratio": 0.99},      # rounds to the whole population
-        {"elite_ratio": -0.1},
-        {"mutation_prob": float("nan")},
-        {"crossover_prob": 1.5},
-        {"parents_portion": "0.3"},
-    ])
-    def test_rejected(self, kwargs):
-        with pytest.raises(GaConfigError):
-            GaConfig(**kwargs)
-
-    def test_accepted(self):
-        GaConfig(population_size=2, elite_ratio=0.0, parents_portion=1.0)
-        GaConfig(mutation_prob=0.0, crossover_prob=1.0)
-
-    def test_is_optimizer_error(self):
-        assert issubclass(GaConfigError, OptimizerError)
 
 
 class TestPenalty:
@@ -624,11 +590,12 @@ class TestDrivers:
             calls.append(1)
             return float(z[0])
 
-        cfg = GaConfig(population_size=10, mutation_prob=0.0,
-                       crossover_prob=0.0)
+        monkeypatch.setattr(optimizers, "GA_POPULATION_SIZE", 10)
+        monkeypatch.setattr(optimizers, "GA_MUTATION_PROB", 0.0)
+        monkeypatch.setattr(optimizers, "GA_CROSSOVER_PROB", 0.0)
         with caplog.at_level(logging.WARNING, logger="moldesign"):
             hist = run_ga(objective, (np.zeros(2), np.ones(2)), 2, seed=4,
-                          cfg=cfg, stop=lambda _n: len(calls) >= 50)
+                          stop=lambda _n: len(calls) >= 50)
         assert len(calls) == 10
         assert len(steps) == n
         assert len(hist) == 10 * (n + 1)
