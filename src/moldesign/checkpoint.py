@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from .adomain import AdEnsemble
-from .checks import read_text
+from .checks import read_json
 from .gnn import GnnEnsemble, GnnError
 
 CHECKPOINT_VERSION = 1
@@ -36,9 +36,7 @@ def save_checkpoint(path, ensemble, ad=None, extra=None):
 
 def load_checkpoint(path):
     """Returns (ensemble, ad-or-None, raw payload)."""
-    payload = json.loads(read_text(path))
-    if not isinstance(payload, dict):
-        raise CheckpointError("checkpoint is not a JSON object")
+    payload = read_json(path)
     if payload.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError("unsupported checkpoint version %r"
                               % payload.get("version"))

@@ -1,10 +1,11 @@
 """Value checks shared by the config dataclasses, the CLI and the
 numeric entry points, the one error type of a bad configuration, and the
-reader of every text input file.
+readers of every text and JSON input file.
 
 A bool is not accepted as a number: JSON true would otherwise read as 1.
 """
 
+import json
 import math
 import numbers
 
@@ -57,3 +58,15 @@ def read_text(path):
         except UnicodeDecodeError as e:
             raise ConfigError("%s is not UTF-8 text: %s" % (path, e)) \
                 from None
+
+
+def read_json(path):
+    """The JSON object in the file at path; a file that is not JSON, or
+    holds another JSON value, raises ConfigError naming it."""
+    try:
+        value = json.loads(read_text(path))
+    except json.JSONDecodeError as e:
+        raise ConfigError("%s is not JSON: %s" % (path, e)) from None
+    if not isinstance(value, dict):
+        raise ConfigError("%s is not a JSON object" % path)
+    return value

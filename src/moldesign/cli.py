@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import adomain, checkpoint, dataio, gnn, loop
-from .checks import ConfigError, check_keys, is_int, is_real, read_text
+from .checks import ConfigError, check_keys, is_int, is_real, read_json
 from .grammar import FragmentGrammar, GrammarError, enumerate_grammar
 
 log = logging.getLogger("moldesign")
@@ -29,7 +29,6 @@ CONFIG_ERRORS = (
     checkpoint.CheckpointError,
     GrammarError,
     OSError,
-    json.JSONDecodeError,
 )
 
 
@@ -38,9 +37,7 @@ def _load_config(path, keys):
     schema_version other than 1 and a top-level key outside keys."""
     if path is None:
         return {}
-    cfg = json.loads(read_text(path))
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
+    cfg = read_json(path)
     check_keys(cfg, keys, ConfigError)
     return cfg
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import as_box, check_keys, is_int, read_text
+from .checks import as_box, check_keys, is_int, read_json
 from .molgraph import (MAX_VALENCE, MolecularGraph, _find, canonical_form,
                        canonical_smiles)
 
@@ -172,12 +172,6 @@ class FragmentGrammar:
         out.extend([len(self.fragments) + 1] * (self.n_dims - 1))
         return out
 
-    def decision_space_size(self):
-        size = 1
-        for c in self.choices_per_slot:
-            size *= c
-        return size
-
     def to_config(self):
         return {
             "schema_version": 1,
@@ -207,7 +201,7 @@ class FragmentGrammar:
 
     @classmethod
     def load(cls, path):
-        return cls.from_config(json.loads(read_text(path)))
+        return cls.from_config(read_json(path))
 
 
 # --- building states -------------------------------------------------------
@@ -244,14 +238,6 @@ def _attach(atoms, bonds, bond_sums, fragment, max_heavy):
     sums[site] += order
     sums[base] += order
     return atoms + frag_atoms, bonds, sums
-
-
-def _children(state, grammar):
-    """Each (cell, child state) one legal attachment away, in cell order."""
-    for c, fragment in enumerate(grammar.fragments, start=1):
-        child = _attach(*state, fragment, grammar.max_heavy_atoms)
-        if child is not None:
-            yield c, child
 
 
 def decode_cells(cells, grammar):
@@ -418,7 +404,21 @@ def encode_cells(g, grammar):
     raise NotExpressible("no decision sequence produces %s" % target)
 
 
-MAX_DECISION_SPACE = 10 ** 6   # the largest grammar enumerate_grammar walks
+# enumerate_grammar's limits: the most attachments on one decision path,
+# which keeps each molecule short enough to canonicalise quickly, and the
+# most states built. Any grammar with at most 10**6 decision sequences is
+# within both, as its n_dims is at most 20.
+MAX_DEPTH = 19
+MAX_STATES = 10 ** 6
+
+
+def _form(atoms, bonds, _sums):
+    """A state's canonical SMILES and each atom's position in it."""
+    smiles, order = canonical_form(MolecularGraph(atoms, bonds))
+    pos = [0] * len(order)
+    for k, atom in enumerate(order):
+        pos[atom] = k
+    return smiles, pos
 
 
 def enumerate_grammar(grammar):
@@ -427,75 +427,61 @@ def enumerate_grammar(grammar):
     Returns a dict canonical SMILES -> MolecularGraph; each value is the
     first graph built for that SMILES in decision order.
 
-    The walk carries each state's canonical SMILES and each atom's position
-    in that string (`canonical_form`) and derives a child's from its
-    parent's (canonical augmentation, McKay 1998). Atoms matched by string
-    position map two graphs with one SMILES onto each other, and `_attach`
-    appends the fragment's atoms after the parent's and bonds its atom 0 to
-    the site, so two such parents with their sites at one string position
-    give isomorphic children under the same fragment. Children are
-    therefore memoised on (parent SMILES, site position, cell), the parent's
-    atoms indexed by position in the parent's string; a miss canonicalises
-    the child, and no labelled state is canonicalised twice. A labelled
-    state is walked again only when it is reached with more slots left
-    than before, as `_attach`'s lowest-index site depends on the labelling.
-    A MolecularGraph is kept only for a SMILES not found before.
+    The walk visits every legal decision prefix once, in cell order. It
+    carries each state's canonical SMILES and each atom's position in that
+    string (`canonical_form`) and derives a child's from its parent's
+    (canonical augmentation, McKay 1998). Atoms matched by string position
+    map two graphs with one SMILES onto each other, and `_attach` appends
+    the fragment's atoms after the parent's and bonds its atom 0 to the
+    site, so two such parents with their sites at one string position give
+    isomorphic children under the same fragment. Children are therefore
+    memoised on (parent SMILES, site position, cell), the parent's atoms
+    indexed by position in the parent's string; a miss canonicalises the
+    child.
+
+    Raises TooLarge before the walk when it would take more than MAX_DEPTH
+    attachments (min(n_dims, max_heavy_atoms) - 1, as each adds an atom),
+    and during it once it has built more than MAX_STATES states.
     """
-    if grammar.decision_space_size() > MAX_DECISION_SPACE:
-        raise TooLarge("decision space %d exceeds cap %d"
-                       % (grammar.decision_space_size(), MAX_DECISION_SPACE))
+    depth = min(grammar.n_dims, grammar.max_heavy_atoms) - 1
+    if depth > MAX_DEPTH:
+        raise TooLarge("walk depth %d exceeds cap %d" % (depth, MAX_DEPTH))
     found = {}
-    walked = {}  # (atoms, sorted bonds) -> most slots left it was walked with
-    formed = {}  # (atoms, sorted bonds) -> canonical_form's (SMILES, positions)
     # (SMILES, site position, cell) -> (SMILES, positions of the parent's
     # atoms in parent-string order, then of the fragment's atoms)
     children = {}
+    n_states = 0
 
-    def canonical(key):
-        """The state's SMILES and each atom's position in it."""
-        if key not in formed:
-            smiles, order = canonical_form(MolecularGraph(*key))
-            pos = [0] * len(order)
-            for k, atom in enumerate(order):
-                pos[atom] = k
-            formed[key] = smiles, pos
-        return formed[key]
-
-    def child_form(key, site, parent):
-        """The (SMILES, positions) of a state attached at site from parent,
-        the parent's (SMILES, positions, cell)."""
-        parent_smiles, parent_pos, c = parent
-        n = len(parent_pos)
-        memo = (parent_smiles, parent_pos[site], c)
-        if memo in children:
-            smiles, rel = children[memo]
-            return smiles, [rel[k] for k in parent_pos] + rel[n:]
-        smiles, pos = canonical(key)
-        rel = [0] * n + pos[n:]
-        for i, k in enumerate(parent_pos):
-            rel[k] = pos[i]
-        children[memo] = smiles, rel
-        return smiles, pos
-
-    def walk(state, slots_left, parent):
-        """parent is as in child_form, or None for a scaffold."""
-        atoms, bonds, _ = state
-        key = (tuple(atoms), tuple(sorted(bonds)))
-        if walked.get(key, -1) >= slots_left:
+    def walk(state, slots_left, smiles, pos):
+        nonlocal n_states
+        n_states += 1
+        if n_states > MAX_STATES:
+            raise TooLarge("more than %d states built" % MAX_STATES)
+        if smiles not in found:
+            found[smiles] = MolecularGraph(state[0], state[1])
+        if slots_left == 0:
             return
-        # the bond _attach adds last joins the site to the fragment
-        form = canonical(key) if parent is None \
-            else child_form(key, bonds[-1][0], parent)
-        if key not in walked and form[0] not in found:
-            found[form[0]] = MolecularGraph(atoms, bonds)
-        walked[key] = slots_left
-        if slots_left > 0:
-            for c, child in _children(state, grammar):
-                walk(child, slots_left - 1, form + (c,))
+        n = len(pos)
+        for c, fragment in enumerate(grammar.fragments, start=1):
+            child = _attach(*state, fragment, grammar.max_heavy_atoms)
+            if child is None:
+                continue
+            # the bond _attach adds last joins the site to the fragment
+            memo = (smiles, pos[child[1][-1][0]], c)
+            if memo not in children:
+                child_smiles, child_pos = _form(*child)
+                rel = [0] * n + child_pos[n:]
+                for i, k in enumerate(pos):
+                    rel[k] = child_pos[i]
+                children[memo] = child_smiles, rel
+            child_smiles, rel = children[memo]
+            walk(child, slots_left - 1, child_smiles,
+                 [rel[k] for k in pos] + rel[n:])
 
     for s in range(len(grammar.scaffolds)):
-        walk(_scaffold(grammar, s), grammar.n_dims - 1, None)
-    log.debug("enumerate_grammar: %d labelled states walked, %d "
-              "canonicalisations, %d molecules", len(walked), len(formed),
+        state = _scaffold(grammar, s)
+        walk(state, grammar.n_dims - 1, *_form(*state))
+    log.debug("enumerate_grammar: %d states built, %d canonicalisations, "
+              "%d molecules", n_states, len(grammar.scaffolds) + len(children),
               len(found))
     return dict(sorted(found.items()))

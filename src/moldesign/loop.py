@@ -339,10 +339,29 @@ def write_records(path, records):
             f.write("\n")
 
 
+_COUNT = "an integer >= 0", lambda x: is_int(x, 0)
+_REAL = "a finite number", is_real
+_REALS = "a list of finite numbers", \
+    lambda x: isinstance(x, list) and all(map(is_real, x))
+_FLAG = "true or false", lambda x: isinstance(x, bool)
+
+# RunRecord field -> (what evaluate_candidate writes there, its check) and
+# the fields it may leave null
+RECORD_VALUES = {
+    "index": _COUNT, "latent_full": _REALS, "latent_reduced": _REALS,
+    "smiles": ("a string", lambda x: isinstance(x, str)),
+    "ron": _REAL, "mon": _REAL, "dcn": _REAL, "os": _REAL, "score": _REAL,
+    "in_ad": _FLAG, "vote_sum": _COUNT, "duplicate": _FLAG,
+    "penalty_applied": _FLAG,
+}
+NULLABLE = {"latent_reduced", "ron", "mon", "dcn", "os", "in_ad", "vote_sum"}
+
+
 def read_records(path):
     """The records of a records.jsonl file. A line that is not one record
-    (JSON object with exactly RunRecord's keys), or a file without any,
-    raises ConfigError naming the file and the line."""
+    (JSON object with exactly RunRecord's keys, each holding a value of
+    the kind evaluate_candidate writes), or a file without any, raises
+    ConfigError naming the file and the line."""
     keys = {f.name for f in fields(RunRecord)}
     out = []
     lines = checks.read_text(path).split("\n")
@@ -361,6 +380,12 @@ def read_records(path):
             raise ConfigError("%s: not a record: missing keys %s, unknown "
                               "keys %s" % (where, sorted(keys - set(values)),
                                            sorted(set(values) - keys)))
+        for key, (what, check) in RECORD_VALUES.items():
+            value = values[key]
+            if not (check(value) or value is None and key in NULLABLE):
+                raise ConfigError("%s: %s must be %s%s, not %s" % (
+                    where, key, what, " or null" * (key in NULLABLE),
+                    json.dumps(value)))
         out.append(RunRecord(**values))
     if not out:
         raise ConfigError("%s holds no records" % path)

@@ -576,6 +576,16 @@ class TestReportAndEnumerate:
         expected = enumerate_grammar(FragmentGrammar(n_dims=4))
         assert lines == list(expected)
 
+    def test_enumerate_default_grammar(self, tmp_path):
+        # the library's default grammar: 32 slots, 9 heavy atoms
+        FragmentGrammar().save(tmp_path / "grammar.json")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grammar": str(tmp_path / "grammar.json")}))
+        out = tmp_path / "mols.smi"
+        rc = main(["enumerate", "--config", str(cfg), "--out", str(out)])
+        assert rc == 0
+        assert len(out.read_text().splitlines()) == 2580
+
 
 class TestConfigHandling:
     def test_unsupported_schema_version(self, tmp_path, capsys):
@@ -664,13 +674,25 @@ class TestConfigHandling:
         assert capsys.readouterr().err == "error[E_CONFIG]: %s\n" % message
         assert not (tmp_path / "o").exists()
 
-    def test_malformed_json(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("{not json")
-        rc = main(["enumerate", "--config", str(cfg),
-                   "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert "error[E_CONFIG]" in capsys.readouterr().err
+    def test_malformed_json(self, tmp_path, workdir, capsys):
+        # each JSON input names itself when it is not JSON or not an object
+        for which in ("config", "grammar", "checkpoint"):
+            for text, message in [("{not json", "is not JSON: Expecting "),
+                                  ("[4]", "is not a JSON object")]:
+                bad = tmp_path / ("bad." + which)
+                bad.write_text(text)
+                cfg = json.loads(open(loop_config(workdir)).read())
+                cfg[which] = str(bad)
+                path = tmp_path / "cfg.json"
+                path.write_text(json.dumps(cfg))
+                if which == "config":
+                    path = bad
+                rc = main(["run-loop", "--config", str(path),
+                           "--out", str(tmp_path / "o")])
+                assert rc == 1
+                assert capsys.readouterr().err.startswith(
+                    "error[E_CONFIG]: %s %s" % (bad, message)), which
+                assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("which", ["config", "grammar", "corpus",
                                        "dataset", "checkpoint", "records"])

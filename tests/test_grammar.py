@@ -253,10 +253,29 @@ class TestEnumerate:
         assert hashlib.sha256(dump.encode()).hexdigest() == (
             "21aae84a083803851737a400de660a4af50a0fdd5dd1f3dfdf803b676d634898")
 
-    def test_too_large(self):
-        g = FragmentGrammar(n_dims=32)
-        with pytest.raises(TooLarge):
-            enumerate_grammar(g)
+    def test_too_deep_refused_before_the_walk(self, monkeypatch):
+        # a one-fragment grammar of 300 atoms would take minutes to
+        # canonicalise; a walk of min(n_dims, max_heavy_atoms) - 1 > 19
+        # attachments is refused before any state is canonicalised
+        def grammar(n_dims, max_heavy):
+            return FragmentGrammar(n_dims=n_dims, fragments=("methyl",),
+                                   scaffolds=("C",), max_heavy_atoms=max_heavy)
+
+        assert len(enumerate_grammar(grammar(20, 300))) == 20
+        assert len(enumerate_grammar(grammar(300, 20))) == 20
+        monkeypatch.setattr(grammar_mod, "canonical_form", None)
+        for n_dims, max_heavy, depth in [(300, 300, 299), (21, 21, 20),
+                                         (21, 300, 20), (300, 21, 20)]:
+            with pytest.raises(TooLarge, match="walk depth %d " % depth):
+                enumerate_grammar(grammar(n_dims, max_heavy))
+
+    def test_too_many_states_refused(self, small, monkeypatch):
+        # n_dims=4 builds 2,146 states
+        monkeypatch.setattr(grammar_mod, "MAX_STATES", 2145)
+        with pytest.raises(TooLarge, match="more than 2145 states"):
+            enumerate_grammar(small)
+        monkeypatch.setattr(grammar_mod, "MAX_STATES", 2146)
+        assert len(enumerate_grammar(small)) == 643
 
     def test_every_enumerated_molecule_encodes(self, small, unit_bounds):
         mols = enumerate_grammar(small)
@@ -411,11 +430,12 @@ class TestAgainstReference:
         for smi in ref:
             assert mols[smi] == ref[smi], smi
 
-    def test_enumerate_canonicalises_no_state_twice(self, small,
-                                                    monkeypatch):
+    def test_enumerate_canonicalises_scaffolds_and_memo_misses(
+            self, small, monkeypatch):
         # 1,985 labelled states and 643 molecules; a child whose parent's
         # SMILES, site position and cell were met before is not
-        # canonicalised, nor is a labelled state met before
+        # canonicalised. Only the scaffolds CC and CO repeat a labelled
+        # state already built as C plus methyl and C plus hydroxyl.
         calls = []
 
         def counting(g):
@@ -426,15 +446,36 @@ class TestAgainstReference:
         enumerate_grammar(small)
         _, n_states = reference_enumerate(small)
         assert n_states == 1985
-        assert len(calls) == 1182
-        assert len(set(calls)) == len(calls)
+        assert len(calls) == 1184
+        assert len(set(calls)) == 1182
+        repeats = [key for key, n in Counter(calls).items() if n > 1]
+        assert sorted(canonical_smiles(molgraph.MolecularGraph(*key))
+                      for key in repeats) == ["CC", "CO"]
 
     def test_enumerate_logs_its_counts(self, small, caplog):
         with caplog.at_level(logging.DEBUG, logger="moldesign"):
             enumerate_grammar(small)
         assert [r.getMessage() for r in caplog.records] == [
-            "enumerate_grammar: 1985 labelled states walked, "
-            "1182 canonicalisations, 643 molecules"]
+            "enumerate_grammar: 2146 states built, "
+            "1184 canonicalisations, 643 molecules"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(fragments=st.lists(st.sampled_from(DEFAULT_FRAGMENTS),
+                              max_size=6),
+           scaffolds=st.lists(st.sampled_from(grammar_mod.DEFAULT_SCAFFOLDS),
+                              min_size=1, unique=True),
+           n_dims=st.integers(1, 4), max_heavy=st.integers(2, 9))
+    def test_enumerate_equals_reference_on_random_grammars(
+            self, fragments, scaffolds, n_dims, max_heavy):
+        # fragments may repeat; scaffolds come in any order
+        grammar = FragmentGrammar(n_dims=n_dims, fragments=tuple(fragments),
+                                  scaffolds=tuple(scaffolds),
+                                  max_heavy_atoms=max_heavy)
+        mols = enumerate_grammar(grammar)
+        ref, _ = reference_enumerate(grammar)
+        assert list(mols) == list(ref)
+        for smi in ref:
+            assert mols[smi] == ref[smi], smi
 
     def test_encode_equals_reference(self, small):
         # cells and NotExpressible alike, also where the grammar is too

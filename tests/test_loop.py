@@ -411,7 +411,7 @@ class TestRun:
 class TestRecordIo:
     def test_write_read_round_trip(self, tmp_path):
         recs = [fake_record(0, "CC", 130.0, ron=116.0, os_=14.0),
-                fake_record(1, None, -1000.0, penalized=True)]
+                fake_record(1, "CCO", -1000.0, penalized=True)]
         path = tmp_path / "records.jsonl"
         write_records(path, recs)
         back = read_records(path)
@@ -433,7 +433,13 @@ class TestRecordIo:
         ('{"index": 0}', "line 2: not a record: missing keys ['dcn', "),
         (json.dumps(dict(vars(fake_record(0, "CC", 130.0)), extra=1)),
          "line 2: not a record: missing keys [], unknown keys ['extra']"),
-    ], ids=["not-json", "not-object", "missing-keys", "unknown-key"])
+        (json.dumps(dict(vars(fake_record(0, "CC", 130.0)), score="high")),
+         'line 2: score must be a finite number, not "high"'),
+        (json.dumps(dict(vars(fake_record(0, "CC", 130.0)),
+                         penalty_applied="no")),
+         'line 2: penalty_applied must be true or false, not "no"'),
+    ], ids=["not-json", "not-object", "missing-keys", "unknown-key",
+            "score-not-a-number", "penalty-not-a-bool"])
     def test_malformed_line_refused(self, tmp_path, line, message):
         path = tmp_path / "records.jsonl"
         path.write_text(json.dumps(vars(fake_record(0, "CC", 130.0))) + "\n"
