@@ -407,7 +407,7 @@ def encode_cells(g, grammar):
 # enumerate_grammar's limits: the most attachments on one decision path,
 # which keeps each molecule short enough to canonicalise quickly, and the
 # most states built. Any grammar with at most 10**6 decision sequences is
-# within both, as its n_dims is at most 20.
+# within both, as its n_dims is at most 20 or it has no fragments.
 MAX_DEPTH = 19
 MAX_STATES = 10 ** 6
 
@@ -440,10 +440,12 @@ def enumerate_grammar(grammar):
     child.
 
     Raises TooLarge before the walk when it would take more than MAX_DEPTH
-    attachments (min(n_dims, max_heavy_atoms) - 1, as each adds an atom),
-    and during it once it has built more than MAX_STATES states.
+    attachments (min(n_dims, max_heavy_atoms) - 1, as each adds an atom;
+    none without fragments), and during it once it has built more than
+    MAX_STATES states.
     """
-    depth = min(grammar.n_dims, grammar.max_heavy_atoms) - 1
+    depth = min(grammar.n_dims, grammar.max_heavy_atoms) - 1 \
+        if grammar.fragments else 0
     if depth > MAX_DEPTH:
         raise TooLarge("walk depth %d exceeds cap %d" % (depth, MAX_DEPTH))
     found = {}

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -339,22 +340,27 @@ def write_records(path, records):
             f.write("\n")
 
 
-_COUNT = "an integer >= 0", lambda x: is_int(x, 0)
+def _or_null(kind):
+    what, check = kind
+    return what + " or null", lambda x: x is None or check(x)
+
+
+_INT = "an integer", lambda x: is_int(x, -math.inf)
 _REAL = "a finite number", is_real
 _REALS = "a list of finite numbers", \
     lambda x: isinstance(x, list) and all(map(is_real, x))
 _FLAG = "true or false", lambda x: isinstance(x, bool)
 
-# RunRecord field -> (what evaluate_candidate writes there, its check) and
-# the fields it may leave null
-RECORD_VALUES = {
-    "index": _COUNT, "latent_full": _REALS, "latent_reduced": _REALS,
+# RunRecord field -> (what evaluate_candidate writes there, its check);
+# vote_sum is below 0 when most AD members vote outside
+_RECORD_VALUES = {
+    "index": ("an integer >= 0", lambda x: is_int(x, 0)),
+    "latent_full": _REALS, "latent_reduced": _or_null(_REALS),
     "smiles": ("a string", lambda x: isinstance(x, str)),
-    "ron": _REAL, "mon": _REAL, "dcn": _REAL, "os": _REAL, "score": _REAL,
-    "in_ad": _FLAG, "vote_sum": _COUNT, "duplicate": _FLAG,
-    "penalty_applied": _FLAG,
+    "ron": _or_null(_REAL), "mon": _or_null(_REAL), "dcn": _or_null(_REAL),
+    "os": _or_null(_REAL), "score": _REAL, "in_ad": _or_null(_FLAG),
+    "vote_sum": _or_null(_INT), "duplicate": _FLAG, "penalty_applied": _FLAG,
 }
-NULLABLE = {"latent_reduced", "ron", "mon", "dcn", "os", "in_ad", "vote_sum"}
 
 
 def read_records(path):
@@ -362,7 +368,6 @@ def read_records(path):
     (JSON object with exactly RunRecord's keys, each holding a value of
     the kind evaluate_candidate writes), or a file without any, raises
     ConfigError naming the file and the line."""
-    keys = {f.name for f in fields(RunRecord)}
     out = []
     lines = checks.read_text(path).split("\n")
     for line_no, line in enumerate(lines, start=1):
@@ -376,16 +381,15 @@ def read_records(path):
             raise ConfigError("%s: not JSON: %s" % (where, e)) from None
         if not isinstance(values, dict):
             raise ConfigError("%s: not a JSON object" % where)
+        keys = _RECORD_VALUES.keys()
         if values.keys() != keys:
             raise ConfigError("%s: not a record: missing keys %s, unknown "
-                              "keys %s" % (where, sorted(keys - set(values)),
-                                           sorted(set(values) - keys)))
-        for key, (what, check) in RECORD_VALUES.items():
-            value = values[key]
-            if not (check(value) or value is None and key in NULLABLE):
-                raise ConfigError("%s: %s must be %s%s, not %s" % (
-                    where, key, what, " or null" * (key in NULLABLE),
-                    json.dumps(value)))
+                              "keys %s" % (where, sorted(keys - values.keys()),
+                                           sorted(values.keys() - keys)))
+        for key, (what, check) in _RECORD_VALUES.items():
+            if not check(values[key]):
+                raise ConfigError("%s: %s must be %s, not %s" % (
+                    where, key, what, json.dumps(values[key])))
         out.append(RunRecord(**values))
     if not out:
         raise ConfigError("%s holds no records" % path)

@@ -263,6 +263,10 @@ class TestEnumerate:
 
         assert len(enumerate_grammar(grammar(20, 300))) == 20
         assert len(enumerate_grammar(grammar(300, 20))) == 20
+        # without fragments the walk makes no attachment at any size
+        assert list(enumerate_grammar(FragmentGrammar(
+            n_dims=300, fragments=(), scaffolds=("C", "CC"),
+            max_heavy_atoms=300))) == ["C", "CC"]
         monkeypatch.setattr(grammar_mod, "canonical_form", None)
         for n_dims, max_heavy, depth in [(300, 300, 299), (21, 21, 20),
                                          (21, 300, 20), (300, 21, 20)]:

@@ -417,6 +417,15 @@ class TestRecordIo:
         back = read_records(path)
         assert [vars(r) for r in back] == [vars(r) for r in recs]
 
+    def test_ad_rejected_record_round_trips(self, tmp_path, grammar):
+        # most members vote outside, so vote_sum is below 0
+        ctx = make_ctx(grammar, ad=_StubAd([-1.0, -1.0, 1.0]))
+        rec = evaluate_candidate(np.zeros(4), ctx)
+        assert rec.vote_sum == -1 and rec.penalty_applied
+        path = tmp_path / "records.jsonl"
+        write_records(path, [rec])
+        assert [vars(r) for r in read_records(path)] == [vars(rec)]
+
     def test_rewrite_byte_identical(self, tmp_path, grammar, tiny_ensemble):
         cfg = RunConfig(method="ga", seed=3, max_total=20, max_unique=1000,
                         ad_enabled=False)
@@ -438,8 +447,11 @@ class TestRecordIo:
         (json.dumps(dict(vars(fake_record(0, "CC", 130.0)),
                          penalty_applied="no")),
          'line 2: penalty_applied must be true or false, not "no"'),
+        (json.dumps(dict(vars(fake_record(0, "CC", 130.0)), vote_sum=1.5)),
+         "line 2: vote_sum must be an integer or null, not 1.5"),
     ], ids=["not-json", "not-object", "missing-keys", "unknown-key",
-            "score-not-a-number", "penalty-not-a-bool"])
+            "score-not-a-number", "penalty-not-a-bool",
+            "vote-sum-not-an-integer"])
     def test_malformed_line_refused(self, tmp_path, line, message):
         path = tmp_path / "records.jsonl"
         path.write_text(json.dumps(vars(fake_record(0, "CC", 130.0))) + "\n"
