@@ -4,13 +4,15 @@ The dual problem
     min 0.5 a' K a   s.t.  0 <= a_i <= 1/(nu m),  sum a_i = 1
 is solved by pairwise coordinate updates (SMO style) on an RBF kernel.
 A fingerprint is inside the domain when the ensemble vote sum is
-strictly positive.
+strictly positive. The vote takes all K members' decisions in one batched
+computation over the members' support vectors, zero-padded to one stack.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -154,13 +156,47 @@ def fit_svm(fingerprints, nu=0.05, gamma="scale"):
 
 @dataclass
 class AdEnsemble:
-    """One SVM per GNN ensemble member."""
+    """One SVM per GNN ensemble member.
+
+    The first vote stacks the members for batched decisions: support
+    vectors padded with zero rows to a (K, S_max, d) array, alphas padded
+    with zeros to (K, S_max), so a padded row adds nothing, and each
+    member's gamma and rho. The members must not change after that vote.
+    """
 
     svms: list
 
     @property
     def n_members(self):
         return len(self.svms)
+
+    @cached_property
+    def _stacks(self):
+        """(support vectors, their squared norms, alphas, gamma, rho), each
+        with one leading row per member."""
+        k = len(self.svms)
+        s_max = max(len(svm.alphas) for svm in self.svms)
+        d = self.svms[0].support_vectors.shape[1]
+        sv = np.zeros((k, s_max, d))
+        alphas = np.zeros((k, s_max))
+        for i, svm in enumerate(self.svms):
+            sv[i, :len(svm.alphas)] = svm.support_vectors
+            alphas[i, :len(svm.alphas)] = svm.alphas
+        gamma = np.array([svm.gamma for svm in self.svms])
+        rho = np.array([svm.rho for svm in self.svms])
+        return sv, np.sum(sv * sv, axis=2), alphas, gamma, rho
+
+    def decisions(self, fingerprints):
+        """Member k's decision on row k of the (K, d) fingerprints, as a
+        (K,) array: OneClassSvm.decision's kernel sum, with the squared
+        distance |h|^2 + |sv|^2 - 2 h.sv clipped at 0, batched over the
+        members. It agrees with the one-row decisions to rounding."""
+        sv, sv_sq, alphas, gamma, rho = self._stacks
+        h = fingerprints
+        dots = (sv @ h[:, :, None])[:, :, 0]
+        d2 = np.maximum(np.sum(h * h, axis=1)[:, None] + sv_sq - 2.0 * dots,
+                        0.0)
+        return np.sum(np.exp(-gamma[:, None] * d2) * alphas, axis=1) - rho
 
     def to_state(self):
         return {"svms": [s.to_state() for s in self.svms]}
@@ -171,19 +207,19 @@ class AdEnsemble:
 
 
 def ad_vote(fingerprints, ad):
-    """Majority vote on one graph: (inside, vote_sum).
+    """Majority vote on one graph: (inside, vote_sum), a bool and an int.
 
     fingerprints is a (K, d) array with row k from ensemble member k, as
     each member's SVM lives in its own fingerprint space. Member k votes
-    +1 when its decision on row k is >= 0, else -1.
+    +1 when its decision on row k is >= 0, else -1; all K decisions come
+    from one AdEnsemble.decisions call.
     """
     fingerprints = np.asarray(fingerprints, dtype=float)
     if fingerprints.ndim != 2 or len(fingerprints) != ad.n_members:
         raise AdError("expected a (%d, d) array of fingerprints, got shape %s"
                       % (ad.n_members, fingerprints.shape))
-    vote_sum = 0
-    for svm, h in zip(ad.svms, fingerprints):
-        vote_sum += 1 if svm.decision(h[None])[0] >= 0 else -1
+    vote_sum = 2 * int(np.count_nonzero(ad.decisions(fingerprints) >= 0)) \
+        - ad.n_members
     return vote_sum > 0, vote_sum
 
 

@@ -256,23 +256,36 @@ def decode_cells(cells, grammar):
 
 # --- latent-space cell arithmetic -------------------------------------------
 
-def decision_cells(z, grammar, bounds):
-    """The decision cell of each latent coordinate, as a list of ints.
+def cell_map(grammar, bounds):
+    """The map from a latent point to its decision cells in the box bounds,
+    as a list of ints, with the box's set-up done once.
 
     NaN reads as 0 and the point is clamped into the (finite) box, so +-inf
     fall in the edge cells; a slot of zero width is always cell 0.
     """
     lo, hi = as_box(bounds, grammar.n_dims, GrammarError)
     k = np.array(grammar.choices_per_slot, dtype=float)
-    z = np.asarray(z, dtype=float)
-    z = np.minimum(np.maximum(np.where(np.isnan(z), 0.0, z), lo), hi)
     width = hi - lo
     closed = width <= 0
-    c = np.trunc((z - lo) / np.where(closed, 1.0, width) * k)
-    c = np.where(closed, 0.0, np.minimum(np.maximum(c, 0.0), k - 1))
-    if not np.isfinite(c).all():
-        raise GrammarError("latent box too wide for cell arithmetic")
-    return c.astype(int).tolist()
+    divisor = np.where(closed, 1.0, width)
+    top = k - 1
+
+    def cells(z):
+        z = np.asarray(z, dtype=float)
+        z = np.minimum(np.maximum(np.where(np.isnan(z), 0.0, z), lo), hi)
+        c = np.trunc((z - lo) / divisor * k)
+        c = np.where(closed, 0.0, np.minimum(np.maximum(c, 0.0), top))
+        if not np.isfinite(c).all():
+            raise GrammarError("latent box too wide for cell arithmetic")
+        return c.astype(int).tolist()
+
+    return cells
+
+
+def decision_cells(z, grammar, bounds):
+    """The decision cell of each latent coordinate, as a list of ints:
+    cell_map(grammar, bounds) applied to z."""
+    return cell_map(grammar, bounds)(z)
 
 
 def cell_center(cells, grammar, bounds):

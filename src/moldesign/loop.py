@@ -25,9 +25,9 @@ import numpy as np
 
 from . import checks, optimizers
 from .adomain import ad_vote
-from .checks import is_int, is_real
-from .grammar import NotExpressible, cell_center, decision_cells, \
-    decode_cells, encode_cells
+from .checks import as_box, is_int, is_real
+from .grammar import NotExpressible, cell_center, cell_map, decode_cells, \
+    encode_cells
 from .molgraph import canonical_smiles
 
 log = logging.getLogger("moldesign")
@@ -142,11 +142,13 @@ def expand_bounds(lo, hi, expansion):
 class EvaluationContext:
     """Shared state for scoring candidates within one run. ad gates each
     new graph (None scores every candidate); pca, when given, lifts search
-    points to the full latent space."""
+    points to the full latent space. cells maps a full-space point to its
+    decision cells in bounds, prepared once for the run."""
 
     def __init__(self, grammar, bounds, ensemble, ad=None, pca=None):
         self.grammar = grammar
         self.bounds = bounds
+        self.cells = cell_map(grammar, bounds)
         self.ensemble = ensemble
         self.ad = ad
         self.pca = pca
@@ -175,8 +177,7 @@ def evaluate_candidate(z, ctx):
     z = np.asarray(z, dtype=float)
     z_reduced, z_full = (z, ctx.pca.lift(z)) if ctx.pca is not None \
         else (None, z)
-    g = decode_cells(decision_cells(z_full, ctx.grammar, ctx.bounds),
-                     ctx.grammar)
+    g = decode_cells(ctx.cells(z_full), ctx.grammar)
     entry = ctx.cache.get(g)
     if entry is None:
         entry = ctx.cache[g] = _evaluate_graph(g, ctx)
@@ -236,7 +237,7 @@ def run(config, grammar, ensemble, ad=None, corpus=None, bounds=None):
         if bounds is None or bo else []
     if bounds is None:
         bounds = _bounds_from_cells(corpus_cells, grammar, BOUND_EXPANSION)
-    lo, hi = bounds
+    lo, hi = as_box(bounds, grammar.n_dims, optimizers.DimensionMismatch)
 
     pca = None
     search_bounds = (lo, hi)
@@ -285,7 +286,7 @@ def best_per_molecule(records):
     order of first appearance; of equal scores the earliest record wins."""
     best = {}
     for rec in records:
-        if rec.penalty_applied or rec.smiles is None:
+        if rec.penalty_applied:
             continue
         if rec.smiles not in best or rec.score > best[rec.smiles].score:
             best[rec.smiles] = rec

@@ -1,7 +1,8 @@
-"""Graph and GNN helpers that only the tests use."""
+"""Graph, GNN and AD helpers that only the tests use."""
 
 import numpy as np
 
+from moldesign.adomain import OneClassSvm
 from moldesign.gnn import TASKS, GraphBatch
 from moldesign.molgraph import MolecularGraph, canonical_smiles
 
@@ -56,3 +57,12 @@ def gradient_check(model, g):
             denom = max(abs(gflat[i]), abs(numeric), 1e-6)
             worst = max(worst, abs(gflat[i] - numeric) / denom)
     return worst
+
+
+def constant_svm(value, d):
+    """A one-support-vector SVM at the origin of a d-dimensional space
+    whose decision on a zero fingerprint is exactly value:
+    alpha 1 * k(0, 0) - rho with rho = 1 - value."""
+    return OneClassSvm(support_vectors=np.zeros((1, d)),
+                       alphas=np.array([1.0]), rho=1.0 - value, gamma=1.0,
+                       nu=0.05, n_train=1)

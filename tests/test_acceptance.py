@@ -36,7 +36,8 @@ from moldesign.molgraph import (
 )
 from moldesign.optimizers import gp_fit, gp_posterior, run_bo, run_ga
 
-from graph_helpers import gradient_check, is_isomorphic, permuted
+from graph_helpers import constant_svm, gradient_check, is_isomorphic, \
+    permuted
 
 TABLE2 = [
     "C1CC1", "CC", "CCc1cccc(C)c1", "COC(C)(C)C", "CCOC(C)(C)C",
@@ -155,28 +156,16 @@ def test_ad_nu_property():
             fraction = float(np.mean(svm.decision(x) < 0))
             assert fraction <= 0.07
         # an exact 20/20 split is a tie, and ties are outside
-        class Stub:
-            def __init__(self, v):
-                self.v = v
-
-            def decision(self, x):
-                return np.full(len(x), self.v)
-
-        ad = AdEnsemble(svms=[Stub(1.0)] * 20 + [Stub(-1.0)] * 20)
+        ad = AdEnsemble(svms=[constant_svm(1.0, 2)] * 20
+                        + [constant_svm(-1.0, 2)] * 20)
         inside, vote_sum = ad_vote(np.zeros((40, 2)), ad)
         assert vote_sum == 0 and inside is False
 
 
 def test_ad_vote_arithmetic():
     with criterion("ad-vote-arithmetic", 1.0):
-        class Stub:
-            def __init__(self, v):
-                self.v = v
-
-            def decision(self, x):
-                return np.full(len(x), self.v)
-
-        ad = AdEnsemble(svms=[Stub(1.0)] * 31 + [Stub(-1.0)] * 9)
+        ad = AdEnsemble(svms=[constant_svm(1.0, 4)] * 31
+                        + [constant_svm(-1.0, 4)] * 9)
         inside, vote_sum = ad_vote(np.zeros((40, 4)), ad)
         assert vote_sum == 31 - 9 == 22
         assert inside is True

@@ -16,6 +16,10 @@ from moldesign.adomain import (
     rbf_kernel,
     scale_gamma,
 )
+from moldesign.gnn import GnnConfig, GnnEnsemble
+from moldesign.grammar import FragmentGrammar, enumerate_grammar
+
+from graph_helpers import constant_svm
 
 
 def gaussian_cloud(seed, n=100, d=4):
@@ -101,16 +105,9 @@ class TestFit:
         assert np.array_equal(svm.decision(q), clone.decision(q))
 
 
-class _StubSvm:
-    def __init__(self, value):
-        self.value = value
-
-    def decision(self, x):
-        return np.full(len(x), self.value)
-
-
 def stub_ensemble(signs):
-    return AdEnsemble(svms=[_StubSvm(1.0 if s > 0 else -1.0) for s in signs])
+    return AdEnsemble(svms=[constant_svm(1.0 if s > 0 else -1.0, 2)
+                            for s in signs])
 
 
 class TestVote:
@@ -131,7 +128,7 @@ class TestVote:
         assert ad_vote(np.zeros((1, 2)), ad) == (True, 1)
 
     def test_member_tie_counts_positive(self):
-        ad = AdEnsemble(svms=[_StubSvm(0.0)])
+        ad = AdEnsemble(svms=[constant_svm(0.0, 2)])
         assert ad_vote(np.zeros((1, 2)), ad) == (True, 1)
 
     def test_flip_changes_sum_by_two(self):
@@ -161,6 +158,28 @@ class TestVote:
         inside = np.array([clouds[0][0], clouds[1][0]])
         assert ad_vote(inside, ad) == (True, 2)
         assert ad_vote(inside[::-1], ad) == (False, -2)
+
+    def test_stacked_decisions_agree_with_one_row_decisions(self):
+        # K=40 members fitted on fingerprints of every tenth molecule of the
+        # n_dims=4 grammar, voting on all of its molecules: each stacked
+        # decision has the sign of OneClassSvm.decision on that one row
+        molecules = list(enumerate_grammar(FragmentGrammar(n_dims=4)).values())
+        ensemble = GnnEnsemble(n_models=40, config=GnnConfig(
+            hidden_dim=8, fp_dim=8, mlp_hidden=4), seed=0)
+        fps = ensemble.forward(molecules)[0]
+        ad = fit_ad_ensemble(list(fps[:, ::10]), nu=0.2)
+        assert len({len(svm.alphas) for svm in ad.svms}) > 1
+        n_inside = 0
+        for h in fps.transpose(1, 0, 2):
+            stacked = ad.decisions(h)
+            one_row = np.array([svm.decision(row[None])[0]
+                                for svm, row in zip(ad.svms, h)])
+            assert np.array_equal(stacked >= 0, one_row >= 0)
+            assert np.max(np.abs(stacked - one_row)) <= 1e-12
+            vote_sum = int(np.sum(np.where(one_row >= 0, 1, -1)))
+            assert ad_vote(h, ad) == (vote_sum > 0, vote_sum)
+            n_inside += vote_sum > 0
+        assert 0 < n_inside < len(molecules)
 
     def test_training_set_mostly_accepted(self):
         rng = np.random.default_rng(8)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from moldesign import loop
-from moldesign.adomain import ad_vote, fit_ad_ensemble, scale_gamma
+from moldesign.adomain import AdEnsemble, ad_vote, fit_ad_ensemble, \
+    scale_gamma
 from moldesign.gnn import GnnConfig, GnnEnsemble, PropertyPrediction
 from moldesign.grammar import (
     FragmentGrammar,
@@ -31,6 +32,9 @@ from moldesign.loop import (
     write_records,
 )
 from moldesign.molgraph import canonical_smiles, parse_smiles
+from moldesign.optimizers import DimensionMismatch
+
+from graph_helpers import constant_svm
 
 
 @pytest.fixture(scope="module")
@@ -59,21 +63,10 @@ class _StubEnsemble:
         return self.fingerprints(g), self.predict(g)
 
 
-class _StubAd:
-    def __init__(self, decisions):
-        self.svms = [_Member(d) for d in decisions]
-
-    @property
-    def n_members(self):
-        return len(self.svms)
-
-
-class _Member:
-    def __init__(self, value):
-        self.value = value
-
-    def decision(self, x):
-        return np.full(len(x), self.value)
+def stub_ad(decisions):
+    """An AD whose member k decides decisions[k] on _StubEnsemble's zero
+    fingerprints."""
+    return AdEnsemble(svms=[constant_svm(d, 4) for d in decisions])
 
 
 def make_ctx(grammar, ensemble=None, ad=None):
@@ -128,7 +121,7 @@ class TestEvaluate:
         assert rec.os == 17.0
 
     def test_ad_gate_applies_penalty(self, grammar):
-        ad = _StubAd([-1.0, -1.0, 1.0])
+        ad = stub_ad([-1.0, -1.0, 1.0])
         ctx = make_ctx(grammar, ad=ad)
         rec = evaluate_candidate(np.zeros(4), ctx)
         assert rec.penalty_applied
@@ -139,7 +132,7 @@ class TestEvaluate:
         assert ctx.n_unique == 0  # gated molecules do not spend budget
 
     def test_ad_pass_records_vote(self, grammar):
-        ad = _StubAd([1.0, 1.0, -1.0])
+        ad = stub_ad([1.0, 1.0, -1.0])
         ctx = make_ctx(grammar, ad=ad)
         rec = evaluate_candidate(np.zeros(4), ctx)
         assert rec.in_ad is True and rec.vote_sum == 1
@@ -155,7 +148,7 @@ class TestEvaluate:
         assert ctx.n_total == 2
 
     def test_same_cell_reuses_result(self, grammar):
-        ad = _StubAd([1.0, 1.0, -1.0])
+        ad = stub_ad([1.0, 1.0, -1.0])
         ctx = make_ctx(grammar, ad=ad)
         a = evaluate_candidate(np.full(4, 0.41), ctx)
         b = evaluate_candidate(np.full(4, 0.42), ctx)  # same cells
@@ -166,7 +159,7 @@ class TestEvaluate:
         assert (a.index, b.index) == (0, 1)
 
     def test_rejected_cell_stays_penalized(self, grammar):
-        ctx = make_ctx(grammar, ad=_StubAd([-1.0, -1.0, 1.0]))
+        ctx = make_ctx(grammar, ad=stub_ad([-1.0, -1.0, 1.0]))
         for _ in range(2):
             rec = evaluate_candidate(np.zeros(4), ctx)
             assert rec.penalty_applied and rec.score == PENALTY
@@ -394,10 +387,41 @@ class TestRun:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "8b2878a1800133c316ea97cb91e3d1b30ffe1de2b48e059b67b95f1f7ef21241")
 
+    def test_ga_records_with_ad_pinned(self, tmp_path, grammar,
+                                       tiny_ensemble):
+        # the same run through the AD vote: an AD fitted on the ensemble's
+        # fingerprints of every tenth enumerated molecule rejects some
+        # candidates, so in_ad and vote_sum take both signs
+        molecules = list(enumerate_grammar(grammar).values())
+        per_model = list(tiny_ensemble.forward(molecules[::10])[0])
+        ad = fit_ad_ensemble(per_model, nu=0.2,
+                             gamma=5.0 * scale_gamma(np.vstack(per_model)))
+        cfg = RunConfig(method="ga", seed=7, max_total=40, max_unique=1000)
+        records, _ = run(cfg, grammar, tiny_ensemble, ad=ad,
+                         bounds=(np.zeros(4), np.ones(4)))
+        assert 0 < sum(r.penalty_applied for r in records) < len(records)
+        path = tmp_path / "records.jsonl"
+        write_records(path, records)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "2ac92cd0bb766b9ec55f67073200d42c764e4bab3ceea10629e13f598985e161")
+
     def test_bo_needs_a_corpus(self, grammar, tiny_ensemble):
         cfg = RunConfig(method="bo", max_total=5, ad_enabled=False)
         with pytest.raises(ConfigError, match="corpus"):
             run(cfg, grammar, tiny_ensemble, bounds=(np.zeros(4), np.ones(4)))
+
+    @pytest.mark.parametrize("method", ["ga", "bo"])
+    @pytest.mark.parametrize("bounds", [(np.zeros(3), np.ones(3)),
+                                        (0.0, 1.0)], ids=["3-d", "scalar"])
+    def test_misshaped_bounds_are_a_dimension_mismatch(
+            self, grammar, tiny_ensemble, method, bounds):
+        # refused on entry, before the cell map or the PCA reads them; the
+        # CLI maps DimensionMismatch to exit 2, GrammarError to exit 1
+        corpus = [parse_smiles(s) for s in
+                  ["C", "CC", "CCO", "CC(C)O", "CCC", "COC"]]
+        cfg = RunConfig(method=method, max_total=5, ad_enabled=False)
+        with pytest.raises(DimensionMismatch, match="for dimension 4"):
+            run(cfg, grammar, tiny_ensemble, corpus=corpus, bounds=bounds)
 
     def test_replay_is_deterministic(self, grammar, tiny_ensemble):
         cfg = RunConfig(method="ga", seed=7, max_total=40, max_unique=1000,
@@ -419,7 +443,7 @@ class TestRecordIo:
 
     def test_ad_rejected_record_round_trips(self, tmp_path, grammar):
         # most members vote outside, so vote_sum is below 0
-        ctx = make_ctx(grammar, ad=_StubAd([-1.0, -1.0, 1.0]))
+        ctx = make_ctx(grammar, ad=stub_ad([-1.0, -1.0, 1.0]))
         rec = evaluate_candidate(np.zeros(4), ctx)
         assert rec.vote_sum == -1 and rec.penalty_applied
         path = tmp_path / "records.jsonl"
