@@ -112,7 +112,11 @@ def cmd_fit_ad(cfg, out):
         nus, gammas = [cfg.get("nu", 0.05)], [cfg.get("gamma", "scale")]
     _check_ad_hyperparams(nus, gammas)
     ensemble, _, _ = checkpoint.load_checkpoint(_required(cfg, "checkpoint"))
-    graphs = [g for g, _ in _read_samples(_required(cfg, "dataset"))]
+    dataset = _required(cfg, "dataset")
+    graphs = [g for g, _ in _read_samples(dataset)]
+    if len(graphs) < 2:
+        raise ConfigError("dataset %s holds %d valid distinct molecule(s); "
+                          "fit-ad needs at least 2" % (dataset, len(graphs)))
     per_model = list(ensemble.forward(graphs)[0])
 
     extra = {}   # an earlier fit's tables would be stale

@@ -19,11 +19,17 @@ Every matrix product runs per model and graph on the shapes a one-graph,
 one-model pass would use, and sums across graphs run in batch order, so a
 batched result equals the graph-at-a-time, model-at-a-time result bit for
 bit. Padding would not: BLAS orders its sums by the contracted dimension.
+
+train_ensemble trains the members at the same time, in processes forked
+from the caller, one per CPU up to one per member. Each member trains from
+its own seed on its own resample, as in one process, so the weights are
+the same bits either way.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +70,11 @@ class NonFiniteLoss(GnnError):
     def __init__(self, epoch):
         super().__init__("training loss became non-finite at epoch %d" % epoch)
         self.epoch = epoch
+
+    def __reduce__(self):
+        # rebuilt from the epoch, not the message, so that a training
+        # worker's error reaches the parent process as this type
+        return type(self), (self.epoch,)
 
 
 @dataclass(frozen=True)
@@ -469,16 +480,54 @@ def train_model(model, data, cfg=None):
 
 
 def train_ensemble(data, ensemble, cfg=None):
-    """Train each member on its own bootstrap resample.
+    """Train each member on its own bootstrap resample, in worker processes.
+
+    The members train in a pool of min(K, CPUs this process may run on)
+    processes forked from this one, each inheriting data, the members and
+    cfg. A worker runs train_model on the members it is handed and sends
+    back each one's weights and loss history; the weights are written into
+    the ensemble's stacks in place, in member order. A member's resample
+    and shuffles come from its own seed and no member reads another's
+    state, so the weights and histories are, bit for bit, those of training
+    the members one after another in this process. Each worker holds the
+    training state of the member it is on, and copies of the inherited
+    pages it touches.
 
     Returns per-model loss histories.
     """
+    import concurrent.futures
+    import multiprocessing
+
     cfg = cfg or TrainConfig()
     if not data:
         raise EmptyDataset("empty training set")
+    models = ensemble.models
+    workers = min(len(models), len(os.sched_getaffinity(0)))
     histories = []
-    n = len(data)
-    for model in ensemble.models:
-        idx = np.random.default_rng(model.seed).integers(0, n, size=n)
-        histories.append(train_model(model, [data[j] for j in idx], cfg))
+    with concurrent.futures.ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker, initargs=(data, models, cfg)) as pool:
+        trained = pool.map(_train_member, range(len(models)))
+        for model, (params, history) in zip(models, trained):
+            for k, v in params.items():
+                model.params[k][...] = v   # a view into the stacks
+            histories.append(history)
     return histories
+
+
+_worker_inputs = None   # (data, models, cfg), set only in a training worker
+
+
+def _start_worker(data, models, cfg):
+    global _worker_inputs
+    _worker_inputs = data, models, cfg
+
+
+def _train_member(i):
+    """(weights, loss history) of member i, trained in a worker."""
+    data, models, cfg = _worker_inputs
+    model = models[i]
+    n = len(data)
+    idx = np.random.default_rng(model.seed).integers(0, n, size=n)
+    history = train_model(model, [data[j] for j in idx], cfg)
+    return model.params, history

@@ -4,6 +4,8 @@ import json
 import logging
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -314,6 +316,66 @@ class TestTrainAndFit:
         assert "line 10: duplicate molecule CCO" in issues[0]
         assert issues[1].startswith("dataset: line 11: ")
         assert not recwarn.list
+
+    @pytest.mark.parametrize("rows", [["CCO,100,90,"],
+                                      ["CCO,100,90,", "OCC,101,91,",
+                                       "C(O)C,102,92,"]])
+    def test_fit_ad_needs_two_molecules(self, tmp_path, workdir, capsys,
+                                        rows):
+        # three spellings of one molecule: ingest keeps the first
+        data = tmp_path / "data.csv"
+        data.write_text("smiles,ron,mon,dcn\n" + "\n".join(rows) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": str(data),
+                                   "checkpoint": str(workdir / "gnn.ckpt")}))
+        rc = main(["fit-ad", "--config", str(cfg),
+                   "--out", str(tmp_path / "o.ckpt")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error[E_CONFIG]: dataset %s holds 1 valid distinct molecule(s); "
+            "fit-ad needs at least 2\n" % data)
+        assert not (tmp_path / "o.ckpt").exists()
+
+    def test_diverging_training_is_a_runtime_fault(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("smiles,ron,mon,dcn\nCCO,100,90,\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": str(data), "n_models": 2,
+                                   "train": {"epochs": 5,
+                                             "learning_rate": 1e300}}))
+        with np.errstate(all="ignore"):
+            rc = main(["train-gnn", "--config", str(cfg),
+                       "--out", str(tmp_path / "o.ckpt")])
+        assert rc == 2
+        assert capsys.readouterr().err.endswith(
+            "error[E_RUNTIME]: training loss became non-finite at epoch 2\n")
+        assert not (tmp_path / "o.ckpt").exists()
+
+    def test_every_member_logs_its_progress(self, tmp_path, workdir):
+        # the members train in worker processes, whose log lines reach
+        # the CLI's stderr too
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "dataset": str(workdir / "dataset.csv"), "n_models": 3,
+            "gnn": {"hidden_dim": 8, "fp_dim": 8, "mlp_hidden": 4},
+            "train": {"epochs": 10}}))
+        src = os.path.dirname(os.path.dirname(gnn.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "moldesign.cli", "train-gnn", "--config",
+             str(cfg), "--seed", "4", "--out", str(tmp_path / "o.ckpt")],
+            env=dict(os.environ, PYTHONPATH=src, MOLDESIGN_LOG="INFO"),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        losses = json.loads((tmp_path / "o.ckpt.losses.json").read_text())
+        lines = proc.stderr.splitlines()
+        expected = ["INFO:moldesign:model seed %d, epoch %d/10, loss %.6g"
+                    % (4 + k, e, history[e - 1])
+                    for k, history in enumerate(losses["loss_histories"])
+                    for e in range(1, 11)]
+        assert sorted(lines) == sorted(expected)
+        for k in range(3):   # each member's own lines stay in epoch order
+            own = [line for line in lines if "seed %d," % (4 + k) in line]
+            assert own == expected[10 * k:10 * k + 10]
 
     def test_malformed_checkpoint(self, tmp_path, workdir, capsys):
         bad = tmp_path / "bad.ckpt"

@@ -1,5 +1,10 @@
+import concurrent.futures
 import logging
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ from moldesign.gnn import (
     GnnConfigError,
     GnnEnsemble,
     GraphBatch,
+    NonFiniteLoss,
     PropertyPrediction,
     TrainConfig,
     TrainConfigError,
@@ -311,6 +317,95 @@ class TestTraining:
         w0 = ens.models[0].params["M2"]
         w1 = ens.models[1].params["M2"]
         assert not np.allclose(w0, w1)
+
+
+def train_in_turn(data, ens, cfg):
+    """The reference for train_ensemble: each member trained in this
+    process, one after another, on the same bootstrap resample."""
+    n = len(data)
+    histories = []
+    for model in ens.models:
+        idx = np.random.default_rng(model.seed).integers(0, n, size=n)
+        histories.append(train_model(model, [data[j] for j in idx], cfg))
+    return histories
+
+
+class _CountingPool(concurrent.futures.ProcessPoolExecutor):
+    """Records the worker processes of each pool as it shuts down."""
+
+    workers = []
+
+    def shutdown(self, *args, **kwargs):
+        self.workers.append(len(self._processes))
+        super().shutdown(*args, **kwargs)
+
+
+class TestWorkerTraining:
+    CFG = TrainConfig(epochs=4, learning_rate=4e-3, batch_size=5)
+
+    @pytest.fixture
+    def data(self, mixed_pool):
+        graphs = mixed_pool[:14]
+        return [(g, {"ron": float(i), "mon": None if i % 3 else 2.0 * i,
+                     "dcn": 1.0}) for i, g in enumerate(graphs)]
+
+    @pytest.mark.parametrize("n_models, cpus", [
+        (1, None), (3, None), (5, None), (3, {0}), (5, {0}), (3, range(8))])
+    def test_bit_identical_to_training_in_turn(self, data, monkeypatch,
+                                               n_models, cpus):
+        if cpus is not None:
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(cpus))
+        monkeypatch.setattr(_CountingPool, "workers", [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            _CountingPool)
+        ens = GnnEnsemble(n_models=n_models, config=SMALL, seed=5)
+        ref = GnnEnsemble(n_models=n_models, config=SMALL, seed=5)
+        histories = train_ensemble(data, ens, self.CFG)
+        assert _CountingPool.workers == [
+            min(n_models, len(os.sched_getaffinity(0)))]
+        assert histories == train_in_turn(data, ref, self.CFG)
+        for k, stack in ens._stack.items():
+            assert np.array_equal(stack, ref._stack[k])
+        # the ensemble's own pass runs on its stacks, so this shows the
+        # workers' weights reached them
+        graphs = [g for g, _ in data]
+        fps, outs = ens.forward(graphs)
+        batch = GraphBatch.of(graphs)
+        for fp, out, m in zip(fps, outs, ref.models):
+            ref_fp, _, _, ref_out = stacked_forward(
+                m.params, m.config.n_layers, batch)
+            assert np.array_equal(fp, ref_fp)
+            assert np.array_equal(out, ref_out)
+
+    def test_non_finite_loss_crosses_processes(self):
+        err = pickle.loads(pickle.dumps(NonFiniteLoss(3)))
+        assert type(err) is NonFiniteLoss
+        assert err.epoch == 3
+        assert str(err) == "training loss became non-finite at epoch 3"
+
+    def test_diverging_member_raises_in_the_parent(self):
+        data = [(parse_smiles("CCO"), {"ron": 100.0, "mon": 90.0,
+                                       "dcn": None})]
+        cfg = TrainConfig(epochs=5, learning_rate=1e300)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteLoss) as in_turn:
+                train_model(GNN(SMALL, seed=0), data, cfg)
+            with pytest.raises(NonFiniteLoss) as pooled:
+                train_ensemble(data, GnnEnsemble(2, SMALL, seed=0), cfg)
+        assert pooled.value.epoch == in_turn.value.epoch == 2
+        assert str(pooled.value) == str(in_turn.value)
+
+    def test_import_loads_no_process_pool(self):
+        # the pool's modules load when train_ensemble runs, not on import
+        script = ("import sys, moldesign; print(sorted(m for m in ("
+                  "'multiprocessing', 'concurrent.futures.process') "
+                  "if m in sys.modules))")
+        src = os.path.dirname(os.path.dirname(gnn.__file__))
+        out = subprocess.run([sys.executable, "-c", script], check=True,
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout.strip() == "[]"
 
 
 class TestTrainConfig:
