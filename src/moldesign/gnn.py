@@ -449,25 +449,29 @@ def train_model(model, data, cfg=None):
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n) if bs < n else np.arange(n)
         epoch_loss = 0.0
-        for lo in range(0, n, bs):
-            idx = order[lo:lo + bs]
-            loss, grads = model.loss_and_grad(
-                GraphBatch([arrays[i] for i in idx]), labels[idx], mask[idx])
-            if not np.isfinite(loss):
-                raise NonFiniteLoss(epoch)
-            epoch_loss += loss * mask[idx].sum()
-            step += 1
-            # cosine annealing of the step size to 0 over the run
-            lr = cfg.learning_rate * (
-                0.5 * (1.0 + np.cos(np.pi * (step - 1) / total_steps)))
-            for k in model.params:
-                m_state[k] = ADAM_BETA1 * m_state[k] \
-                    + (1 - ADAM_BETA1) * grads[k]
-                v_state[k] = ADAM_BETA2 * v_state[k] \
-                    + (1 - ADAM_BETA2) * grads[k] ** 2
-                m_hat = m_state[k] / (1 - ADAM_BETA1 ** step)
-                v_hat = v_state[k] / (1 - ADAM_BETA2 ** step)
-                model.params[k] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        # a diverging run overflows to inf and nan in the arithmetic;
+        # the finite-loss check below is its one report
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, n, bs):
+                idx = order[lo:lo + bs]
+                loss, grads = model.loss_and_grad(
+                    GraphBatch([arrays[i] for i in idx]), labels[idx],
+                    mask[idx])
+                if not np.isfinite(loss):
+                    raise NonFiniteLoss(epoch)
+                epoch_loss += loss * mask[idx].sum()
+                step += 1
+                # cosine annealing of the step size to 0 over the run
+                lr = cfg.learning_rate * (
+                    0.5 * (1.0 + np.cos(np.pi * (step - 1) / total_steps)))
+                for k in model.params:
+                    m_state[k] = ADAM_BETA1 * m_state[k] \
+                        + (1 - ADAM_BETA1) * grads[k]
+                    v_state[k] = ADAM_BETA2 * v_state[k] \
+                        + (1 - ADAM_BETA2) * grads[k] ** 2
+                    m_hat = m_state[k] / (1 - ADAM_BETA1 ** step)
+                    v_hat = v_state[k] / (1 - ADAM_BETA2 ** step)
+                    model.params[k] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         history.append(epoch_loss / mask.sum())
         if epoch % log_every == 0 or epoch == cfg.epochs:
             log.info("model seed %d, epoch %d/%d, loss %.6g",

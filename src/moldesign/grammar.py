@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .checks import as_box, check_keys, is_int, read_json
-from .molgraph import (MAX_VALENCE, MolecularGraph, _find, canonical_form,
-                       canonical_smiles)
+from .molgraph import (MAX_VALENCE, MolecularGraph, _find,
+                       canonical_form_trusted, canonical_smiles)
 
 log = logging.getLogger("moldesign")
 
@@ -282,12 +282,6 @@ def cell_map(grammar, bounds):
     return cells
 
 
-def decision_cells(z, grammar, bounds):
-    """The decision cell of each latent coordinate, as a list of ints:
-    cell_map(grammar, bounds) applied to z."""
-    return cell_map(grammar, bounds)(z)
-
-
 def cell_center(cells, grammar, bounds):
     """The latent point at the center of a decision cell sequence; missing
     trailing slots read as cell 0."""
@@ -299,7 +293,7 @@ def cell_center(cells, grammar, bounds):
 
 def decode(z, grammar, bounds):
     """Map a latent vector to a molecular graph. Total and deterministic."""
-    return decode_cells(decision_cells(z, grammar, bounds), grammar)
+    return decode_cells(cell_map(grammar, bounds)(z), grammar)
 
 
 def encode(g, grammar, bounds):
@@ -425,9 +419,13 @@ MAX_DEPTH = 19
 MAX_STATES = 10 ** 6
 
 
-def _form(atoms, bonds, _sums):
-    """A state's canonical SMILES and each atom's position in it."""
-    smiles, order = canonical_form(MolecularGraph(atoms, bonds))
+def _form(atoms, bonds, sums):
+    """A state's canonical SMILES and each atom's position in it.
+
+    The state comes from `_scaffold` or `_attach`, which build only valid
+    graphs and carry their bond-order sums, so it goes to the canonical
+    core through `canonical_form_trusted`, unchecked."""
+    smiles, order = canonical_form_trusted(atoms, bonds, sums)
     pos = [0] * len(order)
     for k, atom in enumerate(order):
         pos[atom] = k
@@ -442,15 +440,18 @@ def enumerate_grammar(grammar):
 
     The walk visits every legal decision prefix once, in cell order. It
     carries each state's canonical SMILES and each atom's position in that
-    string (`canonical_form`) and derives a child's from its parent's
-    (canonical augmentation, McKay 1998). Atoms matched by string position
-    map two graphs with one SMILES onto each other, and `_attach` appends
-    the fragment's atoms after the parent's and bonds its atom 0 to the
-    site, so two such parents with their sites at one string position give
+    string (`_form`) and derives a child's from its parent's (canonical
+    augmentation, McKay 1998). Atoms matched by string position map two
+    graphs with one SMILES onto each other, and `_attach` appends the
+    fragment's atoms after the parent's and bonds its atom 0 to the site,
+    so two such parents with their sites at one string position give
     isomorphic children under the same fragment. Children are therefore
     memoised on (parent SMILES, site position, cell), the parent's atoms
     indexed by position in the parent's string; a miss canonicalises the
-    child.
+    child. The scaffolds and the misses are the only states canonicalised,
+    each straight from its (atoms, bonds, bond-order sums) through
+    `canonical_form_trusted`, as the builder made them valid; a
+    MolecularGraph is built only for a molecule's first state.
 
     Raises TooLarge before the walk when it would take more than MAX_DEPTH
     attachments (min(n_dims, max_heavy_atoms) - 1, as each adds an atom;

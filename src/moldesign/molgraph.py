@@ -75,11 +75,7 @@ class MolecularGraph:
     @cached_property
     def adjacency(self):
         """List of (neighbor, order) per atom."""
-        adj = [[] for _ in self.atoms]
-        for u, v, order in self.bonds:
-            adj[u].append((v, order))
-            adj[v].append((u, order))
-        return [tuple(a) for a in adj]
+        return [tuple(a) for a in _neighbours(self.atoms, self.bonds)]
 
     def degree(self, i):
         return len(self.adjacency[i])
@@ -92,6 +88,15 @@ class MolecularGraph:
 
     def count(self, element):
         return sum(1 for a in self.atoms if a == element)
+
+
+def _neighbours(atoms, bonds):
+    """A list of (neighbor, order) pairs per atom."""
+    adj = [[] for _ in atoms]
+    for u, v, order in bonds:
+        adj[u].append((v, order))
+        adj[v].append((u, order))
+    return adj
 
 
 def validate(g):
@@ -300,6 +305,19 @@ def _kekulize(atoms, aromatic, bonds):
 # root subtrees with the same leaf strings. Exploring one atom per orbit
 # therefore keeps the minimum over all leaves exactly (McKay & Piperno
 # 2014, "Practical graph isomorphism, II").
+#
+# The core reads a graph as its atoms, its bonds (each pair once, either
+# way round), each atom's (neighbour, order) list and each atom's bond-order
+# sum, and it has two entries. `canonical_form` takes any MolecularGraph and
+# validates it first. `canonical_form_trusted` takes a state as the
+# grammar's builder makes it, (atoms, bonds, bond-order sums), and checks
+# nothing: `grammar._attach` bonds each new fragment by one bond to an
+# existing atom with enough free valence, so its states are connected, within
+# valence and hold each pair once, and it carries the sums `_validate`
+# would recompute. That entry builds only the neighbour lists, with no
+# MolecularGraph (bond normalisation, sort, cached adjacency) and no
+# validation. An acyclic graph is written in one DFS that appends to the
+# string as it goes (`_emit_tree`); a cyclic one by `_emit`.
 # ---------------------------------------------------------------------------
 
 def canonical_smiles(g):
@@ -310,19 +328,31 @@ def canonical_smiles(g):
 def canonical_form(g):
     """(canonical SMILES, order): order[k] is the atom the string writes k-th.
 
-    The smallest (string, order) pair `_emit` writes over the leaves of the
+    The smallest (string, order) pair written over the leaves of the
     refinement search; `_canonical_candidates` prunes branches that repeat a
     leaf set. Two graphs with one string are isomorphic, and matching their
     atoms by position in that string is an isomorphism: parsing the string
     gives one graph whose atom k is the k-th written, and each graph's
-    order maps onto it.
+    order maps onto it. An invalid graph raises MolGraphError.
     """
     verdict, sums = _validate(g)
     if verdict != OK:
         raise MolGraphError("cannot canonicalize invalid graph (%s)" % verdict)
+    return _canonical_core(g.atoms, g.bonds, g.adjacency, sums)
+
+
+def canonical_form_trusted(atoms, bonds, sums):
+    """canonical_form(MolecularGraph(atoms, bonds)) for a graph known valid,
+    with sums[i] atom i's bond-order sum, as every state `grammar._attach`
+    builds is. Nothing is checked: an invalid graph gives no defined
+    result."""
+    return _canonical_core(atoms, bonds, _neighbours(atoms, bonds), sums)
+
+
+def _canonical_core(atoms, bonds, adjacency, sums):
     init = [(a, len(nbrs), total, MAX_VALENCE[a] - total)
-            for a, nbrs, total in zip(g.atoms, g.adjacency, sums)]
-    return min(_canonical_candidates(g, _rank(init)))
+            for a, nbrs, total in zip(atoms, adjacency, sums)]
+    return min(_canonical_candidates(atoms, bonds, adjacency, _rank(init)))
 
 
 def _rank(keys):
@@ -331,7 +361,7 @@ def _rank(keys):
     return [pos[k] for k in keys]
 
 
-def _refine(g, ranks):
+def _refine(adjacency, ranks):
     """Split cells by their neighbours' (order, rank) multisets until stable.
 
     A neighbour is the int order * (n + 1) + rank, which sorts like the
@@ -339,8 +369,7 @@ def _refine(g, ranks):
     splits into consecutive ranks; an atom alone in its cell needs no
     signature, and a ranking without ties is already stable.
     """
-    m = g.n_atoms + 1
-    adjacency = g.adjacency
+    m = len(adjacency) + 1
     while True:
         counts = [0] * m
         for r in ranks:
@@ -380,31 +409,32 @@ def _find(parent, i):
     return i
 
 
-def _canonical_candidates(g, ranks):
-    """`_emit`'s (string, order) of each leaf the pruned search reaches; the
+def _canonical_candidates(atoms, bonds, adjacency, ranks):
+    """The (string, order) each leaf the pruned search reaches writes; the
     min is canonical.
 
     A leaf is a refined ranking with no ties. An acyclic graph is its own
     universal cover, so colour refinement of the tree (atoms, bond orders
     and individualised atoms as colours) computes its orbit partition:
     every tied cell is one orbit, and one branch per level reaches a leaf
-    with the minimal string. On a cyclic graph refinement can tie atoms of
-    different orbits, so the search learns automorphisms instead: a leaf
-    whose relabelled bond set equals an earlier leaf's maps onto it by an
-    automorphism that fixes their common ancestor's individualised atoms.
-    (Elements need no check: every leaf gives each rank the same element,
-    as ranks only ever split the initial element-first key in order.) That
-    leaf is not emitted, the search returns to the common ancestor, and the
-    map's orbits are merged at that node and every node above it; a cell
-    atom in the orbit of an explored one is skipped.
+    with the minimal string, which `_emit_tree` writes. On a cyclic graph
+    refinement can tie atoms of different orbits, so the search learns
+    automorphisms instead: a leaf whose relabelled bond set equals an
+    earlier leaf's maps onto it by an automorphism that fixes their common
+    ancestor's individualised atoms. (Elements need no check: every leaf
+    gives each rank the same element, as ranks only ever split the initial
+    element-first key in order.) That leaf is not emitted, the search
+    returns to the common ancestor, and the map's orbits are merged at that
+    node and every node above it; a cell atom in the orbit of an explored
+    one is skipped.
     """
-    n = g.n_atoms
-    ranks = _refine(g, ranks)
-    if len(g.bonds) == n - 1:
+    n = len(atoms)
+    ranks = _refine(adjacency, ranks)
+    if len(bonds) == n - 1:
         while max(ranks) < n - 1:
             atom = _first_tied_cell(ranks)[0]
-            ranks = _refine(g, _individualise(ranks, atom))
-        return [_emit(g, ranks)]
+            ranks = _refine(adjacency, _individualise(ranks, atom))
+        return [_emit_tree(atoms, adjacency, ranks)]
 
     leaves = {}     # relabelled bond set -> (path, ranks) of its first leaf
     forms = []
@@ -417,10 +447,10 @@ def _canonical_candidates(g, ranks):
         if max(ranks) == n - 1:
             key = frozenset((ranks[u], ranks[v], order) if ranks[u] < ranks[v]
                             else (ranks[v], ranks[u], order)
-                            for u, v, order in g.bonds)
+                            for u, v, order in bonds)
             if key not in leaves:
                 leaves[key] = (path, ranks)
-                forms.append(_emit(g, ranks))
+                forms.append(_emit(atoms, adjacency, ranks))
                 return None
             first_path, first_ranks = leaves[key]
             atom_at = [0] * n
@@ -443,7 +473,7 @@ def _canonical_candidates(g, ranks):
             if _find(parent, atom) in {_find(parent, a) for a in explored}:
                 continue
             explored.add(atom)
-            back = search(_refine(g, _individualise(ranks, atom)),
+            back = search(_refine(adjacency, _individualise(ranks, atom)),
                           path + [atom])
             if back is not None and back < depth:
                 break
@@ -456,13 +486,17 @@ def _canonical_candidates(g, ranks):
     return forms
 
 
-def _emit(g, ranks):
+def _emit(atoms, adjacency, ranks):
     """Write SMILES by DFS from the rank-0 atom, neighbors in rank order.
 
     Returns (string, atoms in visit order), which is the order the string
-    writes them."""
-    n = g.n_atoms
-    nbrs = [sorted(adj, key=lambda e: ranks[e[0]]) for adj in g.adjacency]
+    writes them. The DFS first finds the tree and the ring closures, each
+    numbered when the later of its atoms is reached; a second pass renders
+    the tree with each atom's closure digits. `_emit_tree` writes an
+    acyclic graph, which has no closures, with the same result in one
+    pass."""
+    n = len(atoms)
+    nbrs = [sorted(adj, key=lambda e: ranks[e[0]]) for adj in adjacency]
     visited = [False] * n
     written = []
     children = [[] for _ in range(n)]
@@ -494,7 +528,7 @@ def _emit(g, ranks):
     visit(start, -1)
 
     def render(v, bond_order):
-        s = _BOND_SYMS[bond_order] + g.atoms[v]
+        s = _BOND_SYMS[bond_order] + atoms[v]
         for d, order in sorted(ring_at[v]):
             s += _BOND_SYMS[order] + str(d)
         kids = children[v]
@@ -506,3 +540,30 @@ def _emit(g, ranks):
         return s
 
     return render(start, 1), written
+
+
+def _emit_tree(atoms, adjacency, ranks):
+    """`_emit` for an acyclic graph, in one DFS. With no ring closures an
+    atom's text is its bond symbol and element, then its children's in
+    rank order, each but the last in parentheses, so the string is
+    appended to as the atoms are visited."""
+    out = []
+    written = []
+
+    def visit(v, parent):
+        written.append(v)
+        kids = sorted([(ranks[u], u, order) for u, order in adjacency[v]
+                       if u != parent])
+        last = len(kids) - 1
+        for k, (_, u, order) in enumerate(kids):
+            if k < last:
+                out.append("(")
+            out.append(_BOND_SYMS[order] + atoms[u])
+            visit(u, v)
+            if k < last:
+                out.append(")")
+
+    start = ranks.index(0)
+    out.append(atoms[start])
+    visit(start, -1)
+    return "".join(out), written

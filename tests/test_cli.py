@@ -351,6 +351,26 @@ class TestTrainAndFit:
             "error[E_RUNTIME]: training loss became non-finite at epoch 2\n")
         assert not (tmp_path / "o.ckpt").exists()
 
+    def test_diverging_training_reports_only_its_error(self, tmp_path):
+        # the members diverge in worker processes, whose numpy overflow
+        # warnings would reach the CLI's stderr before the error line
+        data = tmp_path / "data.csv"
+        data.write_text("smiles,ron,mon,dcn\nCCO,100,90,\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": str(data), "n_models": 2,
+                                   "train": {"epochs": 5,
+                                             "learning_rate": 1e300}}))
+        src = os.path.dirname(os.path.dirname(gnn.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "moldesign.cli", "train-gnn", "--config",
+             str(cfg), "--out", str(tmp_path / "o.ckpt")],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="always"),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error[E_RUNTIME]: training loss became non-finite at epoch 2\n")
+        assert not (tmp_path / "o.ckpt").exists()
+
     def test_every_member_logs_its_progress(self, tmp_path, workdir):
         # the members train in worker processes, whose log lines reach
         # the CLI's stderr too

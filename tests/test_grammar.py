@@ -16,7 +16,7 @@ from moldesign.grammar import (
     NotExpressible,
     TooLarge,
     cell_center,
-    decision_cells,
+    cell_map,
     decode,
     decode_cells,
     encode,
@@ -47,7 +47,7 @@ class TestDecode:
         rng = np.random.default_rng(7)
         for _ in range(50):
             z = rng.uniform(0, 1, 4)
-            center = cell_center(decision_cells(z, small, unit_bounds), small,
+            center = cell_center(cell_map(small, unit_bounds)(z), small,
                                  unit_bounds)
             a = decode(z, small, unit_bounds)
             b = decode(center, small, unit_bounds)
@@ -76,7 +76,7 @@ class TestDecode:
 
 
 def scalar_cells(z, grammar, bounds):
-    """The slot-by-slot cell arithmetic decision_cells replaced."""
+    """The slot-by-slot cell arithmetic cell_map replaced."""
     lo, hi = bounds
     z = np.clip(np.nan_to_num(np.asarray(z, dtype=float), nan=0.0), lo, hi)
     cells = []
@@ -129,7 +129,7 @@ class TestCellArithmetic:
     @given(case=latent_in_box(FragmentGrammar(n_dims=4)))
     def test_vectorised_equals_scalar_loop(self, small, case):
         z, bounds = case
-        cells = decision_cells(z, small, bounds)
+        cells = cell_map(small, bounds)(z)
         assert cells == scalar_cells(z, small, bounds)
         assert all(type(c) is int for c in cells)
         assert np.array_equal(cell_center(cells, small, bounds),
@@ -137,7 +137,7 @@ class TestCellArithmetic:
 
     def test_nan_and_inf(self, small, unit_bounds):
         z = np.array([np.nan, np.inf, -np.inf, 0.5])
-        assert decision_cells(z, small, unit_bounds) == [0, 9, 0, 5]
+        assert cell_map(small, unit_bounds)(z) == [0, 9, 0, 5]
 
     def test_short_sequence_center_pads_with_stop(self, small, unit_bounds):
         assert np.array_equal(cell_center([2], small, unit_bounds),
@@ -147,7 +147,7 @@ class TestCellArithmetic:
                                         (np.zeros(3), np.ones(3))])
     def test_bounds_must_be_two_latent_arrays(self, small, bounds):
         with pytest.raises(GrammarError):
-            decision_cells(np.zeros(4), small, bounds)
+            cell_map(small, bounds)(np.zeros(4))
         with pytest.raises(GrammarError):
             cell_center([0], small, bounds)
 
@@ -267,7 +267,7 @@ class TestEnumerate:
         assert list(enumerate_grammar(FragmentGrammar(
             n_dims=300, fragments=(), scaffolds=("C", "CC"),
             max_heavy_atoms=300))) == ["C", "CC"]
-        monkeypatch.setattr(grammar_mod, "canonical_form", None)
+        monkeypatch.setattr(grammar_mod, "canonical_form_trusted", None)
         for n_dims, max_heavy, depth in [(300, 300, 299), (21, 21, 20),
                                          (21, 300, 20), (300, 21, 20)]:
             with pytest.raises(TooLarge, match="walk depth %d " % depth):
@@ -369,6 +369,26 @@ def reference_enumerate(grammar):
     return dict(sorted(found.items())), n_states
 
 
+def reference_first_paths(grammar):
+    """SMILES -> the first decision path, in preorder, at which the
+    unmemoised walk over every legal decision prefix builds it."""
+    first = {}
+
+    def walk(state, path, slots_left):
+        g = molgraph.MolecularGraph(state[0], state[1])
+        first.setdefault(canonical_smiles(g), path)
+        if slots_left == 0:
+            return
+        for c, frag in enumerate(grammar.fragments, start=1):
+            child = grammar_mod._attach(*state, frag, grammar.max_heavy_atoms)
+            if child is not None:
+                walk(child, path + [c], slots_left - 1)
+
+    for s, name in enumerate(grammar.scaffolds):
+        walk(_reference_scaffold(grammar, name), [s], grammar.n_dims - 1)
+    return first
+
+
 def assert_encodes_like_reference(g, grammar):
     try:
         expected = reference_encode_cells(g, grammar)
@@ -465,11 +485,12 @@ class TestAgainstReference:
         # state already built as C plus methyl and C plus hydroxyl.
         calls = []
 
-        def counting(g):
+        def counting(atoms, bonds, sums):
+            g = molgraph.MolecularGraph(atoms, bonds)
             calls.append((g.atoms, g.bonds))
-            return molgraph.canonical_form(g)
+            return molgraph.canonical_form_trusted(atoms, bonds, sums)
 
-        monkeypatch.setattr(grammar_mod, "canonical_form", counting)
+        monkeypatch.setattr(grammar_mod, "canonical_form_trusted", counting)
         enumerate_grammar(small)
         _, n_states = reference_enumerate(small)
         assert n_states == 1985
@@ -494,6 +515,36 @@ class TestAgainstReference:
         assert list(mols) == list(ref)
         for smi in ref:
             assert mols[smi] == ref[smi], smi
+
+    @settings(max_examples=200, deadline=None)
+    @given(grammar=random_grammars(), data=st.data())
+    def test_trusted_entry_equals_canonical_form(self, grammar, data):
+        # every state along a random decision path, as _attach builds it
+        path = [grammar_mod._scaffold(grammar, data.draw(
+            st.integers(0, len(grammar.scaffolds) - 1)))]
+        while len(path) < grammar.n_dims:
+            children = [child for child in (
+                grammar_mod._attach(*path[-1], f, grammar.max_heavy_atoms)
+                for f in grammar.fragments) if child is not None]
+            if not children:
+                break
+            path.append(data.draw(st.sampled_from(children)))
+        for atoms, bonds, sums in path:
+            assert molgraph.canonical_form_trusted(atoms, bonds, sums) \
+                == molgraph.canonical_form(molgraph.MolecularGraph(atoms,
+                                                                   bonds))
+
+    def test_encode_is_the_first_enumeration_path(self, small):
+        # encode's pruned walk stops where the unpruned one first builds
+        # g, and adds a stop while slots are left
+        first = reference_first_paths(small)
+        mols = enumerate_grammar(small)
+        assert list(mols) == sorted(first)
+        assert len(mols) == 643
+        for smiles, g in mols.items():
+            path = first[smiles]
+            assert encode_cells(g, small) == (
+                path + [0] if len(path) < small.n_dims else path), smiles
 
     def test_encode_equals_reference(self, small):
         # cells and NotExpressible alike, also where the grammar is too

@@ -11,7 +11,7 @@ from moldesign.adomain import AdEnsemble, ad_vote, fit_ad_ensemble, \
 from moldesign.gnn import GnnConfig, GnnEnsemble, PropertyPrediction
 from moldesign.grammar import (
     FragmentGrammar,
-    decision_cells,
+    cell_map,
     decode,
     decode_cells,
     enumerate_grammar,
@@ -601,7 +601,7 @@ class TestCellCache:
         counting = _CountingEnsemble(ensemble)
         cfg = RunConfig(method="ga", seed=2, max_total=300, max_unique=1000)
         records, _ = run(cfg, grammar, counting, ad=ad, bounds=bounds)
-        cells = {tuple(decision_cells(r.latent_full, grammar, bounds))
+        cells = {tuple(cell_map(grammar, bounds)(r.latent_full))
                  for r in records}
         graphs = {decode_cells(c, grammar) for c in cells}
         # one ensemble pass per distinct built graph

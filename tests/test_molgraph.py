@@ -245,7 +245,7 @@ def _reference_candidates(g, ranks):
         cells.setdefault(r, []).append(i)
     tied = [cells[r] for r in sorted(cells) if len(cells[r]) > 1]
     if not tied:
-        yield molgraph._emit(g, ranks)[0]
+        yield molgraph._emit(g.atoms, g.adjacency, ranks)[0]
         return
     for atom in tied[0]:
         branched = [2 * r for r in ranks]
@@ -308,6 +308,15 @@ class TestPrunedSearch:
         assert validate(g) == molgraph.OK
         assert canonical_smiles(g) == reference_canonical_smiles(g)
 
+    @settings(max_examples=200, deadline=None)
+    @given(g=co_trees(), data=st.data())
+    def test_one_pass_tree_writer(self, g, data):
+        # under any ranking without ties, the one-pass writer gives the
+        # two-pass writer's string and atom order
+        ranks = data.draw(st.permutations(range(g.n_atoms)))
+        assert molgraph._emit_tree(g.atoms, g.adjacency, ranks) \
+            == molgraph._emit(g.atoms, g.adjacency, ranks)
+
     @settings(max_examples=120, deadline=None)
     @given(smiles=st.sampled_from(CUBIC8), data=st.data())
     def test_cubic_graphs(self, smiles, data):
@@ -331,19 +340,23 @@ class TestPrunedSearch:
         g = parse_smiles(smiles)
         expected = reference_canonical_smiles(g)
         counts = {"leaves": 0, "emits": 0}
-        refine, emit = molgraph._refine, molgraph._emit
+        refine = molgraph._refine
 
-        def counting_refine(g, ranks):
-            ranks = refine(g, ranks)
+        def counting_refine(adjacency, ranks):
+            ranks = refine(adjacency, ranks)
             counts["leaves"] += len(set(ranks)) == len(ranks)
             return ranks
 
-        def counting_emit(g, ranks):
-            counts["emits"] += 1
-            return emit(g, ranks)
+        def counting(emit):
+            def counting_emit(*args):
+                counts["emits"] += 1
+                return emit(*args)
+            return counting_emit
 
         monkeypatch.setattr(molgraph, "_refine", counting_refine)
-        monkeypatch.setattr(molgraph, "_emit", counting_emit)
+        for name in ("_emit", "_emit_tree"):
+            monkeypatch.setattr(molgraph, name,
+                                counting(getattr(molgraph, name)))
         assert canonical_smiles(g) == expected
         assert counts == {"leaves": leaves, "emits": emits}
 
