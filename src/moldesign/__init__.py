@@ -2,12 +2,12 @@
 
 Pipeline: a deterministic fragment-grammar generator maps box-bounded
 latent vectors to small C/H/O molecules; a message-passing GNN ensemble
-predicts RON/MON/DCN; each member's one-class SVM, fit on that member's
-fingerprints, votes on whether a molecule lies in the applicability
-domain (only the optional hyperparameter grid search pools the members'
-fingerprints); Bayesian optimization or a genetic algorithm searches the
-latent box for molecules maximizing RON + OS = 2 RON - MON, and
-out-of-domain candidates score a fixed -1000.
+predicts RON/MON/DCN; each member's one-class SVM, fit (and, with the
+optional grid search, selected) on that member's fingerprints, votes on
+whether a molecule lies in the applicability domain; Bayesian
+optimization or a genetic algorithm searches the latent box for molecules
+maximizing RON + OS = 2 RON - MON, and out-of-domain candidates score a
+fixed -1000.
 """
 
 from .adomain import AdEnsemble, OneClassSvm, ad_vote, fit_ad_ensemble, fit_svm

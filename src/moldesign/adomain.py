@@ -16,6 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .checks import repeated
+
 log = logging.getLogger("moldesign")
 
 SVM_TOL = 1e-6            # SMO stops once the KKT gap is below this
@@ -230,27 +232,36 @@ def fit_ad_ensemble(per_model_fingerprints, nu=0.05, gamma="scale"):
 
 
 def grid_search_hyperparams(fingerprints, gammas, nus):
-    """Fit an SVM at every (gamma, nu) of the grid and pick hyperparameters.
+    """Fit an SVM at every (gamma, nu) of the grid on one member's
+    fingerprints and pick one of those fits.
 
     nu is 0.05 if nus holds it, and otherwise nus[0]; the other nu values
     only fill the table. gamma follows the plateau rule: in nu's column,
     walk gamma downward and select the smallest gamma whose support-vector
     count sits within GRID_PLATEAU of the count at the next-smaller gamma,
-    or the smallest gamma when none does.
+    or the smallest gamma when none does. "scale" is scale_gamma of these
+    fingerprints. A repeated nu or gamma raises AdError, as a repeat would
+    pair with itself as a plateau.
 
-    Returns (gamma, nu, table) where table rows are dicts with keys
-    gamma, nu, n_support_vectors, outlier_fraction.
+    Returns (svm, table): svm is the grid's fit at the selected point, and
+    table rows are dicts with keys gamma, gamma_raw, nu, n_support_vectors
+    and outlier_fraction.
     """
     if not gammas or not nus:
         raise AdError("empty hyperparameter grid")
+    for name, values in (("gamma", gammas), ("nu", nus)):
+        repeats = repeated(values)
+        if repeats:
+            raise AdError("repeated %s %r in the grid" % (name, repeats[0]))
     x = np.asarray(fingerprints, dtype=float)
     resolved = [(g, scale_gamma(x) if g == "scale" else float(g)) for g in gammas]
 
-    table = []
+    svms, table = [], []
     for raw, gval in resolved:
         for nu in nus:
             svm = fit_svm(x, nu=nu, gamma=gval)
             outliers = int(np.sum(svm.decision(x) < 0))
+            svms.append(svm)
             table.append({
                 "gamma": gval,
                 "gamma_raw": raw,
@@ -260,10 +271,9 @@ def grid_search_hyperparams(fingerprints, gammas, nus):
             })
 
     nu_sel = 0.05 if 0.05 in nus else nus[0]
-    col = sorted((row for row in table if row["nu"] == nu_sel),
-                 key=lambda r: -r["gamma"])
-    candidates = [hi["gamma"] for hi, lo in zip(col, col[1:])
-                  if abs(hi["n_support_vectors"] - lo["n_support_vectors"])
-                  <= GRID_PLATEAU * max(lo["n_support_vectors"], 1)]
-    selected = min(candidates) if candidates else col[-1]["gamma"]
-    return selected, nu_sel, table
+    col = sorted((i for i, row in enumerate(table) if row["nu"] == nu_sel),
+                 key=lambda i: -table[i]["gamma"])
+    sv_counts = [table[i]["n_support_vectors"] for i in col]
+    plateau = [i for i, hi, lo in zip(col, sv_counts, sv_counts[1:])
+               if abs(hi - lo) <= GRID_PLATEAU * max(lo, 1)]
+    return svms[(plateau or col)[-1]], table

@@ -28,6 +28,11 @@ def is_real(x):
         and math.isfinite(x)
 
 
+def repeated(values):
+    """The entries of the list values that equal an earlier entry."""
+    return [v for i, v in enumerate(values) if v in values[:i]]
+
+
 def as_box(bounds, n, error):
     """bounds = (lo, hi) as float arrays; raises error unless both have
     shape (n,)."""

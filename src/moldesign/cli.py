@@ -18,7 +18,8 @@ import sys
 import time
 
 from . import adomain, checkpoint, dataio, gnn, loop
-from .checks import ConfigError, check_keys, is_int, is_real, read_json
+from .checks import (ConfigError, check_keys, is_int, is_real, read_json,
+                     repeated)
 from .grammar import FragmentGrammar, GrammarError, enumerate_grammar
 
 log = logging.getLogger("moldesign")
@@ -93,6 +94,11 @@ def _check_ad_hyperparams(nus, gammas):
     if not (isinstance(gammas, list) and gammas
             and all(g == "scale" or (is_real(g) and g > 0) for g in gammas)):
         raise ConfigError('each gamma must be "scale" or a finite number > 0')
+    for key, values in (("nu_grid", nus), ("gamma_grid", gammas)):
+        repeats = repeated(values)
+        if repeats:
+            raise ConfigError("config key %r repeats %s"
+                              % (key, json.dumps(repeats[0])))
 
 
 def cmd_fit_ad(cfg, out):
@@ -117,19 +123,22 @@ def cmd_fit_ad(cfg, out):
     if len(graphs) < 2:
         raise ConfigError("dataset %s holds %d valid distinct molecule(s); "
                           "fit-ad needs at least 2" % (dataset, len(graphs)))
-    per_model = list(ensemble.forward(graphs)[0])
+    per_model = ensemble.forward(graphs)[0]
 
-    extra = {}   # an earlier fit's tables would be stale
-    nu, gamma = nus[0], gammas[0]
+    # extra replaces an earlier fit's, whose tables would be stale
     if grid_search:
-        import numpy as np
-        pooled = np.vstack(per_model)
-        gamma, nu, table = adomain.grid_search_hyperparams(pooled, gammas, nus)
-        extra["ad_grid_search"] = {"selected_gamma": gamma, "selected_nu": nu,
-                                   "table": table}
-    ad = adomain.fit_ad_ensemble(per_model, nu=nu, gamma=gamma)
-    extra["ad_hyperparams"] = {"nu": nu, "gamma": gamma if gamma == "scale"
-                               else float(gamma)}
+        # each member picks its SVM from its own fingerprints
+        fits = [adomain.grid_search_hyperparams(fps, gammas, nus)
+                for fps in per_model]
+        ad = adomain.AdEnsemble(svms=[svm for svm, _ in fits])
+        extra = {"ad_grid_search": [
+            {"selected_gamma": svm.gamma, "selected_nu": svm.nu,
+             "table": table} for svm, table in fits]}
+    else:
+        nu, gamma = nus[0], gammas[0]
+        ad = adomain.fit_ad_ensemble(per_model, nu=nu, gamma=gamma)
+        extra = {"ad_hyperparams": {"nu": nu, "gamma": gamma if gamma == "scale"
+                                    else float(gamma)}}
     checkpoint.save_checkpoint(out, ensemble, ad=ad, extra=extra)
     print("wrote checkpoint %s (+%d SVMs)" % (out, ad.n_members))
 

@@ -54,8 +54,8 @@ class NoExpressibleMolecules(LoopError):
 class RunConfig:
     """What one run varies. The rest is fixed: GA searches the full latent
     box with the optimizers.GA_* settings, BO the PCA space of the corpus
-    (optimizers.PCA_TARGET_RATIO) with run_bo's defaults, and each box is
-    widened by BOUND_EXPANSION of its span."""
+    (optimizers.PCA_TARGET_RATIO) with the optimizers.BO_* settings, and
+    each box is widened by BOUND_EXPANSION of its span."""
     method: str = "ga"                  # "bo" or "ga"
     seed: int = 0
     max_unique: int = 1000

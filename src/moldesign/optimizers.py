@@ -1,18 +1,18 @@
 """Black-box maximizers over a box: GP-based BO and a real-valued genetic
 algorithm, plus the PCA that the design loop fits to reduce BO's box.
 
-The BO surrogate is an exact GP with a Matern 5/2 kernel; batches of 10
-come from Thompson sampling on a uniform candidate cloud plus one
-expected-improvement maximizer, refined by N_RESTARTS pattern searches
-that run together, each round one batched EI call holding the rest of
-every search's current sweep (as BoTorch's optimize_acqf batches its
-restarts). The Thompson anchors are
-rows of the cloud, whose one posterior gives their covariance; the draws
-are kriged through its Cholesky factor (Rasmussen & Williams 2006, Alg.
-2.1). The GA keeps a population of 50 with the best 1% as elites, and
-breeds from a top-30% parent pool by uniform crossover (probability 0.5)
-and per-gene uniform-resample mutation (probability 0.1); the GA_*
-constants fix these values.
+BO starts from 10 uniform random points. Its surrogate is an exact GP
+with a Matern 5/2 kernel; batches of 10 come from Thompson sampling on a
+uniform candidate cloud plus one expected-improvement maximizer, refined
+by N_RESTARTS pattern searches that run together, each round one batched
+EI call holding the rest of every search's current sweep (as BoTorch's
+optimize_acqf batches its restarts). The Thompson anchors are rows of the
+cloud, whose one posterior gives their covariance; the draws are kriged
+through its Cholesky factor (Rasmussen & Williams 2006, Alg. 2.1). The
+GA keeps a population of 50 with the best 1% as elites, and breeds from a
+top-30% parent pool by uniform crossover (probability 0.5) and per-gene
+uniform-resample mutation (probability 0.1). The BO_* and GA_* constants
+fix these values.
 """
 
 from __future__ import annotations
@@ -47,6 +47,11 @@ GA_PARENTS_PORTION = 0.3
 # the objective has not seen: every child then repeats a scored point, so
 # the loop's budget of new records can never be reached
 GA_STALL_GENERATIONS = 1000
+
+# run_bo: the uniform random points before the first GP fit, and the
+# points each propose_batch call adds
+BO_INIT_POINTS = 10
+BO_BATCH_SIZE = 10
 
 # propose_batch: the uniform candidate cloud, the rank limit of its
 # Thompson draws, and the pattern-search starts of its EI refinement
@@ -436,7 +441,7 @@ def run_ga(objective, bounds, n_dims, stop, seed=0):
         genes = ga_step(genes, fits, (lo, hi), rng)
 
 
-def run_bo(objective, bounds, n_dims, stop, seed=0, n_init=10, batch_size=10):
+def run_bo(objective, bounds, n_dims, stop, seed=0):
     """Bayesian optimization over the box bounds = (lo, hi), two arrays of
     shape (n_dims,); penalized scores (PENALTY_SCORE) are logged but kept
     out of the GP training set."""
@@ -451,7 +456,7 @@ def run_bo(objective, bounds, n_dims, stop, seed=0, n_init=10, batch_size=10):
         history.scores.append(score)
         return score
 
-    for z in rng.uniform(lo, hi, size=(n_init, n_dims)):
+    for z in rng.uniform(lo, hi, size=(BO_INIT_POINTS, n_dims)):
         if stop_fn(len(history)):
             return history
         evaluate(z)
@@ -463,9 +468,9 @@ def run_bo(objective, bounds, n_dims, stop, seed=0, n_init=10, batch_size=10):
         if ok.sum() >= 2:
             sv, ls, nv = default_gp_params(pts[ok], scores[ok])
             surrogate = gp_fit(pts[ok], scores[ok], sv, ls, nv)
-            batch = propose_batch(surrogate, (lo, hi), batch_size, rng)
+            batch = propose_batch(surrogate, (lo, hi), BO_BATCH_SIZE, rng)
         else:
-            batch = list(rng.uniform(lo, hi, size=(batch_size, n_dims)))
+            batch = list(rng.uniform(lo, hi, size=(BO_BATCH_SIZE, n_dims)))
         for z in batch:
             if stop_fn(len(history)):
                 return history

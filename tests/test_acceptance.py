@@ -198,7 +198,7 @@ def test_bo_branin_benchmark():
         for seed in range(10):
             hist = run_bo(lambda z: -float(branin(z[0], z[1])),
                           (np.array([-5.0, 0.0]), np.array([10.0, 15.0])),
-                          2, stop=60, seed=seed, n_init=10, batch_size=10)
+                          2, stop=60, seed=seed)
             assert len(hist) == 60
             wins += max(hist.scores) >= oracle - 0.5
         assert wins >= 8

@@ -197,25 +197,44 @@ class TestGridSearch:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((80, 4))
         gammas = [0.5, 0.1, 0.01, 0.005, 0.001, "scale"]
-        gamma, nu, table = grid_search_hyperparams(x, gammas, [0.5, 0.1, 0.05])
-        assert nu == 0.05
-        assert gamma <= scale_gamma(x)
+        svm, table = grid_search_hyperparams(x, gammas, [0.5, 0.1, 0.05])
+        assert svm.nu == 0.05
+        assert svm.gamma <= scale_gamma(x)
 
     def test_sv_fraction_at_least_nu(self):
         x = gaussian_cloud(5, n=60)
-        _, _, table = grid_search_hyperparams(x, [0.5, 0.1, "scale"],
-                                              [0.5, 0.1, 0.05])
+        _, table = grid_search_hyperparams(x, [0.5, 0.1, "scale"],
+                                           [0.5, 0.1, 0.05])
         for row in table:
             assert row["n_support_vectors"] / 60 >= row["nu"] - 0.02
 
     def test_single_gamma_selected(self):
         x = gaussian_cloud(6, n=50)
-        gamma, _, _ = grid_search_hyperparams(x, [0.25], [0.05])
-        assert gamma == 0.25
+        svm, _ = grid_search_hyperparams(x, [0.25], [0.05])
+        assert svm.gamma == 0.25
 
     def test_empty_grid(self):
         with pytest.raises(AdError):
             grid_search_hyperparams(gaussian_cloud(0), [], [0.05])
+
+    @pytest.mark.parametrize("gammas,nus,repeat", [
+        ([0.5, 0.1, 0.01, 0.005, 0.001], [0.05, 0.05], "nu 0.05"),
+        ([0.5, 0.1, 0.5], [0.05], "gamma 0.5"),
+        (["scale", 0.1, "scale"], [0.1, 0.05], "gamma 'scale'"),
+    ])
+    def test_repeated_value_refused(self, gammas, nus, repeat):
+        # a repeat pairs with itself as a plateau: [0.05, 0.05] picked
+        # gamma 0.001 where [0.05] picks 0.01
+        x = np.random.default_rng(0).standard_normal((80, 4))
+        with pytest.raises(AdError, match="repeated %s" % repeat):
+            grid_search_hyperparams(x, gammas, nus)
+
+    @pytest.mark.parametrize("gamma", ["scale", 0.1])
+    def test_one_point_grid_is_fit_svm(self, gamma):
+        x = gaussian_cloud(9, n=60)
+        svm, [row] = grid_search_hyperparams(x, [gamma], [0.1])
+        assert svm.to_state() == fit_svm(x, 0.1, gamma).to_state()
+        assert row["gamma_raw"] == gamma and row["gamma"] == svm.gamma
 
 
 class TestKernel:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import json
 import logging
@@ -10,10 +11,12 @@ import sys
 import numpy as np
 import pytest
 
-from moldesign import gnn, loop
-from moldesign.checkpoint import load_checkpoint
+from moldesign import adomain, gnn, loop
+from moldesign.checkpoint import load_checkpoint, save_checkpoint
 from moldesign.cli import COMMANDS, main
+from moldesign.dataio import ingest_dataset
 from moldesign.grammar import FragmentGrammar, enumerate_grammar
+from moldesign.molgraph import parse_smiles
 
 DATASET = """smiles,ron,mon,dcn
 C,120,118,
@@ -59,6 +62,30 @@ def workdir(tmp_path_factory):
                "--out", str(d / "full.ckpt")])
     assert rc == 0
     return d
+
+
+@pytest.fixture(scope="module")
+def untrained(tmp_path_factory):
+    """The fixture dataset and an untrained, saved three-member ensemble,
+    so fit-ad's output depends on no training run."""
+    d = tmp_path_factory.mktemp("untrained")
+    (d / "dataset.csv").write_text(DATASET)
+    save_checkpoint(str(d / "gnn.ckpt"), gnn.GnnEnsemble(n_models=3, seed=0))
+    return d
+
+
+def fit_ad(d, out, **values):
+    """Run fit-ad on d's checkpoint and dataset with the config values."""
+    cfg = out.parent / (out.name + ".json")
+    cfg.write_text(json.dumps({"checkpoint": str(d / "gnn.ckpt"),
+                               "dataset": str(d / "dataset.csv"), **values}))
+    return main(["fit-ad", "--config", str(cfg), "--out", str(out)])
+
+
+# sha256 of the plain fit-ad checkpoint (nu 0.2, gamma "scale") of the
+# untrained fixture
+PLAIN_FIT_AD_SHA256 = \
+    "1cc51896e54bf3b2e1553d05c769a57e8ff46313f69ceb1a94ef19c084a68f5a"
 
 
 def _narrow(rows):
@@ -133,6 +160,57 @@ class TestTrainAndFit:
         assert ad is not None and ad.n_members == 2
         assert payload["extra"]["ad_hyperparams"]["nu"] == 0.2
 
+    def test_plain_fit_ad_checkpoint_pinned(self, untrained, tmp_path):
+        out = tmp_path / "plain.ckpt"
+        assert fit_ad(untrained, out, nu=0.2, gamma="scale") == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == PLAIN_FIT_AD_SHA256
+
+    def test_grid_fits_each_member_on_its_own_rows(self, untrained, tmp_path,
+                                                    monkeypatch):
+        rows = []
+        fit_svm = adomain.fit_svm
+
+        def spy(x, *args, **kwargs):
+            rows.append(len(x))
+            return fit_svm(x, *args, **kwargs)
+
+        monkeypatch.setattr(adomain, "fit_svm", spy)
+        assert fit_ad(untrained, tmp_path / "grid.ckpt", grid_search=True,
+                      nu_grid=[0.5, 0.1], gamma_grid=[0.1, "scale"]) == 0
+        # 3 members x 2 gammas x 2 nus, each on the 8 dataset rows
+        assert rows == [8] * 12
+
+    def test_grid_member_svm_is_its_own_grid_pick(self, untrained, tmp_path):
+        nus, gammas = [0.5, 0.1, 0.05], [0.5, 0.01, "scale"]
+        assert fit_ad(untrained, tmp_path / "grid.ckpt", grid_search=True,
+                      nu_grid=nus, gamma_grid=gammas) == 0
+        ensemble, ad, payload = load_checkpoint(str(tmp_path / "grid.ckpt"))
+        graphs = [parse_smiles(row.canonical) for row in
+                  ingest_dataset(str(untrained / "dataset.csv")).rows]
+        per_member = payload["extra"]["ad_grid_search"]
+        assert payload["extra"] == {"ad_grid_search": per_member}
+        assert len(per_member) == ad.n_members == 3
+        for fps, svm, member in zip(ensemble.forward(graphs)[0], ad.svms,
+                                    per_member):
+            own, table = adomain.grid_search_hyperparams(fps, gammas, nus)
+            assert svm.to_state() == own.to_state()
+            assert member == {"selected_gamma": own.gamma,
+                              "selected_nu": own.nu, "table": table}
+
+    @pytest.mark.parametrize("values,key", [
+        ({"nu_grid": [0.5, 0.05, 0.05]}, "nu_grid"),
+        ({"gamma_grid": [0.1, "scale", 0.1]}, "gamma_grid"),
+        ({"gamma_grid": ["scale", "scale"]}, "gamma_grid"),
+    ])
+    def test_repeated_grid_value_refused(self, untrained, tmp_path, capsys,
+                                         values, key):
+        out = tmp_path / "o.ckpt"
+        assert fit_ad(untrained, out, grid_search=True, **values) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[E_CONFIG]: config key %r repeats " % key)
+        assert not out.exists()
+
     def test_plain_refit_drops_grid_table(self, workdir, tmp_path):
         data = str(workdir / "dataset.csv")
         for src, out, values in (
@@ -146,7 +224,9 @@ class TestTrainAndFit:
             assert main(["fit-ad", "--config", str(cfg),
                          "--out", str(tmp_path / out)]) == 0
         grid = load_checkpoint(str(tmp_path / "grid.ckpt"))[2]["extra"]
-        assert grid["ad_grid_search"]["selected_nu"] == 0.5
+        assert len(grid["ad_grid_search"]) == 2
+        assert all(member["selected_nu"] == 0.5
+                   for member in grid["ad_grid_search"])
         refit = load_checkpoint(str(tmp_path / "refit.ckpt"))[2]["extra"]
         assert refit == {"ad_hyperparams": {"nu": 0.2, "gamma": "scale"}}
 

@@ -2,17 +2,34 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import moldesign
 
 DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "demos")
 
 
-def test_parse_and_enumerate_demo_runs():
+def run_demo(name):
+    """The finished process of one demo script, run on this package."""
     src = os.path.dirname(os.path.dirname(moldesign.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, os.path.join(DEMOS, "01_parse_and_enumerate.py")],
-        env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, os.path.join(DEMOS, name)],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_parse_and_enumerate_demo_runs():
+    out = run_demo("01_parse_and_enumerate.py")
     assert out.returncode == 0, out.stderr
     assert "OCC and CCO agree: True" in out.stdout.splitlines()
+
+
+@pytest.mark.parametrize("name,first_line", [
+    ("02_train_gnn_with_ad.py", "training on 215 of 643 molecules"),
+    ("03_design_loop.py",
+     "oracle best (in-domain): COC(O)(O)OC  score 147.05"),
+], ids=["02", "03"])
+def test_demo_runs(name, first_line):
+    out = run_demo(name)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[0] == first_line

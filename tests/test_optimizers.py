@@ -531,15 +531,14 @@ class TestDrivers:
 
     def test_run_bo_quadratic_2d(self):
         objective = lambda z: -float(np.sum((z - 0.5) ** 2))
-        hist = run_bo(objective, (np.zeros(2), np.ones(2)), 2, stop=40,
-                      seed=1, n_init=10, batch_size=10)
+        hist = run_bo(objective, (np.zeros(2), np.ones(2)), 2, stop=40, seed=1)
         assert len(hist) == 40
         assert max(hist.scores) > max(hist.scores[:10])
         assert max(hist.scores) > -0.01
 
     def test_run_bo_exact_budget(self):
         hist = run_bo(lambda z: float(z.sum()), (np.zeros(3), np.ones(3)), 3,
-                      stop=25, seed=2, n_init=10, batch_size=10)
+                      stop=25, seed=2)
         assert len(hist) == 25
         assert all(p.shape == (3,) for p in hist.points)
 
