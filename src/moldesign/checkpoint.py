@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from .adomain import AdEnsemble
-from .checks import read_json
+from .checks import is_int, read_json
 from .gnn import GnnEnsemble, GnnError
 
 CHECKPOINT_VERSION = 1
@@ -37,9 +37,9 @@ def save_checkpoint(path, ensemble, ad=None, extra=None):
 def load_checkpoint(path):
     """Returns (ensemble, ad-or-None, raw payload)."""
     payload = read_json(path)
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError("unsupported checkpoint version %r"
-                              % payload.get("version"))
+    version = payload.get("version")
+    if not is_int(version, 1) or version != CHECKPOINT_VERSION:
+        raise CheckpointError("unsupported checkpoint version %r" % version)
     if "gnn" not in payload:
         raise CheckpointError("checkpoint missing GNN section")
     try:

@@ -45,9 +45,10 @@ def as_box(bounds, n, error):
 
 def check_keys(cfg, keys, error, kind="config"):
     """Raise error unless the config object cfg has schema_version 1 (or
-    none) and no key outside keys other than schema_version."""
+    none), the integer, and no key outside keys other than
+    schema_version."""
     version = cfg.get("schema_version", 1)
-    if version != 1:
+    if not is_int(version, 1) or version != 1:
         raise error("unsupported %s schema %r" % (kind, version))
     for key in cfg:
         if key not in keys and key != "schema_version":

@@ -123,6 +123,10 @@ def cmd_fit_ad(cfg, out):
     if len(graphs) < 2:
         raise ConfigError("dataset %s holds %d valid distinct molecule(s); "
                           "fit-ad needs at least 2" % (dataset, len(graphs)))
+    if len(graphs) > adomain.SVM_MAX_ROWS:
+        raise ConfigError("dataset %s holds %d valid distinct molecules; "
+                          "fit-ad fits at most SVM_MAX_ROWS=%d"
+                          % (dataset, len(graphs), adomain.SVM_MAX_ROWS))
     per_model = ensemble.forward(graphs)[0]
 
     # extra replaces an earlier fit's, whose tables would be stale

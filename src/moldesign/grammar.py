@@ -438,9 +438,11 @@ def enumerate_grammar(grammar):
     Returns a dict canonical SMILES -> MolecularGraph; each value is the
     first graph built for that SMILES in decision order.
 
-    The walk visits every legal decision prefix once, in cell order. It
-    carries each state's canonical SMILES and each atom's position in that
-    string (`_form`) and derives a child's from its parent's (canonical
+    The walk visits every legal decision prefix once, in cell order,
+    trying at each state only the fragments whose atoms fit under
+    max_heavy_atoms (`_attach` would refuse the rest). It carries each
+    state's canonical SMILES and each atom's position in that string
+    (`_form`) and derives a child's from its parent's (canonical
     augmentation, McKay 1998). Atoms matched by string position map two
     graphs with one SMILES onto each other, and `_attach` appends the
     fragment's atoms after the parent's and bonds its atom 0 to the site,
@@ -456,20 +458,23 @@ def enumerate_grammar(grammar):
     Raises TooLarge before the walk when it would take more than MAX_DEPTH
     attachments (min(n_dims, max_heavy_atoms) - 1, as each adds an atom;
     none without fragments), and during it once it has built more than
-    MAX_STATES states.
+    MAX_STATES states. A DEBUG log line counts the states, the
+    attachments tried, the canonicalisations and the molecules.
     """
     depth = min(grammar.n_dims, grammar.max_heavy_atoms) - 1 \
         if grammar.fragments else 0
     if depth > MAX_DEPTH:
         raise TooLarge("walk depth %d exceeds cap %d" % (depth, MAX_DEPTH))
+    cap = grammar.max_heavy_atoms
+    fits = {}   # n -> the (cell, fragment) pairs that fit on n atoms
     found = {}
     # (SMILES, site position, cell) -> (SMILES, positions of the parent's
     # atoms in parent-string order, then of the fragment's atoms)
     children = {}
-    n_states = 0
+    n_states = n_attached = 0
 
     def walk(state, slots_left, smiles, pos):
-        nonlocal n_states
+        nonlocal n_states, n_attached
         n_states += 1
         if n_states > MAX_STATES:
             raise TooLarge("more than %d states built" % MAX_STATES)
@@ -478,8 +483,12 @@ def enumerate_grammar(grammar):
         if slots_left == 0:
             return
         n = len(pos)
-        for c, fragment in enumerate(grammar.fragments, start=1):
-            child = _attach(*state, fragment, grammar.max_heavy_atoms)
+        if n not in fits:
+            fits[n] = [(c, f) for c, f in enumerate(grammar.fragments, start=1)
+                       if n + len(_FRAGMENTS[f].atoms) <= cap]
+        for c, fragment in fits[n]:
+            n_attached += 1
+            child = _attach(*state, fragment, cap)
             if child is None:
                 continue
             # the bond _attach adds last joins the site to the fragment
@@ -497,7 +506,7 @@ def enumerate_grammar(grammar):
     for s in range(len(grammar.scaffolds)):
         state = _scaffold(grammar, s)
         walk(state, grammar.n_dims - 1, *_form(*state))
-    log.debug("enumerate_grammar: %d states built, %d canonicalisations, "
-              "%d molecules", n_states, len(grammar.scaffolds) + len(children),
-              len(found))
+    log.debug("enumerate_grammar: %d states built, %d attachments tried, "
+              "%d canonicalisations, %d molecules", n_states, n_attached,
+              len(grammar.scaffolds) + len(children), len(found))
     return dict(sorted(found.items()))

@@ -318,6 +318,12 @@ def _kekulize(atoms, aromatic, bonds):
 # MolecularGraph (bond normalisation, sort, cached adjacency) and no
 # validation. An acyclic graph is written in one DFS that appends to the
 # string as it goes (`_emit_tree`); a cyclic one by `_emit`.
+#
+# On a tree or a graph with one ring, refinement already splits the atoms
+# into orbits (`_canonical_candidates` gives the argument), so the search
+# is one branch per level and emits its first leaf. Only graphs with two
+# or more rings, where refinement can tie atoms of different orbits (the
+# cubic graphs of the tests), search and learn automorphisms (`_search`).
 # ---------------------------------------------------------------------------
 
 def canonical_smiles(g):
@@ -413,29 +419,44 @@ def _canonical_candidates(atoms, bonds, adjacency, ranks):
     """The (string, order) each leaf the pruned search reaches writes; the
     min is canonical.
 
-    A leaf is a refined ranking with no ties. An acyclic graph is its own
-    universal cover, so colour refinement of the tree (atoms, bond orders
-    and individualised atoms as colours) computes its orbit partition:
-    every tied cell is one orbit, and one branch per level reaches a leaf
-    with the minimal string, which `_emit_tree` writes. On a cyclic graph
-    refinement can tie atoms of different orbits, so the search learns
-    automorphisms instead: a leaf whose relabelled bond set equals an
-    earlier leaf's maps onto it by an automorphism that fixes their common
-    ancestor's individualised atoms. (Elements need no check: every leaf
-    gives each rank the same element, as ranks only ever split the initial
-    element-first key in order.) That leaf is not emitted, the search
-    returns to the common ancestor, and the map's orbits are merged at that
-    node and every node above it; a cell atom in the orbit of an explored
-    one is skipped.
+    A leaf is a refined ranking with no ties. Colour refinement (atoms,
+    bond orders and individualised atoms as colours) gives two atoms one
+    colour exactly when their universal covers are isomorphic. A tree is
+    its own cover. A graph with one ring (`len(bonds) == n`) has the ring
+    unrolled into a bi-infinite path as its cover, with the same finite
+    trees hanging at each period; an isomorphism of two such covers maps
+    the path onto itself, so it is a rotation or reflection of the ring
+    that carries the hanging trees, their colours and bond orders onto
+    each other: an automorphism. On both, then, every tied cell is one
+    orbit, and one branch per level reaches the leaf `_search` would emit
+    first and alone, written by `_emit_tree` for a tree and `_emit` for a
+    ring. A graph with two or more rings goes to `_search`, which learns
+    automorphisms, as refinement can tie atoms of different orbits there.
     """
     n = len(atoms)
     ranks = _refine(adjacency, ranks)
-    if len(bonds) == n - 1:
-        while max(ranks) < n - 1:
-            atom = _first_tied_cell(ranks)[0]
-            ranks = _refine(adjacency, _individualise(ranks, atom))
-        return [_emit_tree(atoms, adjacency, ranks)]
+    if len(bonds) > n:
+        return _search(atoms, bonds, adjacency, ranks)
+    while max(ranks) < n - 1:
+        atom = _first_tied_cell(ranks)[0]
+        ranks = _refine(adjacency, _individualise(ranks, atom))
+    emit = _emit_tree if len(bonds) < n else _emit
+    return [emit(atoms, adjacency, ranks)]
 
+
+def _search(atoms, bonds, adjacency, ranks):
+    """`_canonical_candidates` on refined ranks, searching below each tied
+    cell atom that is in no explored atom's orbit.
+
+    A leaf whose relabelled bond set equals an earlier leaf's maps onto it
+    by an automorphism that fixes their common ancestor's individualised
+    atoms. (Elements need no check: every leaf gives each rank the same
+    element, as ranks only ever split the initial element-first key in
+    order.) That leaf is not emitted, the search returns to the common
+    ancestor, and the map's orbits are merged at that node and every node
+    above it; a cell atom in the orbit of an explored one is skipped.
+    """
+    n = len(atoms)
     leaves = {}     # relabelled bond set -> (path, ranks) of its first leaf
     forms = []
     orbits = []     # union-find parents, one per node on the current path

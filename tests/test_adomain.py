@@ -42,6 +42,23 @@ class TestFit:
         assert msg.startswith(head)
         assert float(msg[len(head):].split()[0]) > 1e-6
 
+    def test_row_limit_refused_before_the_kernel(self, monkeypatch):
+        x = gaussian_cloud(0)
+        monkeypatch.setattr(adomain, "SVM_MAX_ROWS", 100)
+        fit_svm(x, nu=0.1)
+        monkeypatch.setattr(adomain, "SVM_MAX_ROWS", 99)
+        monkeypatch.setattr(adomain, "rbf_kernel", None)
+        with pytest.raises(AdError, match="100 fingerprint rows exceed "
+                                          "SVM_MAX_ROWS=99"):
+            fit_svm(x, nu=0.1)
+
+    def test_row_limit_is_a_kernel_size(self):
+        # the m x m float64 kernel of the most rows fits the byte budget,
+        # one more row does not
+        m = adomain.SVM_MAX_ROWS
+        assert 8 * m * m <= adomain.SVM_KERNEL_BYTES < 8 * (m + 1) ** 2
+        assert m == 10_000
+
     def test_dual_constraints(self):
         x = gaussian_cloud(0)
         svm = fit_svm(x, nu=0.1)

@@ -166,6 +166,23 @@ class TestTrainAndFit:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == PLAIN_FIT_AD_SHA256
 
+    def test_fit_ad_refuses_rows_past_the_svm_limit(self, untrained,
+                                                    tmp_path, capsys,
+                                                    monkeypatch):
+        # the fixture dataset holds 8 valid distinct molecules; the count
+        # is refused before the fingerprint pass
+        monkeypatch.setattr(adomain, "SVM_MAX_ROWS", 7)
+        monkeypatch.setattr(gnn.GnnEnsemble, "forward", None)
+        assert fit_ad(untrained, tmp_path / "o.ckpt") == 1
+        assert capsys.readouterr().err == (
+            "error[E_CONFIG]: dataset %s holds 8 valid distinct molecules; "
+            "fit-ad fits at most SVM_MAX_ROWS=7\n"
+            % (untrained / "dataset.csv"))
+        assert not (tmp_path / "o.ckpt").exists()
+        monkeypatch.undo()
+        monkeypatch.setattr(adomain, "SVM_MAX_ROWS", 8)
+        assert fit_ad(untrained, tmp_path / "o.ckpt") == 0
+
     def test_grid_fits_each_member_on_its_own_rows(self, untrained, tmp_path,
                                                     monkeypatch):
         rows = []
@@ -242,6 +259,23 @@ class TestTrainAndFit:
         err = capsys.readouterr().err
         assert "error[E_CONFIG]" in err
         assert "missing GNN section" in err
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_checkpoint_version_is_the_integer_one(self, tmp_path, workdir,
+                                                   capsys, version):
+        payload = json.loads((workdir / "full.ckpt").read_text())
+        payload["version"] = version
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text(json.dumps(payload))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"checkpoint": str(bad),
+                                   "dataset": str(workdir / "dataset.csv")}))
+        rc = main(["fit-ad", "--config", str(cfg),
+                   "--out", str(tmp_path / "o.ckpt")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error[E_CONFIG]: unsupported checkpoint version %r\n" % version)
+        assert not (tmp_path / "o.ckpt").exists()
 
     def test_missing_checkpoint_file(self, tmp_path, workdir, capsys):
         cfg = tmp_path / "cfg.json"
@@ -757,6 +791,22 @@ class TestConfigHandling:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "schema" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    @pytest.mark.parametrize("kind", ["config", "grammar"])
+    def test_schema_version_is_the_integer_one(self, tmp_path, workdir,
+                                               capsys, kind, version):
+        grammar = json.loads((workdir / "grammar.json").read_text())
+        cfg = {"grammar": str(tmp_path / "grammar.json")}
+        (cfg if kind == "config" else grammar)["schema_version"] = version
+        (tmp_path / "grammar.json").write_text(json.dumps(grammar))
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        rc = main(["enumerate", "--config", str(tmp_path / "cfg.json"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error[E_CONFIG]: unsupported %s schema %r\n" % (kind, version))
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command,key", [
         ("train-gnn", "dataset"), ("fit-ad", "checkpoint"),

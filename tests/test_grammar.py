@@ -273,6 +273,20 @@ class TestEnumerate:
             with pytest.raises(TooLarge, match="walk depth %d " % depth):
                 enumerate_grammar(grammar(n_dims, max_heavy))
 
+    def test_fragments_that_cannot_fit_are_not_tried(self, attach_calls):
+        # a cap far above any state's size costs nothing to look up
+        assert list(enumerate_grammar(FragmentGrammar(
+            n_dims=3, fragments=("methyl", "phenyl"), scaffolds=("CC",),
+            max_heavy_atoms=10 ** 12))) == [
+                "CC", "CC(C)C", "CC(C)C1=CC=CC=C1",
+                "CC(C1=CC=CC=C1)C2=CC=CC=C2", "CCC", "CCC1=CC=CC=C1"]
+        # at a cap of 3, a C-C state has room for a methyl, not a phenyl
+        attach_calls[0] = 0
+        assert list(enumerate_grammar(FragmentGrammar(
+            n_dims=3, fragments=("methyl", "phenyl"), scaffolds=("CC",),
+            max_heavy_atoms=3))) == ["CC", "CCC"]
+        assert attach_calls == [1]
+
     def test_too_many_states_refused(self, small, monkeypatch):
         # n_dims=4 builds 2,146 states
         monkeypatch.setattr(grammar_mod, "MAX_STATES", 2145)
@@ -504,7 +518,7 @@ class TestAgainstReference:
         with caplog.at_level(logging.DEBUG, logger="moldesign"):
             enumerate_grammar(small)
         assert [r.getMessage() for r in caplog.records] == [
-            "enumerate_grammar: 2146 states built, "
+            "enumerate_grammar: 2146 states built, 2169 attachments tried, "
             "1184 canonicalisations, 643 molecules"]
 
     @settings(max_examples=300, deadline=None)
@@ -683,6 +697,8 @@ class TestConfig:
         {"max_heavy_atom": 9},      # a typo of a field
         {"schema_version": 7},
         {"schema_version": "1"},
+        {"schema_version": True},
+        {"schema_version": 1.0},
     ])
     def test_bad_config_rejected(self, small, change):
         cfg = small.to_config()

@@ -292,6 +292,46 @@ def co_trees(draw, max_atoms=12):
     return permuted(g, draw(st.permutations(range(g.n_atoms))))
 
 
+@st.composite
+def one_ring_graphs(draw):
+    """A random connected C/O graph with exactly one ring, of 3-8 atoms,
+    randomly labelled. The ring repeats a unit of `period` ring atoms
+    with their bonds to the next ring atom and up to 8 branch atoms in
+    all, so a period shorter than the ring gives it rotations and
+    reflections. Ring bonds are single or double, branch bonds single to
+    triple."""
+    size = draw(st.integers(3, 8))
+    period = draw(st.sampled_from([d for d in range(1, size + 1)
+                                   if size % d == 0]))
+    copies = size // period
+    unit = [draw(st.sampled_from("CO")) for _ in range(period)]
+    # orders[j] bonds unit ring atom j to the next ring atom
+    orders = [1 if "O" in (unit[j], unit[(j + 1) % period])
+              else draw(st.integers(1, 2)) for j in range(period)]
+    free = [MAX_VALENCE[a] - orders[j - 1] - orders[j]
+            for j, a in enumerate(unit)]
+    branch_bonds = []
+    for _ in range(draw(st.integers(0, 8 // copies))):
+        open_atoms = [j for j in range(len(unit)) if free[j] > 0]
+        if not open_atoms:
+            break
+        parent = draw(st.sampled_from(open_atoms))
+        atom = draw(st.sampled_from("CO"))
+        order = draw(st.integers(1, min(3, free[parent], MAX_VALENCE[atom])))
+        branch_bonds.append((parent, len(unit), order))
+        unit.append(atom)
+        free.append(MAX_VALENCE[atom] - order)
+        free[parent] -= order
+    m = len(unit)
+    bonds = [(c * m + u, c * m + v, o)
+             for c in range(copies) for u, v, o in branch_bonds]
+    ring = [c * m + j for c in range(copies) for j in range(period)]
+    bonds += [(ring[p], ring[(p + 1) % size], orders[p % period])
+              for p in range(size)]
+    g = MolecularGraph(unit * copies, bonds)
+    return permuted(g, draw(st.permutations(range(g.n_atoms))))
+
+
 class TestPrunedSearch:
     """The pruned search gives the exhaustive search's string."""
 
@@ -307,6 +347,26 @@ class TestPrunedSearch:
     def test_trees(self, g):
         assert validate(g) == molgraph.OK
         assert canonical_smiles(g) == reference_canonical_smiles(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=one_ring_graphs())
+    def test_one_ring_graphs(self, g):
+        assert validate(g) == molgraph.OK and len(g.bonds) == g.n_atoms
+        assert canonical_smiles(g) == reference_canonical_smiles(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=one_ring_graphs())
+    def test_one_ring_descent_is_the_search(self, g):
+        # the one-branch descent's leaf is the one the search that learns
+        # automorphisms emits: the same string and the same atom order
+        def searching(atoms, bonds, adjacency, ranks):
+            return molgraph._search(atoms, bonds, adjacency,
+                                    molgraph._refine(adjacency, ranks))
+
+        form = molgraph.canonical_form(g)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(molgraph, "_canonical_candidates", searching)
+            assert molgraph.canonical_form(g) == form
 
     @settings(max_examples=200, deadline=None)
     @given(g=co_trees(), data=st.data())
@@ -325,14 +385,16 @@ class TestPrunedSearch:
         assert canonical_smiles(g) == reference_canonical_smiles(g)
 
     # (smiles, leaves, emits); the exhaustive search reaches and emits
-    # 24, 72, 72, 24, 12, 6 and 16 leaves on these
+    # 24, 72, 72, 24, 12, 6, 2 and 16 leaves on these. Trees and
+    # one-ring graphs take one branch per level; the cubic graph searches
     @pytest.mark.parametrize("smiles,leaves,emits", [
         ("CC(C)(C)C", 1, 1),
         ("CC(C)(C)C(C)(C)C", 1, 1),
         ("CC(C)(C)OC(C)(C)C", 1, 1),
         ("OC(O)(O)O", 1, 1),
-        ("C1CCCCC1", 3, 1),
-        ("C1=CC=CC=C1", 3, 1),
+        ("C1CCCCC1", 1, 1),
+        ("C1=CC=CC=C1", 1, 1),
+        ("CC1CCCCC1", 1, 1),
         ("C13C2C4C1C5C2C3C45", 4, 1),
     ])
     def test_search_cost_on_symmetric_molecules(self, smiles, leaves, emits,
@@ -375,6 +437,7 @@ def by_position(g, order):
 graphs = st.one_of(
     latents6.map(lambda z: decode(z, GRAMMAR6, UNIT6)),
     co_trees(),
+    one_ring_graphs(),
     st.sampled_from(CUBIC8).map(parse_smiles))
 
 
