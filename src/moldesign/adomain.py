@@ -24,9 +24,10 @@ log = logging.getLogger("moldesign")
 SVM_TOL = 1e-6            # SMO stops once the KKT gap is below this
 SVM_MAX_PASSES = 10 ** 5  # SMO pair updates before fit_svm gives up
 GRID_PLATEAU = 0.05       # grid_search_hyperparams' support-vector plateau
-# fit_svm holds the m x m float64 kernel of its m rows, 8 m^2 bytes (twice
-# that at rbf_kernel's peak), so it refuses more rows than fit in
-# SVM_KERNEL_BYTES: 10,000 rows, an 800 MB kernel
+# fit_svm holds the m x m float64 kernel of its m rows, 8 m^2 bytes, so it
+# refuses more rows than fit in SVM_KERNEL_BYTES: 10,000 rows, an 800 MB
+# kernel. rbf_kernel holds two m x m arrays at once while it builds the
+# kernel, so the fit peaks at twice that, near 1.6 GB at 10,000 rows
 SVM_KERNEL_BYTES = 8 * 10 ** 8
 SVM_MAX_ROWS = math.isqrt(SVM_KERNEL_BYTES // 8)
 
@@ -106,8 +107,8 @@ def fit_svm(fingerprints, nu=0.05, gamma="scale"):
         raise AdError("need at least 2 fingerprints")
     if len(x) > SVM_MAX_ROWS:
         raise AdError("%d fingerprint rows exceed SVM_MAX_ROWS=%d, the most "
-                      "whose kernel fits in %d bytes"
-                      % (len(x), SVM_MAX_ROWS, SVM_KERNEL_BYTES))
+                      "whose kernel fits in %d bytes (building it peaks at "
+                      "twice that)" % (len(x), SVM_MAX_ROWS, SVM_KERNEL_BYTES))
     if not (0 < nu <= 1):
         raise AdError("nu must be in (0, 1]")
     if np.allclose(x, x[0]):

@@ -212,9 +212,22 @@ def _scaffold(grammar, s):
     return atoms, list(bonds), list(sums)
 
 
-def _attach(atoms, bonds, bond_sums, fragment, max_heavy):
-    """Attach a fragment by its atom 0 to the lowest-index atom with enough
-    free valence that is not an O when atom 0 is an O.
+def _site(atoms, bond_sums, fragment):
+    """The atom a fragment attaches to: the lowest-index one with enough
+    free valence for the fragment's bond that is not an O when the
+    fragment's atom 0 is an O; None if no atom qualifies."""
+    frag = _FRAGMENTS[fragment]
+    no_o = frag.atoms[0] == "O"   # no O-O bonds
+    for site, a in enumerate(atoms):
+        if MAX_VALENCE[a] - bond_sums[site] >= frag.order \
+                and not (no_o and a == "O"):
+            return site
+    return None
+
+
+def _attach(atoms, bonds, bond_sums, fragment, max_heavy, site=None):
+    """Attach a fragment by its atom 0 to its `_site`, which a caller that
+    has looked it up already passes in.
 
     Returns the updated (atoms, bonds, bond_sums) state, or None if no atom
     qualifies or the heavy-atom cap would be exceeded.
@@ -223,13 +236,10 @@ def _attach(atoms, bonds, bond_sums, fragment, max_heavy):
     base = len(atoms)
     if base + len(frag_atoms) > max_heavy:
         return None
-    no_o = frag_atoms[0] == "O"   # no O-O bonds
-    for site, a in enumerate(atoms):
-        if MAX_VALENCE[a] - bond_sums[site] >= order \
-                and not (no_o and a == "O"):
-            break
-    else:
-        return None
+    if site is None:
+        site = _site(atoms, bond_sums, fragment)
+        if site is None:
+            return None
     bonds = list(bonds)
     for a, b, o in frag_bonds:
         bonds.append((base + a, base + b, o))
@@ -413,8 +423,9 @@ def encode_cells(g, grammar):
 
 # enumerate_grammar's limits: the most attachments on one decision path,
 # which keeps each molecule short enough to canonicalise quickly, and the
-# most states built. Any grammar with at most 10**6 decision sequences is
-# within both, as its n_dims is at most 20 or it has no fragments.
+# most states, one per legal decision prefix. Any grammar with at most
+# 10**6 decision sequences is within both, as its n_dims is at most 20 or
+# it has no fragments.
 MAX_DEPTH = 19
 MAX_STATES = 10 ** 6
 
@@ -438,8 +449,8 @@ def enumerate_grammar(grammar):
     Returns a dict canonical SMILES -> MolecularGraph; each value is the
     first graph built for that SMILES in decision order.
 
-    The walk visits every legal decision prefix once, in cell order,
-    trying at each state only the fragments whose atoms fit under
+    The walk counts every legal decision prefix once as a state, in cell
+    order, trying at each state only the fragments whose atoms fit under
     max_heavy_atoms (`_attach` would refuse the rest). It carries each
     state's canonical SMILES and each atom's position in that string
     (`_form`) and derives a child's from its parent's (canonical
@@ -450,16 +461,21 @@ def enumerate_grammar(grammar):
     isomorphic children under the same fragment. Children are therefore
     memoised on (parent SMILES, site position, cell), the parent's atoms
     indexed by position in the parent's string; a miss canonicalises the
-    child. The scaffolds and the misses are the only states canonicalised,
-    each straight from its (atoms, bonds, bond-order sums) through
+    child. The site is found (`_site`) before the child is built, and a
+    leaf child (one slot left) that hits the memo is counted but not
+    built: the entry was made just before the walk put that SMILES, with
+    its first graph, in the result, so the leaf adds nothing. The
+    scaffolds and the misses are the only states canonicalised, each
+    straight from its (atoms, bonds, bond-order sums) through
     `canonical_form_trusted`, as the builder made them valid; a
     MolecularGraph is built only for a molecule's first state.
 
     Raises TooLarge before the walk when it would take more than MAX_DEPTH
     attachments (min(n_dims, max_heavy_atoms) - 1, as each adds an atom;
-    none without fragments), and during it once it has built more than
+    none without fragments), and during it once it has counted more than
     MAX_STATES states. A DEBUG log line counts the states, the
-    attachments tried, the canonicalisations and the molecules.
+    attachments tried, the children built, the canonicalisations and the
+    molecules.
     """
     depth = min(grammar.n_dims, grammar.max_heavy_atoms) - 1 \
         if grammar.fragments else 0
@@ -471,28 +487,38 @@ def enumerate_grammar(grammar):
     # (SMILES, site position, cell) -> (SMILES, positions of the parent's
     # atoms in parent-string order, then of the fragment's atoms)
     children = {}
-    n_states = n_attached = 0
+    n_states = n_attached = n_built = 0
+    too_many = "more than %d states" % MAX_STATES
 
     def walk(state, slots_left, smiles, pos):
-        nonlocal n_states, n_attached
+        nonlocal n_states, n_attached, n_built
         n_states += 1
         if n_states > MAX_STATES:
-            raise TooLarge("more than %d states built" % MAX_STATES)
+            raise TooLarge(too_many)
         if smiles not in found:
             found[smiles] = MolecularGraph(state[0], state[1])
         if slots_left == 0:
             return
+        atoms, _, sums = state
         n = len(pos)
         if n not in fits:
             fits[n] = [(c, f) for c, f in enumerate(grammar.fragments, start=1)
                        if n + len(_FRAGMENTS[f].atoms) <= cap]
         for c, fragment in fits[n]:
             n_attached += 1
-            child = _attach(*state, fragment, cap)
-            if child is None:
+            site = _site(atoms, sums, fragment)
+            if site is None:
                 continue
-            # the bond _attach adds last joins the site to the fragment
-            memo = (smiles, pos[child[1][-1][0]], c)
+            memo = (smiles, pos[site], c)
+            if slots_left == 1 and memo in children:
+                # a known leaf: its SMILES went into found when the memo
+                # entry was made
+                n_states += 1
+                if n_states > MAX_STATES:
+                    raise TooLarge(too_many)
+                continue
+            n_built += 1
+            child = _attach(*state, fragment, cap, site)
             if memo not in children:
                 child_smiles, child_pos = _form(*child)
                 rel = [0] * n + child_pos[n:]
@@ -506,7 +532,8 @@ def enumerate_grammar(grammar):
     for s in range(len(grammar.scaffolds)):
         state = _scaffold(grammar, s)
         walk(state, grammar.n_dims - 1, *_form(*state))
-    log.debug("enumerate_grammar: %d states built, %d attachments tried, "
-              "%d canonicalisations, %d molecules", n_states, n_attached,
+    log.debug("enumerate_grammar: %d states, %d attachments tried, "
+              "%d children built, %d canonicalisations, %d molecules",
+              n_states, n_attached, n_built,
               len(grammar.scaffolds) + len(children), len(found))
     return dict(sorted(found.items()))

@@ -294,9 +294,10 @@ def _kekulize(atoms, aromatic, bonds):
 
 
 # ---------------------------------------------------------------------------
-# Canonicalization: colour refinement, then an individualisation search that
-# branches on one atom per automorphism orbit, then deterministic DFS
-# emission of a SMILES string from each leaf's ranks.
+# Canonicalization: colour refinement, then, for a graph with a ring, an
+# individualisation search that branches on one atom per automorphism orbit,
+# then deterministic DFS emission of a SMILES string from each leaf's ranks.
+# A tree is written from its refined ranks.
 #
 # The search tree is the one an exhaustive search would walk: each node
 # individualises one atom of its first tied cell and refines. Refinement
@@ -320,10 +321,12 @@ def _kekulize(atoms, aromatic, bonds):
 # string as it goes (`_emit_tree`); a cyclic one by `_emit`.
 #
 # On a tree or a graph with one ring, refinement already splits the atoms
-# into orbits (`_canonical_candidates` gives the argument), so the search
-# is one branch per level and emits its first leaf. Only graphs with two
-# or more rings, where refinement can tie atoms of different orbits (the
-# cubic graphs of the tests), search and learn automorphisms (`_search`).
+# into orbits (`_canonical_candidates` gives the argument). A tree's tied
+# atoms write the same text, so it is written from its refined ranks with
+# no individualisation; a one-ring graph's search is one branch per level
+# and emits its first leaf. Only graphs with two or more rings, where
+# refinement can tie atoms of different orbits (the cubic graphs of the
+# tests), search and learn automorphisms (`_search`).
 # ---------------------------------------------------------------------------
 
 def canonical_smiles(g):
@@ -334,9 +337,10 @@ def canonical_smiles(g):
 def canonical_form(g):
     """(canonical SMILES, order): order[k] is the atom the string writes k-th.
 
-    The smallest (string, order) pair written over the leaves of the
-    refinement search; `_canonical_candidates` prunes branches that repeat a
-    leaf set. Two graphs with one string are isomorphic, and matching their
+    A tree's pair is written from its refined ranks; a graph with a ring's
+    is the smallest written over the leaves of the individualisation search,
+    which `_canonical_candidates` prunes of branches that repeat a leaf set.
+    Two graphs with one string are isomorphic, and matching their
     atoms by position in that string is an isomorphism: parsing the string
     gives one graph whose atom k is the k-th written, and each graph's
     order maps onto it. An invalid graph raises MolGraphError.
@@ -370,26 +374,33 @@ def _rank(keys):
 def _refine(adjacency, ranks):
     """Split cells by their neighbours' (order, rank) multisets until stable.
 
-    A neighbour is the int order * (n + 1) + rank, which sorts like the
-    (order, rank) pair. Ties keep their relative order, so a cell only ever
-    splits into consecutive ranks; an atom alone in its cell needs no
-    signature, and a ranking without ties is already stable.
+    ranks must be dense, 0 to cells - 1, as `_rank` and `_individualise`
+    keep them. A neighbour is the int order * (n + 1) + rank, which sorts
+    like the (order, rank) pair. Ties keep their relative order, so a cell
+    only ever splits into consecutive ranks; an atom alone in its cell
+    needs no signature, and a ranking without ties is already stable. Each
+    key leads with its atom's rank, so a pass with as many distinct keys as
+    cells splits none and would give back the ranks it was given: it ends
+    the loop.
     """
-    m = len(adjacency) + 1
-    while True:
-        counts = [0] * m
+    n = len(ranks)
+    m = n + 1
+    cells = max(ranks) + 1
+    while cells < n:
+        counts = [0] * cells
         for r in ranks:
             counts[r] += 1
-        if max(counts) == 1:
-            return ranks
         keys = [(r, tuple(sorted([order * m + ranks[u]
                                   for u, order in adjacency[i]])))
                 if counts[r] > 1 else (r,)
                 for i, r in enumerate(ranks)]
-        new = _rank(keys)
-        if new == ranks:
-            return ranks
-        ranks = new
+        uniq = set(keys)
+        if len(uniq) == cells:
+            break
+        pos = {k: r for r, k in enumerate(sorted(uniq))}
+        ranks = [pos[k] for k in keys]
+        cells = len(uniq)
+    return ranks
 
 
 def _individualise(ranks, atom):
@@ -416,32 +427,48 @@ def _find(parent, i):
 
 
 def _canonical_candidates(atoms, bonds, adjacency, ranks):
-    """The (string, order) each leaf the pruned search reaches writes; the
-    min is canonical.
+    """The (string, order) pairs to take the min of: a tree's one, written
+    from its refined ranks, or those of the leaves the pruned search
+    reaches on a graph with a ring.
 
     A leaf is a refined ranking with no ties. Colour refinement (atoms,
     bond orders and individualised atoms as colours) gives two atoms one
-    colour exactly when their universal covers are isomorphic. A tree is
-    its own cover. A graph with one ring (`len(bonds) == n`) has the ring
-    unrolled into a bi-infinite path as its cover, with the same finite
-    trees hanging at each period; an isomorphism of two such covers maps
-    the path onto itself, so it is a rotation or reflection of the ring
-    that carries the hanging trees, their colours and bond orders onto
-    each other: an automorphism. On both, then, every tied cell is one
-    orbit, and one branch per level reaches the leaf `_search` would emit
-    first and alone, written by `_emit_tree` for a tree and `_emit` for a
-    ring. A graph with two or more rings goes to `_search`, which learns
-    automorphisms, as refinement can tie atoms of different orbits there.
+    colour exactly when their universal covers are isomorphic.
+
+    A tree (`len(bonds) < n`) is its own cover, so its refined cells are
+    its orbits (Immerman & Lander 1990), and `_emit_tree` writes it from
+    them with no individualisation. Every automorphism maps the tree's
+    centre (an atom or a bond) onto itself, so two tied neighbours of one
+    atom, being in one orbit, are equally far from it: neither lies towards
+    it. Swapping their branches, away from the atom, is then an
+    automorphism that fixes the atom, so the branches write the same text
+    over the same bond order to it. Any rank-0 atom starts the same string,
+    as all of them are in one orbit. Individualising down to a leaf only orders such tied
+    atoms, and keeps the order between cells, so it would write the same
+    string; `_emit_tree` puts tied atoms in index order, and its order
+    still maps the graph onto the string.
+
+    A graph with one ring (`len(bonds) == n`) has the ring unrolled into a
+    bi-infinite path as its cover, with the same finite trees hanging at
+    each period; an isomorphism of two such covers maps the path onto
+    itself, so it is a rotation or reflection of the ring that carries the
+    hanging trees, their colours and bond orders onto each other: an
+    automorphism. Every tied cell is one orbit, then, and one branch per
+    level reaches the leaf `_search` would emit first and alone, written
+    by `_emit`. A graph with two or more rings goes to `_search`, which
+    learns automorphisms, as refinement can tie atoms of different orbits
+    there.
     """
     n = len(atoms)
     ranks = _refine(adjacency, ranks)
+    if len(bonds) < n:
+        return [_emit_tree(atoms, adjacency, ranks)]
     if len(bonds) > n:
         return _search(atoms, bonds, adjacency, ranks)
     while max(ranks) < n - 1:
         atom = _first_tied_cell(ranks)[0]
         ranks = _refine(adjacency, _individualise(ranks, atom))
-    emit = _emit_tree if len(bonds) < n else _emit
-    return [emit(atoms, adjacency, ranks)]
+    return [_emit(atoms, adjacency, ranks)]
 
 
 def _search(atoms, bonds, adjacency, ranks):
@@ -515,7 +542,7 @@ def _emit(atoms, adjacency, ranks):
     numbered when the later of its atoms is reached; a second pass renders
     the tree with each atom's closure digits. `_emit_tree` writes an
     acyclic graph, which has no closures, with the same result in one
-    pass."""
+    pass under ranks without ties."""
     n = len(atoms)
     nbrs = [sorted(adj, key=lambda e: ranks[e[0]]) for adj in adjacency]
     visited = [False] * n
@@ -567,7 +594,8 @@ def _emit_tree(atoms, adjacency, ranks):
     """`_emit` for an acyclic graph, in one DFS. With no ring closures an
     atom's text is its bond symbol and element, then its children's in
     rank order, each but the last in parentheses, so the string is
-    appended to as the atoms are visited."""
+    appended to as the atoms are visited. Ranks may tie: the start is the
+    lowest-index rank-0 atom, and tied children go in index order."""
     out = []
     written = []
 

@@ -518,8 +518,17 @@ class TestAgainstReference:
         with caplog.at_level(logging.DEBUG, logger="moldesign"):
             enumerate_grammar(small)
         assert [r.getMessage() for r in caplog.records] == [
-            "enumerate_grammar: 2146 states built, 2169 attachments tried, "
-            "1184 canonicalisations, 643 molecules"]
+            "enumerate_grammar: 2146 states, 2169 attachments tried, "
+            "1335 children built, 1184 canonicalisations, 643 molecules"]
+
+    def test_known_leaves_are_not_built(self, small, attach_calls, caplog):
+        # every state is counted, but a leaf whose (parent SMILES, site
+        # position, cell) is memoised is not built: only 1,335 of the
+        # 2,140 children at n_dims=4 are
+        with caplog.at_level(logging.DEBUG, logger="moldesign"):
+            enumerate_grammar(small)
+        assert attach_calls == [1335]
+        assert "1335 children built" in caplog.records[-1].getMessage()
 
     @settings(max_examples=300, deadline=None)
     @given(grammar=random_grammars())

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from moldesign import molgraph
 from moldesign.grammar import FragmentGrammar, decode, encode
@@ -293,6 +293,42 @@ def co_trees(draw, max_atoms=12):
 
 
 @st.composite
+def doubled_trees(draw):
+    """Two copies of a random C/O tree joined by a bond from one atom to
+    its copy, randomly labelled. Swapping the copies is an automorphism,
+    so refinement ties every atom with its copy: the worst case for
+    ties."""
+    g = draw(co_trees(max_atoms=8))
+    n = g.n_atoms
+    open_atoms = [i for i in range(n) if g.implicit_h(i) > 0]
+    assume(open_atoms)
+    joint = draw(st.sampled_from(open_atoms))
+    order = draw(st.integers(1, min(3, g.implicit_h(joint))))
+    bonds = list(g.bonds) + [(u + n, v + n, o) for u, v, o in g.bonds] \
+        + [(joint, joint + n, order)]
+    doubled = MolecularGraph(g.atoms * 2, bonds)
+    return permuted(doubled, draw(st.permutations(range(2 * n))))
+
+
+decoded_trees = latents6.map(lambda z: decode(z, GRAMMAR6, UNIT6)).filter(
+    lambda g: len(g.bonds) < g.n_atoms)
+
+
+def descent_form(g):
+    """The form trees were written in before they skipped the descent:
+    refine, then individualise the first atom of the first tied cell and
+    refine again until no two atoms tie, and write that leaf."""
+    init = [(a, g.degree(i), g.bond_order_sum(i), g.implicit_h(i))
+            for i, a in enumerate(g.atoms)]
+    ranks = molgraph._refine(g.adjacency, molgraph._rank(init))
+    while max(ranks) < g.n_atoms - 1:
+        atom = molgraph._first_tied_cell(ranks)[0]
+        ranks = molgraph._refine(g.adjacency,
+                                 molgraph._individualise(ranks, atom))
+    return molgraph._emit_tree(g.atoms, g.adjacency, ranks)
+
+
+@st.composite
 def one_ring_graphs(draw):
     """A random connected C/O graph with exactly one ring, of 3-8 atoms,
     randomly labelled. The ring repeats a unit of `period` ring atoms
@@ -348,6 +384,23 @@ class TestPrunedSearch:
         assert validate(g) == molgraph.OK
         assert canonical_smiles(g) == reference_canonical_smiles(g)
 
+    @settings(max_examples=300, deadline=None)
+    @given(g=st.one_of(co_trees(), decoded_trees), data=st.data())
+    def test_tree_string_is_the_descents(self, g, data):
+        # a tree is written from its refined ranks with no individualisation,
+        # and gives the string the descent to a leaf gave
+        g = permuted(g, data.draw(st.permutations(range(g.n_atoms))))
+        assert len(g.bonds) == g.n_atoms - 1
+        assert canonical_smiles(g) == reference_canonical_smiles(g) \
+            == descent_form(g)[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=doubled_trees())
+    def test_doubled_tree_string_is_the_descents(self, g):
+        assert validate(g) == molgraph.OK and len(g.bonds) == g.n_atoms - 1
+        assert canonical_smiles(g) == reference_canonical_smiles(g) \
+            == descent_form(g)[0]
+
     @settings(max_examples=200, deadline=None)
     @given(g=one_ring_graphs())
     def test_one_ring_graphs(self, g):
@@ -385,13 +438,14 @@ class TestPrunedSearch:
         assert canonical_smiles(g) == reference_canonical_smiles(g)
 
     # (smiles, leaves, emits); the exhaustive search reaches and emits
-    # 24, 72, 72, 24, 12, 6, 2 and 16 leaves on these. Trees and
+    # 24, 72, 72, 24, 12, 6, 2 and 16 leaves on these. A tree is written
+    # from its refined ranks, which tie here, so it reaches no leaf;
     # one-ring graphs take one branch per level; the cubic graph searches
     @pytest.mark.parametrize("smiles,leaves,emits", [
-        ("CC(C)(C)C", 1, 1),
-        ("CC(C)(C)C(C)(C)C", 1, 1),
-        ("CC(C)(C)OC(C)(C)C", 1, 1),
-        ("OC(O)(O)O", 1, 1),
+        ("CC(C)(C)C", 0, 1),
+        ("CC(C)(C)C(C)(C)C", 0, 1),
+        ("CC(C)(C)OC(C)(C)C", 0, 1),
+        ("OC(O)(O)O", 0, 1),
         ("C1CCCCC1", 1, 1),
         ("C1=CC=CC=C1", 1, 1),
         ("CC1CCCCC1", 1, 1),
@@ -401,8 +455,9 @@ class TestPrunedSearch:
                                                 monkeypatch):
         g = parse_smiles(smiles)
         expected = reference_canonical_smiles(g)
-        counts = {"leaves": 0, "emits": 0}
+        counts = {"leaves": 0, "emits": 0, "individualised": 0}
         refine = molgraph._refine
+        individualise = molgraph._individualise
 
         def counting_refine(adjacency, ranks):
             ranks = refine(adjacency, ranks)
@@ -415,11 +470,20 @@ class TestPrunedSearch:
                 return emit(*args)
             return counting_emit
 
+        def counting_individualise(ranks, atom):
+            counts["individualised"] += 1
+            return individualise(ranks, atom)
+
         monkeypatch.setattr(molgraph, "_refine", counting_refine)
+        monkeypatch.setattr(molgraph, "_individualise", counting_individualise)
         for name in ("_emit", "_emit_tree"):
             monkeypatch.setattr(molgraph, name,
                                 counting(getattr(molgraph, name)))
         assert canonical_smiles(g) == expected
+        # trees take no individualisation; each ring graph here has a tie
+        # that refinement cannot split
+        individualised = counts.pop("individualised")
+        assert (individualised == 0) == (len(g.bonds) < g.n_atoms)
         assert counts == {"leaves": leaves, "emits": emits}
 
 
@@ -437,6 +501,7 @@ def by_position(g, order):
 graphs = st.one_of(
     latents6.map(lambda z: decode(z, GRAMMAR6, UNIT6)),
     co_trees(),
+    doubled_trees(),
     one_ring_graphs(),
     st.sampled_from(CUBIC8).map(parse_smiles))
 
