@@ -26,9 +26,10 @@ SVM_MAX_PASSES = 10 ** 5  # SMO pair updates before fit_svm gives up
 GRID_PLATEAU = 0.05       # grid_search_hyperparams' support-vector plateau
 # fit_svm holds the m x m float64 kernel of its m rows, 8 m^2 bytes, so it
 # refuses more rows than fit in SVM_KERNEL_BYTES: 10,000 rows, an 800 MB
-# kernel. rbf_kernel holds two m x m arrays at once while it builds the
-# kernel, so the fit peaks at twice that, near 1.6 GB at 10,000 rows
+# kernel. fit_kernel builds it in place, so the fit peaks near one kernel
+# plus a block of FIT_KERNEL_BLOCK rows
 SVM_KERNEL_BYTES = 8 * 10 ** 8
+FIT_KERNEL_BLOCK = 256
 SVM_MAX_ROWS = math.isqrt(SVM_KERNEL_BYTES // 8)
 
 
@@ -51,6 +52,22 @@ def sq_distances(a, b):
 
 def rbf_kernel(a, b, gamma):
     return np.exp(-gamma * sq_distances(a, b))
+
+
+def fit_kernel(x, gamma):
+    """rbf_kernel(x, x, gamma), bit for bit, built in the buffer of its
+    one m x m product. The product stays one (2.0 * x) @ x.T call, as
+    numpy rounds neither x @ x.T (a BLAS syrk) nor a product split into
+    row blocks like it."""
+    k = (2.0 * x) @ x.T
+    sq = np.sum(x * x, axis=1)
+    for start in range(0, len(x), FIT_KERNEL_BLOCK):
+        block = k[start:start + FIT_KERNEL_BLOCK]
+        np.subtract(sq[start:start + FIT_KERNEL_BLOCK, None] + sq[None, :],
+                    block, out=block)
+        np.maximum(block, 0.0, out=block)
+    np.multiply(k, -gamma, out=k)
+    return np.exp(k, out=k)
 
 
 def scale_gamma(fingerprints):
@@ -107,8 +124,8 @@ def fit_svm(fingerprints, nu=0.05, gamma="scale"):
         raise AdError("need at least 2 fingerprints")
     if len(x) > SVM_MAX_ROWS:
         raise AdError("%d fingerprint rows exceed SVM_MAX_ROWS=%d, the most "
-                      "whose kernel fits in %d bytes (building it peaks at "
-                      "twice that)" % (len(x), SVM_MAX_ROWS, SVM_KERNEL_BYTES))
+                      "whose kernel fits in %d bytes" % (
+                          len(x), SVM_MAX_ROWS, SVM_KERNEL_BYTES))
     if not (0 < nu <= 1):
         raise AdError("nu must be in (0, 1]")
     if np.allclose(x, x[0]):
@@ -120,7 +137,7 @@ def fit_svm(fingerprints, nu=0.05, gamma="scale"):
 
     m = len(x)
     cap = 1.0 / (nu * m)
-    k = rbf_kernel(x, x, gamma)
+    k = fit_kernel(x, gamma)
 
     alpha = np.zeros(m)
     n_full = int(np.floor(nu * m))

@@ -4,13 +4,14 @@ Candidates outside the applicability domain receive the penalty score.
 Duplicates are scored and logged but do not count toward the
 unique-molecule budget. The objective is RON + OS = 2 RON - MON.
 
-Every point is decoded, but each built graph is canonicalised and run
-through the ensemble once per run; later points that build the same graph
-reuse that result. Many decision cell sequences build one graph, because
-an illegal attachment acts as a stop. The cache is keyed on the graph as
-built (atoms and bonds in build order), not on SMILES: one molecule built
-with a different atom order can get predictions that differ in the last
-bit, while the same graph always gets the same bits.
+Each point is mapped to its decision cells. Each distinct cell row is
+decoded once per run, and each built graph is canonicalised and run
+through the ensemble once per run; later points reuse those results. Many
+cell rows build one graph, because an illegal attachment acts as a stop.
+Results are keyed on the graph as built (atoms and bonds in build order),
+not on SMILES: one molecule built with a different atom order can get
+predictions that differ in the last bit, while the same graph always gets
+the same bits.
 """
 
 from __future__ import annotations
@@ -143,7 +144,8 @@ class EvaluationContext:
     """Shared state for scoring candidates within one run. ad gates each
     new graph (None scores every candidate); pca, when given, lifts search
     points to the full latent space. cells maps a full-space point to its
-    decision cells in bounds, prepared once for the run."""
+    decision cells in bounds, prepared once for the run. by_cells indexes
+    cache by cell row, so a row seen before is not decoded again."""
 
     def __init__(self, grammar, bounds, ensemble, ad=None, pca=None):
         self.grammar = grammar
@@ -156,8 +158,9 @@ class EvaluationContext:
         self.observed = set()  # every decoded molecule, for duplicate flags
         self.records = []
         # built graph -> (smiles, in_ad, vote_sum, prediction or None when
-        # penalized); at most one entry per record
+        # penalized); at most one entry per record, the one store of results
         self.cache = {}
+        self.by_cells = {}     # cell row (tuple) -> its graph's cache entry
 
     @property
     def n_unique(self):
@@ -171,16 +174,21 @@ class EvaluationContext:
 def evaluate_candidate(z, ctx):
     """Decode, gate through the AD, predict, and score one latent point.
 
-    A point that builds a graph evaluated before in this run reuses that
-    result; its record is still its own (latent, index, duplicate).
+    A point whose cell row, or else whose built graph, was evaluated before
+    in this run reuses that result; its record is still its own (latent,
+    index, duplicate).
     """
     z = np.asarray(z, dtype=float)
     z_reduced, z_full = (z, ctx.pca.lift(z)) if ctx.pca is not None \
         else (None, z)
-    g = decode_cells(ctx.cells(z_full), ctx.grammar)
-    entry = ctx.cache.get(g)
+    row = tuple(ctx.cells(z_full))
+    entry = ctx.by_cells.get(row)
     if entry is None:
-        entry = ctx.cache[g] = _evaluate_graph(g, ctx)
+        g = decode_cells(row, ctx.grammar)
+        entry = ctx.cache.get(g)
+        if entry is None:
+            entry = ctx.cache[g] = _evaluate_graph(g, ctx)
+        ctx.by_cells[row] = entry
     smiles, in_ad, vote_sum, pred = entry
 
     duplicate = smiles in ctx.observed
@@ -190,9 +198,8 @@ def evaluate_candidate(z, ctx):
         ctx.seen.add(smiles)
     rec = RunRecord(
         index=len(ctx.records),
-        latent_full=[float(v) for v in z_full],
-        latent_reduced=None if z_reduced is None
-        else [float(v) for v in z_reduced],
+        latent_full=z_full.tolist(),
+        latent_reduced=None if z_reduced is None else z_reduced.tolist(),
         smiles=smiles,
         ron=None if penalized else float(pred.ron),
         mon=None if penalized else float(pred.mon),

@@ -357,6 +357,7 @@ def ga_step(genes, fitness, bounds, rng):
     genes = np.asarray(genes, dtype=float)
     fitness = np.asarray(fitness, dtype=float)
     lo, hi = (np.asarray(b, dtype=float) for b in bounds)
+    span = hi - lo
     pop = len(genes)
     order = np.argsort(fitness, kind="stable")[::-1]
     n_elite = max(1, round(GA_ELITE_RATIO * pop))
@@ -374,7 +375,9 @@ def ga_step(genes, fitness, bounds, rng):
             child = pa.copy()
         mut = rng.random(genes.shape[1]) < GA_MUTATION_PROB
         if mut.any():
-            child = np.where(mut, rng.uniform(lo, hi), child)
+            # rng.uniform(lo, hi), bit for bit and stream for stream, at a
+            # tenth of its call cost: numpy computes it as this expression
+            child = np.where(mut, lo + span * rng.random(len(lo)), child)
         out.append(child)
     return np.array(out)
 
@@ -410,7 +413,7 @@ def run_ga(objective, bounds, n_dims, stop, seed=0):
     # Points already evaluated bit for bit (surviving elites) reuse their
     # score and are not passed to the objective again, so they add no
     # record. This cache decides which points reach the objective, so it
-    # stays even though the loop caches by built graph.
+    # stays even though the loop caches by cell row and built graph.
     cache = {}
 
     def evaluate(pop):

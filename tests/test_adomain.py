@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ class TestFit:
         monkeypatch.setattr(adomain, "SVM_MAX_ROWS", 100)
         fit_svm(x, nu=0.1)
         monkeypatch.setattr(adomain, "SVM_MAX_ROWS", 99)
-        monkeypatch.setattr(adomain, "rbf_kernel", None)
+        monkeypatch.setattr(adomain, "fit_kernel", None)
         with pytest.raises(AdError, match="100 fingerprint rows exceed "
                                           "SVM_MAX_ROWS=99"):
             fit_svm(x, nu=0.1)
@@ -255,6 +256,28 @@ class TestGridSearch:
 
 
 class TestKernel:
+    @pytest.mark.parametrize("m", [2, 255, 256, 257, 600])
+    def test_fit_kernel_is_rbf_kernel(self, m):
+        x = gaussian_cloud(m, n=m)
+        for gamma in (0.01, 0.3, 4.0):
+            assert adomain.fit_kernel(x, gamma).tobytes() \
+                == rbf_kernel(x, x, gamma).tobytes()
+
+    def test_fit_peaks_near_one_kernel(self):
+        # the kernel is built in its own buffer: the fit's peak is one
+        # m x m kernel plus a block of rows, where rbf_kernel holds two
+        m = 1500
+        x = gaussian_cloud(5, n=m)
+        tracemalloc.start()
+        try:
+            fit_svm(x, nu=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kernel = 8 * m * m
+        block = 8 * m * adomain.FIT_KERNEL_BLOCK
+        assert kernel < peak < kernel + block + 2 * 10 ** 6
+
     def test_rbf_identity(self):
         x = gaussian_cloud(7, n=10)
         k = rbf_kernel(x, x, 0.3)

@@ -609,3 +609,21 @@ class TestCellCache:
         assert set(counting.calls) == graphs
         # some graph is built from more than one cell tuple
         assert len(graphs) < len(cells) < len(records)
+
+    def test_each_cell_row_decoded_once(self, monkeypatch, grammar,
+                                        real_models):
+        ensemble, ad, _ = real_models
+        bounds = (np.zeros(4), np.ones(4))
+        decoded = []
+
+        def counting_decode(cells, grammar):
+            decoded.append(tuple(cells))
+            return decode_cells(cells, grammar)
+
+        monkeypatch.setattr(loop, "decode_cells", counting_decode)
+        cfg = RunConfig(method="ga", seed=2, max_total=300, max_unique=1000)
+        records, _ = run(cfg, grammar, ensemble, ad=ad, bounds=bounds)
+        rows = {tuple(cell_map(grammar, bounds)(r.latent_full))
+                for r in records}
+        assert len(decoded) == len(set(decoded)) == len(rows) < len(records)
+        assert set(decoded) == rows

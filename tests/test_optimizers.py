@@ -508,6 +508,71 @@ class TestGaStep:
         for row in child:
             assert row.tobytes() in pool
 
+    def test_mutation_draw_is_generator_uniform(self):
+        # ga_step draws a mutation as lo + (hi - lo) * rng.random(d), which
+        # holds only while numpy computes uniform as low + range * double
+        # with no fused multiply-add: the same bytes, and the stream left
+        # in the same state
+        boxes = np.random.default_rng(11)
+        for trial in range(240):
+            d = int(boxes.integers(1, 9))
+            lo = boxes.uniform(-1e3, 1e3, d) * 10.0 ** boxes.integers(-6, 4)
+            kind = trial % 4
+            if kind == 0:     # wholly below zero
+                lo = -np.abs(lo) - 5.0
+                span = boxes.uniform(0, 5, d)
+            elif kind == 1:   # wide
+                span = boxes.uniform(0, 1e6, d) * 10.0 ** boxes.integers(0, 9)
+            elif kind == 2:   # narrower than 1e-6
+                span = boxes.uniform(0, 1e-6, d) * 10.0 ** -boxes.integers(0, 9)
+            else:             # some zero-width slots
+                span = np.where(boxes.random(d) < 0.5, 0.0,
+                                boxes.uniform(0, 10, d))
+            hi = lo + span
+            a, b = np.random.default_rng(trial), np.random.default_rng(trial)
+            assert (lo + (hi - lo) * a.random(d)).tobytes() \
+                == b.uniform(lo, hi).tobytes()
+            assert a.random(3).tobytes() == b.random(3).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_equals_uniform_draws(self, seed):
+        def ga_step_by_uniform(genes, fitness, bounds, rng):
+            # ga_step as it was written with rng.uniform
+            lo, hi = bounds
+            pop = len(genes)
+            order = np.argsort(fitness, kind="stable")[::-1]
+            n_elite = max(1, round(optimizers.GA_ELITE_RATIO * pop))
+            n_parents = max(2, round(optimizers.GA_PARENTS_PORTION * pop))
+            parents = genes[order[:n_parents]]
+            out = [genes[i].copy() for i in order[:n_elite]]
+            while len(out) < pop:
+                ia, ib = rng.integers(0, n_parents, size=2)
+                pa, pb = parents[ia], parents[ib]
+                if rng.random() < optimizers.GA_CROSSOVER_PROB:
+                    pick = rng.random(genes.shape[1]) < 0.5
+                    child = np.where(pick, pa, pb)
+                else:
+                    child = pa.copy()
+                mut = rng.random(genes.shape[1]) < optimizers.GA_MUTATION_PROB
+                if mut.any():
+                    child = np.where(mut, rng.uniform(lo, hi), child)
+                out.append(child)
+            return np.array(out)
+
+        data = np.random.default_rng(seed)
+        lo = data.uniform(-5, 0, 6)
+        hi = lo + data.uniform(0, 7, 6)
+        genes = data.uniform(lo, hi, (50, 6))
+        rng_a = np.random.default_rng(100 + seed)
+        rng_b = np.random.default_rng(100 + seed)
+        for _ in range(5):
+            fitness = data.standard_normal(50)
+            new = ga_step(genes, fitness, (lo, hi), rng_a)
+            old = ga_step_by_uniform(genes, fitness, (lo, hi), rng_b)
+            assert new.tobytes() == old.tobytes()
+            genes = new
+        assert rng_a.random() == rng_b.random()
+
 
 class TestPenalty:
     def test_one_penalty_constant(self):

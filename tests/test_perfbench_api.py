@@ -108,3 +108,28 @@ def test_loop_hands_bounds_second(perfbench, name, method):
         loop.run(cfg, fg, ens, bounds=box, corpus=corpus)
     assert len(store) == 1
     assert all(np.array_equal(a, b) for a, b in zip(store[0], expected))
+
+
+@pytest.mark.parametrize("method", ["ga", "bo"])
+def test_loop_calls_hooked_evaluation_once_per_record(perfbench, method):
+    # workloads.py times each evaluation by hooking loop.evaluate_candidate
+    # and fails when that hook is never called; loop.run must reach it
+    # through the module attribute, once per record
+    _, workloads = perfbench
+    from moldesign import gnn, grammar, loop
+    from moldesign.molgraph import parse_smiles
+
+    fg = grammar.FragmentGrammar(n_dims=4)
+    ens = gnn.GnnEnsemble(n_models=1, config=gnn.GnnConfig(
+        hidden_dim=4, fp_dim=4, mlp_hidden=4), seed=0)
+    corpus = [parse_smiles(s) for s in ("C", "CC", "CCO", "CC(C)O", "CCC")]
+    inputs = {"corpus": corpus} if method == "bo" \
+        else {"bounds": (np.zeros(4), np.ones(4))}
+    latencies, first_call = [], []
+    cfg = loop.RunConfig(method=method, max_total=60, ad_enabled=False)
+    with workloads.hooked(loop, "evaluate_candidate",
+                          workloads._timed_evaluations(latencies,
+                                                       first_call)):
+        records, _ = loop.run(cfg, fg, ens, **inputs)
+    assert len(records) == 60
+    assert len(latencies) == len(records) and len(first_call) == 1
