@@ -26,7 +26,7 @@ SVM_MAX_PASSES = 10 ** 5  # SMO pair updates before fit_svm gives up
 GRID_PLATEAU = 0.05       # grid_search_hyperparams' support-vector plateau
 # fit_svm holds the m x m float64 kernel of its m rows, 8 m^2 bytes, so it
 # refuses more rows than fit in SVM_KERNEL_BYTES: 10,000 rows, an 800 MB
-# kernel. fit_kernel builds it in place, so the fit peaks near one kernel
+# kernel. rbf_kernel builds it in place, so the fit peaks near one kernel
 # plus a block of FIT_KERNEL_BLOCK rows
 SVM_KERNEL_BYTES = 8 * 10 ** 8
 FIT_KERNEL_BLOCK = 256
@@ -43,29 +43,26 @@ class DegenerateData(AdError):
 
 def sq_distances(a, b):
     """Squared Euclidean distance between each row of a and each row of b,
-    clipped at 0 against cancellation."""
+    clipped at 0 against cancellation: max(|a|^2 + |b|^2 - 2 a.b, 0),
+    built in the buffer of one (2.0 * a) @ b.T product, FIT_KERNEL_BLOCK
+    rows at a time. The product stays one call: numpy rounds a product
+    split into row blocks, or x @ x.T (a BLAS syrk), differently."""
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
-    return np.maximum(np.sum(a * a, axis=1)[:, None]
-                      + np.sum(b * b, axis=1)[None, :] - 2.0 * a @ b.T, 0.0)
+    d = (2.0 * a) @ b.T
+    sa = np.sum(a * a, axis=1)
+    sb = np.sum(b * b, axis=1)
+    for start in range(0, len(a), FIT_KERNEL_BLOCK):
+        block = d[start:start + FIT_KERNEL_BLOCK]
+        np.subtract(sa[start:start + FIT_KERNEL_BLOCK, None] + sb, block,
+                    out=block)
+        np.maximum(block, 0.0, out=block)
+    return d
 
 
 def rbf_kernel(a, b, gamma):
-    return np.exp(-gamma * sq_distances(a, b))
-
-
-def fit_kernel(x, gamma):
-    """rbf_kernel(x, x, gamma), bit for bit, built in the buffer of its
-    one m x m product. The product stays one (2.0 * x) @ x.T call, as
-    numpy rounds neither x @ x.T (a BLAS syrk) nor a product split into
-    row blocks like it."""
-    k = (2.0 * x) @ x.T
-    sq = np.sum(x * x, axis=1)
-    for start in range(0, len(x), FIT_KERNEL_BLOCK):
-        block = k[start:start + FIT_KERNEL_BLOCK]
-        np.subtract(sq[start:start + FIT_KERNEL_BLOCK, None] + sq[None, :],
-                    block, out=block)
-        np.maximum(block, 0.0, out=block)
+    """exp(-gamma * sq_distances(a, b)), in sq_distances' buffer."""
+    k = sq_distances(a, b)
     np.multiply(k, -gamma, out=k)
     return np.exp(k, out=k)
 
@@ -137,7 +134,7 @@ def fit_svm(fingerprints, nu=0.05, gamma="scale"):
 
     m = len(x)
     cap = 1.0 / (nu * m)
-    k = fit_kernel(x, gamma)
+    k = rbf_kernel(x, x, gamma)
 
     alpha = np.zeros(m)
     n_full = int(np.floor(nu * m))

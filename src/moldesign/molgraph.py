@@ -294,10 +294,12 @@ def _kekulize(atoms, aromatic, bonds):
 
 
 # ---------------------------------------------------------------------------
-# Canonicalization: colour refinement, then, for a graph with a ring, an
-# individualisation search that branches on one atom per automorphism orbit,
-# then deterministic DFS emission of a SMILES string from each leaf's ranks.
-# A tree is written from its refined ranks.
+# Canonicalization: colour refinement, then, for a graph with two or more
+# rings, an individualisation search that branches on one atom per
+# automorphism orbit; every graph, tree or not, is then written from its
+# ranks by one DFS (`_emit`), the last step of CANGEN (Weininger, Weininger
+# & Weininger 1989). A tree or a one-ring graph needs no search
+# (`_canonical_candidates` gives the argument).
 #
 # The search tree is the one an exhaustive search would walk: each node
 # individualises one atom of its first tied cell and refines. Refinement
@@ -317,16 +319,7 @@ def _kekulize(atoms, aromatic, bonds):
 # valence and hold each pair once, and it carries the sums `_validate`
 # would recompute. That entry builds only the neighbour lists, with no
 # MolecularGraph (bond normalisation, sort, cached adjacency) and no
-# validation. An acyclic graph is written in one DFS that appends to the
-# string as it goes (`_emit_tree`); a cyclic one by `_emit`.
-#
-# On a tree or a graph with one ring, refinement already splits the atoms
-# into orbits (`_canonical_candidates` gives the argument). A tree's tied
-# atoms write the same text, so it is written from its refined ranks with
-# no individualisation; a one-ring graph's search is one branch per level
-# and emits its first leaf. Only graphs with two or more rings, where
-# refinement can tie atoms of different orbits (the cubic graphs of the
-# tests), search and learn automorphisms (`_search`).
+# validation.
 # ---------------------------------------------------------------------------
 
 def canonical_smiles(g):
@@ -337,9 +330,10 @@ def canonical_smiles(g):
 def canonical_form(g):
     """(canonical SMILES, order): order[k] is the atom the string writes k-th.
 
-    A tree's pair is written from its refined ranks; a graph with a ring's
-    is the smallest written over the leaves of the individualisation search,
-    which `_canonical_candidates` prunes of branches that repeat a leaf set.
+    `_emit` writes a tree from its refined ranks and a one-ring graph from
+    the one leaf it needs; a graph with more rings takes the smallest pair
+    written over the leaves of the individualisation search, which
+    `_canonical_candidates` prunes of branches that repeat a leaf set.
     Two graphs with one string are isomorphic, and matching their
     atoms by position in that string is an isomorphism: parsing the string
     gives one graph whose atom k is the k-th written, and each graph's
@@ -427,25 +421,26 @@ def _find(parent, i):
 
 
 def _canonical_candidates(atoms, bonds, adjacency, ranks):
-    """The (string, order) pairs to take the min of: a tree's one, written
-    from its refined ranks, or those of the leaves the pruned search
-    reaches on a graph with a ring.
+    """The (string, order) pairs to take the min of: the one `_emit` writes
+    from a tree's refined ranks or from a one-ring graph's one-branch
+    descent, or those of the leaves the pruned search reaches on a graph
+    with two or more rings.
 
     A leaf is a refined ranking with no ties. Colour refinement (atoms,
     bond orders and individualised atoms as colours) gives two atoms one
     colour exactly when their universal covers are isomorphic.
 
     A tree (`len(bonds) < n`) is its own cover, so its refined cells are
-    its orbits (Immerman & Lander 1990), and `_emit_tree` writes it from
-    them with no individualisation. Every automorphism maps the tree's
-    centre (an atom or a bond) onto itself, so two tied neighbours of one
-    atom, being in one orbit, are equally far from it: neither lies towards
-    it. Swapping their branches, away from the atom, is then an
-    automorphism that fixes the atom, so the branches write the same text
-    over the same bond order to it. Any rank-0 atom starts the same string,
-    as all of them are in one orbit. Individualising down to a leaf only orders such tied
-    atoms, and keeps the order between cells, so it would write the same
-    string; `_emit_tree` puts tied atoms in index order, and its order
+    its orbits (Immerman & Lander 1990), and it is written from them with
+    no individualisation. Every automorphism maps the tree's centre (an
+    atom or a bond) onto itself, so two tied neighbours of one atom, being
+    in one orbit, are equally far from it: neither lies towards it.
+    Swapping their branches, away from the atom, is then an automorphism
+    that fixes the atom, so the branches write the same text over the same
+    bond order to it. Any rank-0 atom starts the same string, as all of
+    them are in one orbit. Individualising down to a leaf only orders such
+    tied atoms, and keeps the order between cells, so it would write the
+    same string; `_emit` puts tied atoms in index order, and its order
     still maps the graph onto the string.
 
     A graph with one ring (`len(bonds) == n`) has the ring unrolled into a
@@ -454,20 +449,18 @@ def _canonical_candidates(atoms, bonds, adjacency, ranks):
     itself, so it is a rotation or reflection of the ring that carries the
     hanging trees, their colours and bond orders onto each other: an
     automorphism. Every tied cell is one orbit, then, and one branch per
-    level reaches the leaf `_search` would emit first and alone, written
-    by `_emit`. A graph with two or more rings goes to `_search`, which
-    learns automorphisms, as refinement can tie atoms of different orbits
-    there.
+    level reaches the leaf `_search` would emit first and alone. A graph
+    with two or more rings goes to `_search`, which learns automorphisms,
+    as refinement can tie atoms of different orbits there.
     """
     n = len(atoms)
     ranks = _refine(adjacency, ranks)
-    if len(bonds) < n:
-        return [_emit_tree(atoms, adjacency, ranks)]
     if len(bonds) > n:
         return _search(atoms, bonds, adjacency, ranks)
-    while max(ranks) < n - 1:
-        atom = _first_tied_cell(ranks)[0]
-        ranks = _refine(adjacency, _individualise(ranks, atom))
+    if len(bonds) == n:
+        while max(ranks) < n - 1:
+            atom = _first_tied_cell(ranks)[0]
+            ranks = _refine(adjacency, _individualise(ranks, atom))
     return [_emit(atoms, adjacency, ranks)]
 
 
@@ -535,84 +528,48 @@ def _search(atoms, bonds, adjacency, ranks):
 
 
 def _emit(atoms, adjacency, ranks):
-    """Write SMILES by DFS from the rank-0 atom, neighbors in rank order.
+    """Write SMILES by one DFS from the lowest-index rank-0 atom, with
+    neighbours in (rank, index) order.
 
     Returns (string, atoms in visit order), which is the order the string
-    writes them. The DFS first finds the tree and the ring closures, each
-    numbered when the later of its atoms is reached; a second pass renders
-    the tree with each atom's closure digits. `_emit_tree` writes an
-    acyclic graph, which has no closures, with the same result in one
-    pass under ranks without ties."""
-    n = len(atoms)
-    nbrs = [sorted(adj, key=lambda e: ranks[e[0]]) for adj in adjacency]
-    visited = [False] * n
+    writes them. Each child is written as "(", its bond symbol and element,
+    its subtree, and ")"; once an atom's neighbours are done, its last
+    child's parentheses are blanked. A visited neighbour that is not the
+    parent and was written earlier is an ancestor: their bond takes the
+    next ring-closure digit, appended with its bond symbol to both atoms'
+    tokens. Digits are numbered as the rings close, so each token gets
+    them in increasing order. Ranks may tie on a tree, which has no
+    closures; tied children go in index order."""
+    start = ranks.index(0)
+    out = [atoms[start]]
+    slot = [-1] * len(atoms)    # each written atom's token in out
+    slot[start] = 0
     written = []
-    children = [[] for _ in range(n)]
-    ring_at = [[] for _ in range(n)]
-    closed = set()
     counter = 0
 
     def visit(v, parent):
         nonlocal counter
-        visited[v] = True
         written.append(v)
-        for u, order in nbrs[v]:
-            if u == parent:
-                continue
-            if visited[u]:
-                key = (min(u, v), max(u, v))
-                if key not in closed:
-                    closed.add(key)
-                    counter += 1
-                    if counter > 9:
-                        raise MolGraphError("more than 9 ring closures")
-                    ring_at[v].append((counter, order))
-                    ring_at[u].append((counter, order))
-            else:
-                children[v].append((u, order))
-                visit(u, v)
-
-    start = ranks.index(0)
-    visit(start, -1)
-
-    def render(v, bond_order):
-        s = _BOND_SYMS[bond_order] + atoms[v]
-        for d, order in sorted(ring_at[v]):
-            s += _BOND_SYMS[order] + str(d)
-        kids = children[v]
-        for u, order in kids[:-1]:
-            s += "(" + render(u, order) + ")"
-        if kids:
-            u, order = kids[-1]
-            s += render(u, order)
-        return s
-
-    return render(start, 1), written
-
-
-def _emit_tree(atoms, adjacency, ranks):
-    """`_emit` for an acyclic graph, in one DFS. With no ring closures an
-    atom's text is its bond symbol and element, then its children's in
-    rank order, each but the last in parentheses, so the string is
-    appended to as the atoms are visited. Ranks may tie: the start is the
-    lowest-index rank-0 atom, and tied children go in index order."""
-    out = []
-    written = []
-
-    def visit(v, parent):
-        written.append(v)
-        kids = sorted([(ranks[u], u, order) for u, order in adjacency[v]
-                       if u != parent])
-        last = len(kids) - 1
-        for k, (_, u, order) in enumerate(kids):
-            if k < last:
+        last = -1
+        for _, u, order in sorted([(ranks[u], u, order)
+                                   for u, order in adjacency[v]
+                                   if u != parent]):
+            if slot[u] < 0:
+                last = len(out)
                 out.append("(")
-            out.append(_BOND_SYMS[order] + atoms[u])
-            visit(u, v)
-            if k < last:
+                slot[u] = last + 1
+                out.append(_BOND_SYMS[order] + atoms[u])
+                visit(u, v)
                 out.append(")")
+            elif slot[u] < slot[v]:
+                counter += 1
+                if counter > 9:
+                    raise MolGraphError("more than 9 ring closures")
+                digit = _BOND_SYMS[order] + str(counter)
+                out[slot[u]] += digit
+                out[slot[v]] += digit
+        if last >= 0:
+            out[last] = out[-1] = ""
 
-    start = ranks.index(0)
-    out.append(atoms[start])
     visit(start, -1)
     return "".join(out), written

@@ -48,7 +48,7 @@ class TestFit:
         monkeypatch.setattr(adomain, "SVM_MAX_ROWS", 100)
         fit_svm(x, nu=0.1)
         monkeypatch.setattr(adomain, "SVM_MAX_ROWS", 99)
-        monkeypatch.setattr(adomain, "fit_kernel", None)
+        monkeypatch.setattr(adomain, "rbf_kernel", None)
         with pytest.raises(AdError, match="100 fingerprint rows exceed "
                                           "SVM_MAX_ROWS=99"):
             fit_svm(x, nu=0.1)
@@ -256,12 +256,22 @@ class TestGridSearch:
 
 
 class TestKernel:
-    @pytest.mark.parametrize("m", [2, 255, 256, 257, 600])
+    @pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 600])
     def test_fit_kernel_is_rbf_kernel(self, m):
+        # sq_distances and rbf_kernel, built in place in row blocks, give
+        # the bytes of the one-expression formula, square or not
+        def formula(a, b):
+            return np.maximum(np.sum(a * a, axis=1)[:, None]
+                              + np.sum(b * b, axis=1)[None, :]
+                              - 2.0 * a @ b.T, 0.0)
+
         x = gaussian_cloud(m, n=m)
-        for gamma in (0.01, 0.3, 4.0):
-            assert adomain.fit_kernel(x, gamma).tobytes() \
-                == rbf_kernel(x, x, gamma).tobytes()
+        for b in (x, gaussian_cloud(m + 1, n=m // 2 + 3), x[:1]):
+            sq = formula(x, b)
+            assert adomain.sq_distances(x, b).tobytes() == sq.tobytes()
+            for gamma in (0.01, 0.3, 4.0):
+                assert rbf_kernel(x, b, gamma).tobytes() \
+                    == np.exp(-gamma * sq).tobytes()
 
     def test_fit_peaks_near_one_kernel(self):
         # the kernel is built in its own buffer: the fit's peak is one

@@ -236,6 +236,58 @@ def _reference_refine(g, ranks):
         ranks = new
 
 
+def reference_emit(atoms, adjacency, ranks):
+    """The former two-pass writer, with neighbours in (rank, index) order.
+    A first DFS finds the tree and the ring closures, each numbered when
+    the later of its atoms is reached; a second renders the tree with each
+    atom's closure digits."""
+    n = len(atoms)
+    nbrs = [sorted(adj, key=lambda e: (ranks[e[0]], e[0]))
+            for adj in adjacency]
+    visited = [False] * n
+    written = []
+    children = [[] for _ in range(n)]
+    ring_at = [[] for _ in range(n)]
+    closed = set()
+    counter = 0
+
+    def visit(v, parent):
+        nonlocal counter
+        visited[v] = True
+        written.append(v)
+        for u, order in nbrs[v]:
+            if u == parent:
+                continue
+            if visited[u]:
+                key = (min(u, v), max(u, v))
+                if key not in closed:
+                    closed.add(key)
+                    counter += 1
+                    ring_at[v].append((counter, order))
+                    ring_at[u].append((counter, order))
+            else:
+                children[v].append((u, order))
+                visit(u, v)
+
+    start = ranks.index(0)
+    visit(start, -1)
+    syms = {1: "", 2: "=", 3: "#"}
+
+    def render(v, bond_order):
+        s = syms[bond_order] + atoms[v]
+        for d, order in sorted(ring_at[v]):
+            s += syms[order] + str(d)
+        kids = children[v]
+        for u, order in kids[:-1]:
+            s += "(" + render(u, order) + ")"
+        if kids:
+            u, order = kids[-1]
+            s += render(u, order)
+        return s
+
+    return render(start, 1), written
+
+
 def _reference_candidates(g, ranks):
     """Yield the string of every leaf: branch on every atom of the first
     tied cell."""
@@ -245,7 +297,7 @@ def _reference_candidates(g, ranks):
         cells.setdefault(r, []).append(i)
     tied = [cells[r] for r in sorted(cells) if len(cells[r]) > 1]
     if not tied:
-        yield molgraph._emit(g.atoms, g.adjacency, ranks)[0]
+        yield reference_emit(g.atoms, g.adjacency, ranks)[0]
         return
     for atom in tied[0]:
         branched = [2 * r for r in ranks]
@@ -314,18 +366,23 @@ decoded_trees = latents6.map(lambda z: decode(z, GRAMMAR6, UNIT6)).filter(
     lambda g: len(g.bonds) < g.n_atoms)
 
 
+def refined_ranks(g):
+    """g's atoms ranked by the canonicaliser's initial key, then refined."""
+    init = [(a, g.degree(i), g.bond_order_sum(i), g.implicit_h(i))
+            for i, a in enumerate(g.atoms)]
+    return molgraph._refine(g.adjacency, molgraph._rank(init))
+
+
 def descent_form(g):
     """The form trees were written in before they skipped the descent:
     refine, then individualise the first atom of the first tied cell and
     refine again until no two atoms tie, and write that leaf."""
-    init = [(a, g.degree(i), g.bond_order_sum(i), g.implicit_h(i))
-            for i, a in enumerate(g.atoms)]
-    ranks = molgraph._refine(g.adjacency, molgraph._rank(init))
+    ranks = refined_ranks(g)
     while max(ranks) < g.n_atoms - 1:
         atom = molgraph._first_tied_cell(ranks)[0]
         ranks = molgraph._refine(g.adjacency,
                                  molgraph._individualise(ranks, atom))
-    return molgraph._emit_tree(g.atoms, g.adjacency, ranks)
+    return molgraph._emit(g.atoms, g.adjacency, ranks)
 
 
 @st.composite
@@ -421,15 +478,6 @@ class TestPrunedSearch:
             mp.setattr(molgraph, "_canonical_candidates", searching)
             assert molgraph.canonical_form(g) == form
 
-    @settings(max_examples=200, deadline=None)
-    @given(g=co_trees(), data=st.data())
-    def test_one_pass_tree_writer(self, g, data):
-        # under any ranking without ties, the one-pass writer gives the
-        # two-pass writer's string and atom order
-        ranks = data.draw(st.permutations(range(g.n_atoms)))
-        assert molgraph._emit_tree(g.atoms, g.adjacency, ranks) \
-            == molgraph._emit(g.atoms, g.adjacency, ranks)
-
     @settings(max_examples=120, deadline=None)
     @given(smiles=st.sampled_from(CUBIC8), data=st.data())
     def test_cubic_graphs(self, smiles, data):
@@ -464,11 +512,11 @@ class TestPrunedSearch:
             counts["leaves"] += len(set(ranks)) == len(ranks)
             return ranks
 
-        def counting(emit):
-            def counting_emit(*args):
-                counts["emits"] += 1
-                return emit(*args)
-            return counting_emit
+        emit = molgraph._emit
+
+        def counting_emit(*args):
+            counts["emits"] += 1
+            return emit(*args)
 
         def counting_individualise(ranks, atom):
             counts["individualised"] += 1
@@ -476,9 +524,7 @@ class TestPrunedSearch:
 
         monkeypatch.setattr(molgraph, "_refine", counting_refine)
         monkeypatch.setattr(molgraph, "_individualise", counting_individualise)
-        for name in ("_emit", "_emit_tree"):
-            monkeypatch.setattr(molgraph, name,
-                                counting(getattr(molgraph, name)))
+        monkeypatch.setattr(molgraph, "_emit", counting_emit)
         assert canonical_smiles(g) == expected
         # trees take no individualisation; each ring graph here has a tie
         # that refinement cannot split
@@ -504,6 +550,46 @@ graphs = st.one_of(
     doubled_trees(),
     one_ring_graphs(),
     st.sampled_from(CUBIC8).map(parse_smiles))
+
+
+def prism(k):
+    """Two k-carbon rings joined atom for atom by k single bonds: 3k bonds
+    on 2k atoms, so k + 1 ring closures."""
+    bonds = [(i, (i + 1) % k, 1) for i in range(k)] \
+        + [(k + i, k + (i + 1) % k, 1) for i in range(k)] \
+        + [(i, k + i, 1) for i in range(k)]
+    return MolecularGraph("C" * 2 * k, bonds)
+
+
+class TestWriter:
+    """The one-pass writer gives the two-pass reference's string and atom
+    order, and refuses a tenth ring closure."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=graphs, data=st.data())
+    def test_one_pass_writer(self, g, data):
+        ranks = data.draw(st.permutations(range(g.n_atoms)))
+        assert molgraph._emit(g.atoms, g.adjacency, ranks) \
+            == reference_emit(g.atoms, g.adjacency, ranks)
+        if len(g.bonds) < g.n_atoms:
+            # trees are written at their refined ranks, which may tie
+            ranks = refined_ranks(g)
+            assert molgraph._emit(g.atoms, g.adjacency, ranks) \
+                == reference_emit(g.atoms, g.adjacency, ranks)
+
+    def test_more_than_nine_ring_closures_refused(self):
+        g = prism(9)
+        assert (g.n_atoms, len(g.bonds)) == (18, 27)
+        with pytest.raises(molgraph.MolGraphError,
+                           match="^more than 9 ring closures$"):
+            canonical_smiles(g)
+
+    def test_nine_ring_closures_written(self):
+        g = prism(8)
+        assert (g.n_atoms, len(g.bonds)) == (16, 24)
+        smiles = canonical_smiles(g)
+        assert "9" in smiles
+        assert canonical_smiles(parse_smiles(smiles)) == smiles
 
 
 class TestCanonicalForm:
