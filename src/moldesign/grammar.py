@@ -270,24 +270,34 @@ def cell_map(grammar, bounds):
     """The map from a latent point to its decision cells in the box bounds,
     as a list of ints, with the box's set-up done once.
 
-    NaN reads as 0 and the point is clamped into the (finite) box, so +-inf
-    fall in the edge cells; a slot of zero width is always cell 0.
+    Slot by slot in plain floats: NaN reads as 0, the point is clamped into
+    the box, so +-inf fall in the edge cells, and the cell is
+    (x - lo) / (hi - lo) * k, truncated and capped at k - 1. A slot whose
+    width hi - lo is not above 0 is always cell 0; a box whose arithmetic
+    gives NaN (an infinite or NaN bound, or a width that overflows) raises
+    GrammarError.
     """
     lo, hi = as_box(bounds, grammar.n_dims, GrammarError)
-    k = np.array(grammar.choices_per_slot, dtype=float)
-    width = hi - lo
-    closed = width <= 0
-    divisor = np.where(closed, 1.0, width)
-    top = k - 1
+    slots = [(l, h, h - l, k) for l, h, k in
+             zip(lo.tolist(), hi.tolist(), grammar.choices_per_slot)]
 
     def cells(z):
-        z = np.asarray(z, dtype=float)
-        z = np.minimum(np.maximum(np.where(np.isnan(z), 0.0, z), lo), hi)
-        c = np.trunc((z - lo) / divisor * k)
-        c = np.where(closed, 0.0, np.minimum(np.maximum(c, 0.0), top))
-        if not np.isfinite(c).all():
-            raise GrammarError("latent box too wide for cell arithmetic")
-        return c.astype(int).tolist()
+        z = np.asarray(z, dtype=float).tolist()
+        if len(z) != len(slots):
+            raise GrammarError("latent point of %d slots for a box of %d"
+                               % (len(z), len(slots)))
+        out = []
+        for x, (l, h, w, k) in zip(z, slots):
+            if w <= 0:
+                out.append(0)
+                continue
+            if x != x:
+                x = 0.0
+            c = (min(max(x, l), h) - l) / w * k
+            if c != c:
+                raise GrammarError("latent box too wide for cell arithmetic")
+            out.append(int(min(c, k - 1)))
+        return out
 
     return cells
 

@@ -229,7 +229,9 @@ def _evaluate_graph(g, ctx):
 def run(config, grammar, ensemble, ad=None, corpus=None, bounds=None):
     """Execute one design-loop run. Returns (records, summary).
 
-    The latent box is bounds, or else the corpus's; BO needs the corpus."""
+    The latent box is bounds, or else the corpus's; BO needs the corpus.
+    Each slot of the box needs finite bounds with lo <= hi (zero width is
+    allowed) and a finite width, or ConfigError names it."""
     if config.ad_enabled and ad is None:
         raise ConfigError("AD enabled but no AD ensemble given: "
                           "missing AD section (fit-ad adds it)")
@@ -245,6 +247,11 @@ def run(config, grammar, ensemble, ad=None, corpus=None, bounds=None):
     if bounds is None:
         bounds = _bounds_from_cells(corpus_cells, grammar, BOUND_EXPANSION)
     lo, hi = as_box(bounds, grammar.n_dims, optimizers.DimensionMismatch)
+    for i, (l, h) in enumerate(zip(lo.tolist(), hi.tolist())):
+        if not (is_real(l) and is_real(h) and l <= h and is_real(h - l)):
+            raise ConfigError("latent box slot %d is [%r, %r]: bounds must "
+                              "be finite, with lo <= hi and a finite width"
+                              % (i, l, h))
 
     pca = None
     search_bounds = (lo, hi)

@@ -353,33 +353,45 @@ def propose_batch(s, bounds, batch_size, rng):
 # ---------------------------------------------------------------------------
 
 def ga_step(genes, fitness, bounds, rng):
-    """One generation: elitism, parent pool, crossover, mutation."""
+    """One generation: elitism, parent pool, crossover, mutation.
+
+    Each child draws, in this order: two parent indices, the crossover
+    coin, a crossover mask if the coin says so, a mutation mask, and fresh
+    genes if some gene mutates. The draws fill preallocated rows (a child
+    that does not cross keeps a row of 0.0, which picks parent a), and the
+    generation is then built at once. Mutated genes are
+    lo + (hi - lo) * rng.random(d): rng.uniform(lo, hi), bit for bit and
+    stream for stream, as numpy computes it.
+    """
     genes = np.asarray(genes, dtype=float)
     fitness = np.asarray(fitness, dtype=float)
     lo, hi = (np.asarray(b, dtype=float) for b in bounds)
-    span = hi - lo
-    pop = len(genes)
+    pop, d = genes.shape
     order = np.argsort(fitness, kind="stable")[::-1]
-    n_elite = max(1, round(GA_ELITE_RATIO * pop))
+    elites = genes[order[:max(1, round(GA_ELITE_RATIO * pop))]]
     n_parents = max(2, round(GA_PARENTS_PORTION * pop))
     parents = genes[order[:n_parents]]
 
-    out = [genes[i].copy() for i in order[:n_elite]]
-    while len(out) < pop:
-        ia, ib = rng.integers(0, n_parents, size=2)
-        pa, pb = parents[ia], parents[ib]
-        if rng.random() < GA_CROSSOVER_PROB:
-            pick = rng.random(genes.shape[1]) < 0.5
-            child = np.where(pick, pa, pb)
-        else:
-            child = pa.copy()
-        mut = rng.random(genes.shape[1]) < GA_MUTATION_PROB
-        if mut.any():
-            # rng.uniform(lo, hi), bit for bit and stream for stream, at a
-            # tenth of its call cost: numpy computes it as this expression
-            child = np.where(mut, lo + span * rng.random(len(lo)), child)
-        out.append(child)
-    return np.array(out)
+    n_kids = pop - len(elites)
+    ia, ib = [0] * n_kids, [0] * n_kids
+    cross = np.zeros((n_kids, d))
+    mutate = np.empty((n_kids, d))
+    fresh = np.zeros((n_kids, d))
+    integers, random = rng.integers, rng.random
+    for j in range(n_kids):
+        # two scalar draws give the values of one integers(size=2) call
+        # and leave the generator in the same state, at half the call cost
+        ia[j] = integers(0, n_parents)
+        ib[j] = integers(0, n_parents)
+        if random() < GA_CROSSOVER_PROB:
+            random(out=cross[j])
+        row = mutate[j]
+        random(out=row)
+        if min(row.tolist()) < GA_MUTATION_PROB:
+            random(out=fresh[j])
+    kids = np.where(cross < 0.5, parents[ia], parents[ib])
+    kids = np.where(mutate < GA_MUTATION_PROB, lo + (hi - lo) * fresh, kids)
+    return np.concatenate([elites, kids])
 
 
 # ---------------------------------------------------------------------------
@@ -404,16 +416,19 @@ def _make_stop(stop):
 
 def run_ga(objective, bounds, n_dims, stop, seed=0):
     """GA maximization over the box bounds = (lo, hi), two arrays of shape
-    (n_dims,); history holds every objective evaluation in order."""
+    (n_dims,); history holds every objective evaluation in order. One DEBUG
+    line on return gives the generations evaluated, the objective calls and
+    the points answered from the cache."""
     lo, hi = as_box(bounds, n_dims, DimensionMismatch)
     stop_fn = _make_stop(stop)
     rng = np.random.default_rng(seed)
     history = RunHistory([], [])
     genes = rng.uniform(lo, hi, size=(GA_POPULATION_SIZE, n_dims))
-    # Points already evaluated bit for bit (surviving elites) reuse their
-    # score and are not passed to the objective again, so they add no
-    # record. This cache decides which points reach the objective, so it
-    # stays even though the loop caches by cell row and built graph.
+    # Points already evaluated bit for bit (surviving elites, and children
+    # that copy a parent unchanged) reuse their score and are not passed to
+    # the objective again, so they add no record. This cache decides which
+    # points reach the objective, so it stays even though the loop caches
+    # by cell row and built graph.
     cache = {}
 
     def evaluate(pop):
@@ -429,19 +444,24 @@ def run_ga(objective, bounds, n_dims, stop, seed=0):
             history.scores.append(fits[i])
         return fits
 
-    stalled = 0
+    stalled = generations = 0
     while True:
         n_called = len(cache)
         fits = evaluate(genes)
+        generations += 1
         if fits is None or stop_fn(len(history)):
-            return history
+            break
         stalled = stalled + 1 if len(cache) == n_called else 0
         if stalled == GA_STALL_GENERATIONS:
             log.warning("run_ga: %d generations in a row brought no new "
                         "point; stopping after %d objective calls",
                         stalled, len(cache))
-            return history
+            break
         genes = ga_step(genes, fits, (lo, hi), rng)
+    log.debug("run_ga: %d generations, %d objective calls, %d points "
+              "answered from the cache",
+              generations, len(cache), len(history) - len(cache))
+    return history
 
 
 def run_bo(objective, bounds, n_dims, stop, seed=0):

@@ -75,8 +75,27 @@ class TestDecode:
             assert g.n_atoms <= small.max_heavy_atoms
 
 
+def numpy_cells(z, grammar, bounds):
+    """cell_map's earlier body, in numpy arrays; a box it cannot map raises
+    GrammarError, like cell_map."""
+    lo, hi = (np.asarray(b, dtype=float) for b in bounds)
+    k = np.array(grammar.choices_per_slot, dtype=float)
+    with np.errstate(all="ignore"):
+        width = hi - lo
+        closed = width <= 0
+        divisor = np.where(closed, 1.0, width)
+        z = np.asarray(z, dtype=float)
+        z = np.minimum(np.maximum(np.where(np.isnan(z), 0.0, z), lo), hi)
+        c = np.trunc((z - lo) / divisor * k)
+        c = np.where(closed, 0.0, np.minimum(np.maximum(c, 0.0), k - 1))
+    if not np.isfinite(c).all():
+        raise GrammarError("latent box too wide for cell arithmetic")
+    return c.astype(int).tolist()
+
+
 def scalar_cells(z, grammar, bounds):
-    """The slot-by-slot cell arithmetic cell_map replaced."""
+    """The slot-by-slot cell arithmetic in numpy scalars that the vectorised
+    cell map once replaced, for boxes of finite width."""
     lo, hi = bounds
     z = np.clip(np.nan_to_num(np.asarray(z, dtype=float), nan=0.0), lo, hi)
     cells = []
@@ -127,10 +146,11 @@ def latent_in_box(draw, grammar):
 class TestCellArithmetic:
     @settings(max_examples=500, deadline=None)
     @given(case=latent_in_box(FragmentGrammar(n_dims=4)))
-    def test_vectorised_equals_scalar_loop(self, small, case):
+    def test_equals_numpy_and_scalar_loop(self, small, case):
         z, bounds = case
         cells = cell_map(small, bounds)(z)
         assert cells == scalar_cells(z, small, bounds)
+        assert cells == numpy_cells(z, small, bounds)
         assert all(type(c) is int for c in cells)
         assert np.array_equal(cell_center(cells, small, bounds),
                               scalar_center(cells, small, bounds))
@@ -138,6 +158,42 @@ class TestCellArithmetic:
     def test_nan_and_inf(self, small, unit_bounds):
         z = np.array([np.nan, np.inf, -np.inf, 0.5])
         assert cell_map(small, unit_bounds)(z) == [0, 9, 0, 5]
+
+    def test_inf_points_in_a_finite_box_take_the_edge_cells(self, small):
+        bounds = np.array([-1e300, -2.0, 0.0, 5.0]), np.array([1e300, 3.0,
+                                                               1e-300, 5.0])
+        for z, want in [(np.full(4, np.inf), [5, 9, 9, 0]),
+                        (np.full(4, -np.inf), [0, 0, 0, 0])]:
+            assert cell_map(small, bounds)(z) == want
+            assert numpy_cells(z, small, bounds) == want
+
+    def test_overflowing_width_raises(self, small):
+        # hi - lo overflows to inf: a finite offset over it reads 0, but
+        # the point at hi gives inf / inf
+        lo, hi = np.full(4, -1.5e308), np.full(4, 1.5e308)
+        cells = cell_map(small, (lo, hi))
+        assert cells(np.zeros(4)) == [0, 0, 0, 0]
+        for z in [hi, np.array([0.0, 0.0, 0.0, np.inf])]:
+            with pytest.raises(GrammarError):
+                cells(z)
+            with pytest.raises(GrammarError):
+                numpy_cells(z, small, (lo, hi))
+
+    @pytest.mark.parametrize("slot", [0, 3])
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_nan_bound_raises(self, small, slot, end):
+        bounds = [np.zeros(4), np.ones(4)]
+        bounds[end][slot] = np.nan
+        z = np.full(4, 0.5)
+        with pytest.raises(GrammarError):
+            cell_map(small, bounds)(z)
+        with pytest.raises(GrammarError):
+            numpy_cells(z, small, bounds)
+
+    def test_point_of_another_length_raises(self, small, unit_bounds):
+        for z in [np.zeros(3), np.zeros(5), np.zeros(1)]:
+            with pytest.raises(GrammarError):
+                cell_map(small, unit_bounds)(z)
 
     def test_short_sequence_center_pads_with_stop(self, small, unit_bounds):
         assert np.array_equal(cell_center([2], small, unit_bounds),

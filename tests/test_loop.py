@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from moldesign import loop
+from moldesign import loop, optimizers
 from moldesign.adomain import AdEnsemble, ad_vote, fit_ad_ensemble, \
     scale_gamma
 from moldesign.gnn import GnnConfig, GnnEnsemble, PropertyPrediction
@@ -422,6 +422,51 @@ class TestRun:
         cfg = RunConfig(method=method, max_total=5, ad_enabled=False)
         with pytest.raises(DimensionMismatch, match="for dimension 4"):
             run(cfg, grammar, tiny_ensemble, corpus=corpus, bounds=bounds)
+
+    @pytest.mark.parametrize("method", ["ga", "bo"])
+    @pytest.mark.parametrize("slot, lo, hi", [
+        (1, np.nan, 1.0), (2, 0.0, np.inf), (3, -np.inf, 1.0),
+        (0, 1.0, 0.5), (2, -1.5e308, 1.5e308)],
+        ids=["nan", "inf", "-inf", "hi-below-lo", "width-overflows"])
+    def test_unusable_bounds_are_refused_before_any_draw(
+            self, grammar, tiny_ensemble, monkeypatch, method, slot, lo, hi):
+        corpus = [parse_smiles(s) for s in
+                  ["C", "CC", "CCO", "CC(C)O", "CCC", "COC"]]
+        bounds = (np.zeros(4), np.ones(4))
+        bounds[0][slot], bounds[1][slot] = lo, hi
+
+        def no_draws(seed):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        cfg = RunConfig(method=method, max_total=5, ad_enabled=False)
+        with pytest.raises(ConfigError, match="slot %d " % slot):
+            run(cfg, grammar, tiny_ensemble, corpus=corpus, bounds=bounds)
+
+    def test_zero_width_slots_are_allowed(self, grammar, tiny_ensemble):
+        cfg = RunConfig(method="ga", seed=3, max_total=30, ad_enabled=False)
+        bounds = (np.array([0.0, 0.5, 0.0, 0.2]),
+                  np.array([1.0, 0.5, 1.0, 0.2]))
+        records, _ = run(cfg, grammar, tiny_ensemble, bounds=bounds)
+        assert len(records) == 30
+        assert {r.latent_full[1] for r in records} == {0.5}
+
+    def test_run_ga_reports_its_objective_calls(self, grammar, tiny_ensemble,
+                                                caplog):
+        # every objective call adds one record; a point scored before bit
+        # for bit (an elite, or a child that copies its parent) is answered
+        # from the GA's cache and adds none
+        cfg = RunConfig(method="ga", seed=7, max_total=120, ad_enabled=False)
+        with caplog.at_level(logging.DEBUG, logger="moldesign"):
+            records, _ = run(cfg, grammar, tiny_ensemble,
+                             bounds=(np.zeros(4), np.ones(4)))
+        [line] = [r for r in caplog.records
+                  if r.getMessage().startswith("run_ga:")]
+        generations, calls, cached = line.args
+        assert calls == len(records) == 120
+        pop = optimizers.GA_POPULATION_SIZE
+        assert (generations - 1) * pop < calls + cached <= generations * pop
+        assert cached > 0
 
     def test_replay_is_deterministic(self, grammar, tiny_ensemble):
         cfg = RunConfig(method="ga", seed=7, max_total=40, max_unique=1000,

@@ -534,31 +534,34 @@ class TestGaStep:
                 == b.uniform(lo, hi).tobytes()
             assert a.random(3).tobytes() == b.random(3).tobytes()
 
+    @staticmethod
+    def ga_step_per_child(genes, fitness, bounds, rng):
+        # ga_step as it was written: child by child, with one
+        # integers(size=2) call for the parents and rng.uniform for the
+        # mutated genes
+        lo, hi = bounds
+        pop = len(genes)
+        order = np.argsort(fitness, kind="stable")[::-1]
+        n_elite = max(1, round(optimizers.GA_ELITE_RATIO * pop))
+        n_parents = max(2, round(optimizers.GA_PARENTS_PORTION * pop))
+        parents = genes[order[:n_parents]]
+        out = [genes[i].copy() for i in order[:n_elite]]
+        while len(out) < pop:
+            ia, ib = rng.integers(0, n_parents, size=2)
+            pa, pb = parents[ia], parents[ib]
+            if rng.random() < optimizers.GA_CROSSOVER_PROB:
+                pick = rng.random(genes.shape[1]) < 0.5
+                child = np.where(pick, pa, pb)
+            else:
+                child = pa.copy()
+            mut = rng.random(genes.shape[1]) < optimizers.GA_MUTATION_PROB
+            if mut.any():
+                child = np.where(mut, rng.uniform(lo, hi), child)
+            out.append(child)
+        return np.array(out)
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_equals_uniform_draws(self, seed):
-        def ga_step_by_uniform(genes, fitness, bounds, rng):
-            # ga_step as it was written with rng.uniform
-            lo, hi = bounds
-            pop = len(genes)
-            order = np.argsort(fitness, kind="stable")[::-1]
-            n_elite = max(1, round(optimizers.GA_ELITE_RATIO * pop))
-            n_parents = max(2, round(optimizers.GA_PARENTS_PORTION * pop))
-            parents = genes[order[:n_parents]]
-            out = [genes[i].copy() for i in order[:n_elite]]
-            while len(out) < pop:
-                ia, ib = rng.integers(0, n_parents, size=2)
-                pa, pb = parents[ia], parents[ib]
-                if rng.random() < optimizers.GA_CROSSOVER_PROB:
-                    pick = rng.random(genes.shape[1]) < 0.5
-                    child = np.where(pick, pa, pb)
-                else:
-                    child = pa.copy()
-                mut = rng.random(genes.shape[1]) < optimizers.GA_MUTATION_PROB
-                if mut.any():
-                    child = np.where(mut, rng.uniform(lo, hi), child)
-                out.append(child)
-            return np.array(out)
-
         data = np.random.default_rng(seed)
         lo = data.uniform(-5, 0, 6)
         hi = lo + data.uniform(0, 7, 6)
@@ -568,10 +571,44 @@ class TestGaStep:
         for _ in range(5):
             fitness = data.standard_normal(50)
             new = ga_step(genes, fitness, (lo, hi), rng_a)
-            old = ga_step_by_uniform(genes, fitness, (lo, hi), rng_b)
+            old = self.ga_step_per_child(genes, fitness, (lo, hi), rng_b)
             assert new.tobytes() == old.tobytes()
             genes = new
         assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize("pop", [1, 2, 3, 10, 50, 101])
+    @pytest.mark.parametrize("d", [1, 6, 9])
+    def test_equals_per_child_loop(self, pop, d):
+        # the same children and the generator left in the same state, on
+        # boxes with zero-width slots and on fitness with ties
+        data = np.random.default_rng(1000 * pop + d)
+        lo = data.uniform(-5, 5, d)
+        hi = lo + np.where(data.random(d) < 0.3, 0.0, data.uniform(0, 7, d))
+        genes = data.uniform(lo, hi, (pop, d))
+        rng_a = np.random.default_rng(pop + d)
+        rng_b = np.random.default_rng(pop + d)
+        for generation in range(8):
+            fitness = data.standard_normal(pop)
+            if generation % 2:
+                fitness = np.round(fitness)
+            new = ga_step(genes, fitness, (lo, hi), rng_a)
+            old = self.ga_step_per_child(genes, fitness, (lo, hi), rng_b)
+            assert new.shape == (pop, d)
+            assert new.tobytes() == old.tobytes()
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+            genes = new
+
+    @pytest.mark.parametrize("n", [2, 15, 2**31 + 1, 3 * 2**30, 2**32 - 1,
+                                   2**32, 2**32 + 5, 2**40 + 3])
+    def test_scalar_integer_draws_equal_a_pair(self, n):
+        # ga_step draws a child's parents as two integers(0, n) calls where
+        # it once made one integers(0, n, size=2) call
+        a, b = np.random.default_rng(n), np.random.default_rng(n)
+        for _ in range(200):
+            pair = b.integers(0, n, size=2)
+            assert [a.integers(0, n), a.integers(0, n)] == pair.tolist()
+            assert a.random() == b.random()
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestPenalty:
