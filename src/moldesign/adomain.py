@@ -22,7 +22,8 @@ from .checks import repeated
 log = logging.getLogger("moldesign")
 
 SVM_TOL = 1e-6            # SMO stops once the KKT gap is below this
-SVM_MAX_PASSES = 10 ** 5  # SMO pair updates before fit_svm gives up
+# SMO pair updates; past them fit_svm warns and returns its last iterate
+SVM_MAX_PASSES = 10 ** 5
 GRID_PLATEAU = 0.05       # grid_search_hyperparams' support-vector plateau
 # fit_svm holds the m x m float64 kernel of its m rows, 8 m^2 bytes, so it
 # refuses more rows than fit in SVM_KERNEL_BYTES: 10,000 rows, an 800 MB
@@ -182,17 +183,20 @@ def fit_svm(fingerprints, nu=0.05, gamma="scale"):
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdEnsemble:
-    """One SVM per GNN ensemble member.
+    """One SVM per GNN ensemble member, in a tuple that cannot be changed.
 
     The first vote stacks the members for batched decisions: support
     vectors padded with zero rows to a (K, S_max, d) array, alphas padded
     with zeros to (K, S_max), so a padded row adds nothing, and each
-    member's gamma and rho. The members must not change after that vote.
+    member's gamma and rho.
     """
 
-    svms: list
+    svms: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "svms", tuple(self.svms))
 
     @property
     def n_members(self):

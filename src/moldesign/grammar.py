@@ -369,7 +369,9 @@ def encode_cells(g, grammar):
        parts overspend a state's budget before building the child.
     3. Reachable size. Each slot adds at most the largest usable
        fragment's atoms, so a state that cannot reach g's size that way
-       is a dead end.
+       is a dead end. This also bounds the walk's depth: with no slot
+       left, a state short of g's size is pruned here, so no sequence
+       runs past n_dims.
     4. Rings left. Each slot adds at most the most rings a usable fragment
        has, and a ring block g still needs must come from a usable
        fragment that has it; a state with more rings left to add, or one
@@ -399,14 +401,14 @@ def encode_cells(g, grammar):
     def search(state, slots_left, budget):
         """The cell suffix (with a trailing stop if a slot is left) that
         turns state into g, or None; budget is g's parts less state's."""
-        atoms, bonds, _ = state
+        atoms, bonds, sums = state
         if budget is None or len(atoms) + slots_left * growth < g.n_atoms \
                 or sum(budget[p] for p in rings) > slots_left * ring_growth \
                 or any(budget[p] for p in unsupplied):
             return None
         if len(atoms) == g.n_atoms:
             if _signature(atoms, bonds) == t_signature \
-                    and canonical_smiles(MolecularGraph(atoms, bonds)) == target:
+                    and canonical_form_trusted(atoms, bonds, sums)[0] == target:
                 return [0] if slots_left > 0 else []
             return None
         for c, fragment, parts in usable:
@@ -441,11 +443,7 @@ MAX_STATES = 10 ** 6
 
 
 def _form(atoms, bonds, sums):
-    """A state's canonical SMILES and each atom's position in it.
-
-    The state comes from `_scaffold` or `_attach`, which build only valid
-    graphs and carry their bond-order sums, so it goes to the canonical
-    core through `canonical_form_trusted`, unchecked."""
+    """A state's canonical SMILES and each atom's position in it."""
     smiles, order = canonical_form_trusted(atoms, bonds, sums)
     pos = [0] * len(order)
     for k, atom in enumerate(order):
@@ -475,9 +473,7 @@ def enumerate_grammar(grammar):
     leaf child (one slot left) that hits the memo is counted but not
     built: the entry was made just before the walk put that SMILES, with
     its first graph, in the result, so the leaf adds nothing. The
-    scaffolds and the misses are the only states canonicalised, each
-    straight from its (atoms, bonds, bond-order sums) through
-    `canonical_form_trusted`, as the builder made them valid; a
+    scaffolds and the misses are the only states canonicalised, and a
     MolecularGraph is built only for a molecule's first state.
 
     Raises TooLarge before the walk when it would take more than MAX_DEPTH

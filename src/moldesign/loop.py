@@ -55,8 +55,9 @@ class NoExpressibleMolecules(LoopError):
 class RunConfig:
     """What one run varies. The rest is fixed: GA searches the full latent
     box with the optimizers.GA_* settings, BO the PCA space of the corpus
-    (optimizers.PCA_TARGET_RATIO) with the optimizers.BO_* settings, and
-    each box is widened by BOUND_EXPANSION of its span."""
+    (optimizers.PCA_TARGET_RATIO) with the optimizers.BO_* settings. Given
+    bounds are used as they are; a box taken from the corpus (BO's, and
+    the latent box without given bounds) is widened by BOUND_EXPANSION."""
     method: str = "ga"                  # "bo" or "ga"
     seed: int = 0
     max_unique: int = 1000
@@ -285,12 +286,8 @@ def run(config, grammar, ensemble, ad=None, corpus=None, bounds=None):
     def objective(z):
         return evaluate_candidate(z, ctx).score
 
-    if config.method == "ga":
-        optimizers.run_ga(objective, search_bounds, n_dims, stop,
-                          seed=config.seed)
-    else:
-        optimizers.run_bo(objective, search_bounds, n_dims, stop,
-                          seed=config.seed)
+    search = optimizers.run_bo if bo else optimizers.run_ga
+    search(objective, search_bounds, n_dims, stop, seed=config.seed)
 
     return ctx.records, summarize(ctx.records)
 
@@ -323,28 +320,17 @@ def summarize(records):
     if not records:
         raise LoopError("no records to summarize")
     best_per_mol = best_per_molecule(records)
-    n_penalized = sum(1 for r in records if r.penalty_applied)
-    if not best_per_mol:
-        return {
-            "empty": True,
-            "n_total": len(records),
-            "n_penalized": n_penalized,
-            "n_unique": 0,
-            "n_promising": 0,
-            "max_score": None,
-            "mean_top20": None,
-        }
     scores = sorted((rec.score for rec in best_per_mol.values()),
                     reverse=True)
     top = scores[:20]
     return {
-        "empty": False,
+        "empty": not scores,
         "n_total": len(records),
-        "n_penalized": n_penalized,
+        "n_penalized": sum(1 for r in records if r.penalty_applied),
         "n_unique": len(best_per_mol),
         "n_promising": sum(map(is_promising, best_per_mol.values())),
-        "max_score": scores[0],
-        "mean_top20": sum(top) / len(top),
+        "max_score": scores[0] if scores else None,
+        "mean_top20": sum(top) / len(top) if top else None,
     }
 
 

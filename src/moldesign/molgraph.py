@@ -260,9 +260,6 @@ def _kekulize(atoms, aromatic, bonds):
     for key, order in bonds.items():
         if order is None and key not in undecided:
             bonds[key] = 1  # explicit-element bond with no symbol: single
-    if not undecided:
-        return [(u, v, order if order is not None else 1)
-                for (u, v), order in bonds.items()]
 
     adj = {}
     for u, v in undecided:
@@ -309,17 +306,15 @@ def _kekulize(atoms, aromatic, bonds):
 # therefore keeps the minimum over all leaves exactly (McKay & Piperno
 # 2014, "Practical graph isomorphism, II").
 #
-# The core reads a graph as its atoms, its bonds (each pair once, either
-# way round), each atom's (neighbour, order) list and each atom's bond-order
-# sum, and it has two entries. `canonical_form` takes any MolecularGraph and
-# validates it first. `canonical_form_trusted` takes a state as the
-# grammar's builder makes it, (atoms, bonds, bond-order sums), and checks
-# nothing: `grammar._attach` bonds each new fragment by one bond to an
-# existing atom with enough free valence, so its states are connected, within
-# valence and hold each pair once, and it carries the sums `_validate`
-# would recompute. That entry builds only the neighbour lists, with no
-# MolecularGraph (bond normalisation, sort, cached adjacency) and no
-# validation.
+# The canonicaliser reads a graph as its atoms, its bonds (each pair once,
+# either way round) and each atom's bond-order sum, and it has one entry
+# per kind of input. Every state the grammar builds takes
+# `canonical_form_trusted`, which checks nothing: `grammar._attach` bonds
+# each new fragment by one bond to an existing atom with enough free
+# valence, so its states are connected, within valence and hold each pair
+# once, and it carries the sums `_validate` would recompute; no
+# MolecularGraph is built for them. Every graph from outside takes
+# `canonical_form`, which validates it and then takes the trusted entry.
 # ---------------------------------------------------------------------------
 
 def canonical_smiles(g):
@@ -337,23 +332,22 @@ def canonical_form(g):
     Two graphs with one string are isomorphic, and matching their
     atoms by position in that string is an isomorphism: parsing the string
     gives one graph whose atom k is the k-th written, and each graph's
-    order maps onto it. An invalid graph raises MolGraphError.
+    order maps onto it. This is the entry for graphs from outside the
+    grammar: an invalid graph raises MolGraphError, and a valid one goes
+    on to `canonical_form_trusted`.
     """
     verdict, sums = _validate(g)
     if verdict != OK:
         raise MolGraphError("cannot canonicalize invalid graph (%s)" % verdict)
-    return _canonical_core(g.atoms, g.bonds, g.adjacency, sums)
+    return canonical_form_trusted(g.atoms, g.bonds, sums)
 
 
 def canonical_form_trusted(atoms, bonds, sums):
     """canonical_form(MolecularGraph(atoms, bonds)) for a graph known valid,
-    with sums[i] atom i's bond-order sum, as every state `grammar._attach`
-    builds is. Nothing is checked: an invalid graph gives no defined
-    result."""
-    return _canonical_core(atoms, bonds, _neighbours(atoms, bonds), sums)
-
-
-def _canonical_core(atoms, bonds, adjacency, sums):
+    with sums[i] atom i's bond-order sum: the entry for every state the
+    grammar builds, and `canonical_form`'s after it validates. Nothing is
+    checked: an invalid graph gives no defined result."""
+    adjacency = _neighbours(atoms, bonds)
     init = [(a, len(nbrs), total, MAX_VALENCE[a] - total)
             for a, nbrs, total in zip(atoms, adjacency, sums)]
     return min(_canonical_candidates(atoms, bonds, adjacency, _rank(init)))

@@ -416,9 +416,9 @@ def _make_stop(stop):
 
 def run_ga(objective, bounds, n_dims, stop, seed=0):
     """GA maximization over the box bounds = (lo, hi), two arrays of shape
-    (n_dims,); history holds every objective evaluation in order. One DEBUG
-    line on return gives the generations evaluated, the objective calls and
-    the points answered from the cache."""
+    (n_dims,); history holds every point scored, in order, including those
+    answered from the cache. One DEBUG line on return gives the generations
+    evaluated, the objective calls and the points answered from the cache."""
     lo, hi = as_box(bounds, n_dims, DimensionMismatch)
     stop_fn = _make_stop(stop)
     rng = np.random.default_rng(seed)
@@ -467,35 +467,29 @@ def run_ga(objective, bounds, n_dims, stop, seed=0):
 def run_bo(objective, bounds, n_dims, stop, seed=0):
     """Bayesian optimization over the box bounds = (lo, hi), two arrays of
     shape (n_dims,); penalized scores (PENALTY_SCORE) are logged but kept
-    out of the GP training set."""
+    out of the GP training set. stop is asked before each point and before
+    each refill of the pending batch."""
     lo, hi = as_box(bounds, n_dims, DimensionMismatch)
     stop_fn = _make_stop(stop)
     rng = np.random.default_rng(seed)
     history = RunHistory([], [])
-
-    def evaluate(z):
-        score = float(objective(z))
-        history.points.append(np.asarray(z, dtype=float).copy())
-        history.scores.append(score)
-        return score
-
-    for z in rng.uniform(lo, hi, size=(BO_INIT_POINTS, n_dims)):
-        if stop_fn(len(history)):
-            return history
-        evaluate(z)
-
+    # each point is a fresh row that nothing writes to: history keeps it
+    pending = list(rng.uniform(lo, hi, size=(BO_INIT_POINTS, n_dims)))
     while not stop_fn(len(history)):
-        pts = np.array(history.points)
-        scores = np.array(history.scores)
-        ok = scores > PENALTY_SCORE + 0.5
-        if ok.sum() >= 2:
-            sv, ls, nv = default_gp_params(pts[ok], scores[ok])
-            surrogate = gp_fit(pts[ok], scores[ok], sv, ls, nv)
-            batch = propose_batch(surrogate, (lo, hi), BO_BATCH_SIZE, rng)
-        else:
-            batch = list(rng.uniform(lo, hi, size=(BO_BATCH_SIZE, n_dims)))
-        for z in batch:
-            if stop_fn(len(history)):
-                return history
-            evaluate(z)
+        if not pending:
+            scores = np.array(history.scores)
+            ok = scores > PENALTY_SCORE + 0.5
+            if ok.sum() >= 2:
+                x, y = np.array(history.points)[ok], scores[ok]
+                surrogate = gp_fit(x, y, *default_gp_params(x, y))
+                pending = propose_batch(surrogate, (lo, hi), BO_BATCH_SIZE,
+                                        rng)
+            else:
+                pending = list(rng.uniform(lo, hi,
+                                           size=(BO_BATCH_SIZE, n_dims)))
+            continue
+        z = pending.pop(0)
+        score = float(objective(z))
+        history.points.append(z)
+        history.scores.append(score)
     return history

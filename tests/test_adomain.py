@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import tracemalloc
 
@@ -176,6 +177,19 @@ class TestVote:
         inside = np.array([clouds[0][0], clouds[1][0]])
         assert ad_vote(inside, ad) == (True, 2)
         assert ad_vote(inside[::-1], ad) == (False, -2)
+
+    def test_members_cannot_change_after_the_first_vote(self):
+        # the first vote caches the stacked members, so the member list
+        # is a tuple of a frozen ensemble: neither it nor an item of it
+        # can be assigned
+        ad = stub_ensemble([1, -1, 1])
+        assert ad_vote(np.zeros((3, 2)), ad) == (True, 1)
+        assert isinstance(ad.svms, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ad.svms = [constant_svm(-1.0, 2)] * 3
+        with pytest.raises(TypeError):
+            ad.svms[0] = constant_svm(-1.0, 2)
+        assert ad_vote(np.zeros((3, 2)), ad) == (True, 1)
 
     def test_stacked_decisions_agree_with_one_row_decisions(self):
         # K=40 members fitted on fingerprints of every tenth molecule of the

@@ -477,15 +477,22 @@ def atom_signature(g):
 
 @pytest.fixture
 def canonical_calls(monkeypatch):
-    """Every graph the grammar module passes to canonical_smiles (the
-    encoder's calls), in call order."""
+    """Every graph the grammar module canonicalises, in call order: those
+    it passes to canonical_smiles, and the states it passes to
+    canonical_form_trusted, each as a MolecularGraph."""
     calls = []
 
     def counting(g):
         calls.append(g)
         return canonical_smiles(g)
 
+    def counting_trusted(atoms, bonds, sums):
+        calls.append(molgraph.MolecularGraph(atoms, bonds))
+        return molgraph.canonical_form_trusted(atoms, bonds, sums)
+
     monkeypatch.setattr(grammar_mod, "canonical_smiles", counting)
+    monkeypatch.setattr(grammar_mod, "canonical_form_trusted",
+                        counting_trusted)
     return calls
 
 

@@ -232,6 +232,8 @@ class TestSummarize:
         assert s["empty"] is True
         assert s["max_score"] is None
         assert s["n_penalized"] == 1
+        # an empty summary has the same keys as a scored one
+        assert s.keys() == summarize([fake_record(0, "CC", 1.0)]).keys()
 
     def test_no_records_raises(self):
         with pytest.raises(LoopError):

@@ -644,6 +644,44 @@ class TestDrivers:
         assert len(hist) == 25
         assert all(p.shape == (3,) for p in hist.points)
 
+    def test_run_bo_asks_stop_before_each_point_and_refill(self):
+        # ten uniform points, then one stop call before each refill and
+        # one before each point of the batch
+        asked = []
+
+        def stop(n):
+            asked.append(n)
+            return n >= 25
+
+        hist = run_bo(lambda z: -float(np.sum((z - 0.5) ** 2)),
+                      (np.zeros(2), np.ones(2)), 2, stop=stop, seed=1)
+        assert len(hist) == 25
+        assert asked == [*range(10), 10, 10, *range(11, 20), 20, 20,
+                         *range(21, 26)]
+
+    def test_run_bo_stop_after_a_refill(self, monkeypatch):
+        # a stop that first says yes on its second call at 10 points ends
+        # the run after the refill, before the batch's first point (it
+        # also says yes at 20 points, so a run that misses it still ends)
+        proposals = []
+
+        def counting(*args):
+            proposals.append(1)
+            return propose_batch(*args)
+
+        monkeypatch.setattr(optimizers, "propose_batch", counting)
+        at_ten = []
+
+        def stop(n):
+            if n == 10:
+                at_ten.append(n)
+            return len(at_ten) == 2 or n >= 20
+
+        hist = run_bo(lambda z: -float(np.sum((z - 0.5) ** 2)),
+                      (np.zeros(2), np.ones(2)), 2, stop=stop, seed=1)
+        assert len(hist) == 10
+        assert len(proposals) == 1
+
     @pytest.mark.parametrize("bounds", BAD_BOUNDS_2D)
     def test_run_ga_bounds_must_match_n_dims(self, bounds):
         with pytest.raises(DimensionMismatch):
