@@ -10,8 +10,13 @@ computation over the members' support vectors, zero-padded to one stack.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import logging
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,6 +73,48 @@ def rbf_kernel(a, b, gamma):
     return np.exp(k, out=k)
 
 
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy's
+    wheel bundles (scipy-openblas, in numpy.libs), or None, logged once as
+    a WARNING, where this numpy build has no such library."""
+    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(
+        np.__file__)), "numpy.libs", "libscipy_openblas*.so*"))
+    try:
+        lib = ctypes.CDLL(libs[0])   # the library numpy has loaded
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        log.warning("fit_svm: no scipy-openblas thread control beside "
+                    "numpy; the AD fit's last bits may depend on the BLAS "
+                    "thread count")
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the caller's
+    count. OpenBLAS splits a product between its threads, and the split
+    changes the rounding of some entries: fits of 300 and of 1,500 rows of
+    32 columns gave other alphas on 2 threads than on 1. The count is
+    process-wide, so a BLAS call from another thread meanwhile also runs
+    on one thread."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    count = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(count)
+
+
 def scale_gamma(fingerprints):
     """sklearn-style 'scale' rule: 1 / (dim * variance of all entries)."""
     x = np.asarray(fingerprints, dtype=float)
@@ -116,7 +163,8 @@ class OneClassSvm:
 
 def fit_svm(fingerprints, nu=0.05, gamma="scale"):
     """Fit a nu-one-class SVM on training fingerprints, at most
-    SVM_MAX_ROWS of them."""
+    SVM_MAX_ROWS of them. The fit's bits do not depend on the BLAS thread
+    count (`_one_blas_thread`)."""
     x = np.asarray(fingerprints, dtype=float)
     if x.ndim != 2 or len(x) < 2:
         raise AdError("need at least 2 fingerprints")
@@ -135,14 +183,15 @@ def fit_svm(fingerprints, nu=0.05, gamma="scale"):
 
     m = len(x)
     cap = 1.0 / (nu * m)
-    k = rbf_kernel(x, x, gamma)
-
     alpha = np.zeros(m)
     n_full = int(np.floor(nu * m))
     alpha[:n_full] = cap
     if n_full < m:
         alpha[n_full] = 1.0 - n_full * cap
-    grad = k @ alpha
+    # the fit's two BLAS products, whose bits would depend on the host
+    with _one_blas_thread():
+        k = rbf_kernel(x, x, gamma)
+        grad = k @ alpha
 
     eps = 1e-12
     gap = np.inf

@@ -110,11 +110,10 @@ class GnnConfig:
 
 
 def graph_arrays(g):
-    """(atom features, dense 0/1 adjacency) of one graph."""
-    adj = np.zeros((g.n_atoms, g.n_atoms))
+    """(features, dense 0/1 adjacency) of a MolecularGraph or grammar.State."""
+    adj = np.zeros((len(g.atoms), len(g.atoms)))
     for u, v, _ in g.bonds:
-        adj[u, v] = 1.0
-        adj[v, u] = 1.0
+        adj[u, v] = adj[v, u] = 1.0
     return molgraph.atom_features(g), adj
 
 

@@ -250,8 +250,16 @@ def _attach(atoms, bonds, bond_sums, fragment, max_heavy, site=None):
     return atoms + frag_atoms, bonds, sums
 
 
+class State(NamedTuple):
+    """A built graph: atoms and bonds in build order, and bond-order sums."""
+
+    atoms: tuple
+    bonds: list
+    sums: list
+
+
 def decode_cells(cells, grammar):
-    """Replay a decision sequence; illegal attachments act as stop."""
+    """Replay a decision sequence into a State; illegal attachments stop."""
     state = _scaffold(grammar, cells[0])
     for c in cells[1:]:
         if c == 0:
@@ -261,7 +269,7 @@ def decode_cells(cells, grammar):
         if child is None:
             break
         state = child
-    return MolecularGraph(state[0], state[1])
+    return State(*state)
 
 
 # --- latent-space cell arithmetic -------------------------------------------
@@ -313,7 +321,8 @@ def cell_center(cells, grammar, bounds):
 
 def decode(z, grammar, bounds):
     """Map a latent vector to a molecular graph. Total and deterministic."""
-    return decode_cells(cell_map(grammar, bounds)(z), grammar)
+    return MolecularGraph(*decode_cells(cell_map(grammar, bounds)(z),
+                                        grammar)[:2])
 
 
 def encode(g, grammar, bounds):

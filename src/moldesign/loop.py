@@ -5,13 +5,13 @@ Duplicates are scored and logged but do not count toward the
 unique-molecule budget. The objective is RON + OS = 2 RON - MON.
 
 Each point is mapped to its decision cells. Each distinct cell row is
-decoded once per run, and each built graph is canonicalised and run
-through the ensemble once per run; later points reuse those results. Many
-cell rows build one graph, because an illegal attachment acts as a stop.
-Results are keyed on the graph as built (atoms and bonds in build order),
-not on SMILES: one molecule built with a different atom order can get
-predictions that differ in the last bit, while the same graph always gets
-the same bits.
+decoded once per run, and each built grammar.State is canonicalised
+(trusted: the builder keeps it valid) and run through the ensemble once
+per run; later points reuse those results. Many cell rows build one graph,
+because an illegal attachment acts as a stop. Results are keyed on the
+graph as built (atoms in build order and the set of bonds), not on SMILES:
+one molecule built with a different atom order can get predictions that
+differ in the last bit, while the same graph always gets the same bits.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .adomain import ad_vote
 from .checks import as_box, is_int, is_real
 from .grammar import NotExpressible, cell_center, cell_map, decode_cells, \
     encode_cells
-from .molgraph import canonical_smiles
+from .molgraph import canonical_form_trusted
 
 log = logging.getLogger("moldesign")
 
@@ -158,8 +158,7 @@ class EvaluationContext:
         self.seen = set()      # unique-budget set: non-penalized molecules
         self.observed = set()  # every decoded molecule, for duplicate flags
         self.records = []
-        # built graph -> (smiles, in_ad, vote_sum, prediction or None when
-        # penalized); at most one entry per record, the one store of results
+        # (atoms, bond set) of each built graph -> its _evaluate_graph result
         self.cache = {}
         self.by_cells = {}     # cell row (tuple) -> its graph's cache entry
 
@@ -183,14 +182,14 @@ def evaluate_candidate(z, ctx):
     z_reduced, z_full = (z, ctx.pca.lift(z)) if ctx.pca is not None \
         else (None, z)
     row = tuple(ctx.cells(z_full))
-    entry = ctx.by_cells.get(row)
-    if entry is None:
-        g = decode_cells(row, ctx.grammar)
-        entry = ctx.cache.get(g)
-        if entry is None:
-            entry = ctx.cache[g] = _evaluate_graph(g, ctx)
-        ctx.by_cells[row] = entry
-    smiles, in_ad, vote_sum, pred = entry
+    if row not in ctx.by_cells:
+        state = decode_cells(row, ctx.grammar)
+        key = state.atoms, frozenset([(u, v, o) if u < v else (v, u, o)
+                                      for u, v, o in state.bonds])
+        if key not in ctx.cache:
+            ctx.cache[key] = _evaluate_graph(state, ctx)
+        ctx.by_cells[row] = ctx.cache[key]
+    smiles, in_ad, vote_sum, pred = ctx.by_cells[row]
 
     duplicate = smiles in ctx.observed
     ctx.observed.add(smiles)
@@ -216,11 +215,11 @@ def evaluate_candidate(z, ctx):
     return rec
 
 
-def _evaluate_graph(g, ctx):
-    """(smiles, in_ad, vote_sum, prediction) of one built graph, from one
-    ensemble pass; the prediction is None when the AD rejects."""
-    smiles = canonical_smiles(g)
-    fingerprints, pred = ctx.ensemble.evaluate(g)
+def _evaluate_graph(state, ctx):
+    """(smiles, in_ad, vote_sum, prediction) of one built grammar.State,
+    from one ensemble pass; the prediction is None when the AD rejects."""
+    smiles = canonical_form_trusted(*state)[0]
+    fingerprints, pred = ctx.ensemble.evaluate(state)
     if ctx.ad is None:
         return smiles, None, None, pred
     in_ad, vote_sum = ad_vote(fingerprints, ctx.ad)

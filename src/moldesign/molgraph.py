@@ -116,6 +116,7 @@ def _validate(g):
     # __init__ sorts the bonds, so a repeated pair follows its first copy
     prev = None
     sums = [0] * n
+    parent = list(range(n))   # union-find over atoms, for connectivity
     for u, v, order in g.bonds:
         if not (0 <= u < n and 0 <= v < n):
             return BAD_ATOM_INDEX, None
@@ -128,20 +129,11 @@ def _validate(g):
             return BAD_BOND_ORDER, None
         sums[u] += order
         sums[v] += order
+        parent[_find(parent, u)] = _find(parent, v)
     for a, total in zip(g.atoms, sums):
         if total > MAX_VALENCE[a]:
             return VALENCE_VIOLATION, None
-    # connectivity from atom 0
-    adjacency = g.adjacency
-    reach = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u, _ in adjacency[v]:
-            if u not in reach:
-                reach.add(u)
-                stack.append(u)
-    if len(reach) != n:
+    if sum(p == i for i, p in enumerate(parent)) > 1:   # roots
         return DISCONNECTED, None
     return OK, sums
 
@@ -150,14 +142,15 @@ ATOM_FEATURE_DIM = 4
 
 
 def atom_features(g):
-    """Per-atom feature matrix: [is_C, is_O, implicit_H, degree]."""
-    feats = np.zeros((g.n_atoms, ATOM_FEATURE_DIM))
-    for i, a in enumerate(g.atoms):
-        feats[i, 0] = 1.0 if a == "C" else 0.0
-        feats[i, 1] = 1.0 if a == "O" else 0.0
-        feats[i, 2] = g.implicit_h(i)
-        feats[i, 3] = g.degree(i)
-    return feats
+    """Per-atom feature matrix [is_C, is_O, implicit_H, degree] of a
+    MolecularGraph or a grammar.State: it reads their atoms and bonds."""
+    rows = [[a == "C", a == "O", MAX_VALENCE[a], 0] for a in g.atoms]
+    for u, v, order in g.bonds:
+        rows[u][2] -= order
+        rows[v][2] -= order
+        rows[u][3] += 1
+        rows[v][3] += 1
+    return np.array(rows, dtype=float).reshape(len(rows), ATOM_FEATURE_DIM)
 
 
 _BOND_CHARS = {"-": 1, "=": 2, "#": 3}
@@ -308,13 +301,14 @@ def _kekulize(atoms, aromatic, bonds):
 #
 # The canonicaliser reads a graph as its atoms, its bonds (each pair once,
 # either way round) and each atom's bond-order sum, and it has one entry
-# per kind of input. Every state the grammar builds takes
-# `canonical_form_trusted`, which checks nothing: `grammar._attach` bonds
-# each new fragment by one bond to an existing atom with enough free
-# valence, so its states are connected, within valence and hold each pair
-# once, and it carries the sums `_validate` would recompute; no
-# MolecularGraph is built for them. Every graph from outside takes
-# `canonical_form`, which validates it and then takes the trusted entry.
+# per kind of input. A state as the grammar builds it, which enumeration,
+# encode and the design loop canonicalise, takes `canonical_form_trusted`,
+# which checks nothing: `grammar._attach` bonds each new fragment by one
+# bond to an existing atom with enough free valence, so its states are
+# connected, within valence and hold each pair once, and it carries the
+# sums `_validate` would recompute. A MolecularGraph, built from outside
+# or returned by `grammar.decode`, takes `canonical_form`, which validates
+# it and then takes the trusted entry.
 # ---------------------------------------------------------------------------
 
 def canonical_smiles(g):
@@ -332,9 +326,8 @@ def canonical_form(g):
     Two graphs with one string are isomorphic, and matching their
     atoms by position in that string is an isomorphism: parsing the string
     gives one graph whose atom k is the k-th written, and each graph's
-    order maps onto it. This is the entry for graphs from outside the
-    grammar: an invalid graph raises MolGraphError, and a valid one goes
-    on to `canonical_form_trusted`.
+    order maps onto it. An invalid graph raises MolGraphError, and a valid
+    one goes on to `canonical_form_trusted`.
     """
     verdict, sums = _validate(g)
     if verdict != OK:
@@ -344,9 +337,9 @@ def canonical_form(g):
 
 def canonical_form_trusted(atoms, bonds, sums):
     """canonical_form(MolecularGraph(atoms, bonds)) for a graph known valid,
-    with sums[i] atom i's bond-order sum: the entry for every state the
-    grammar builds, and `canonical_form`'s after it validates. Nothing is
-    checked: an invalid graph gives no defined result."""
+    with sums[i] atom i's bond-order sum: the entry for a state as the
+    grammar builds it, and `canonical_form`'s after it validates. Nothing
+    is checked: an invalid graph gives no defined result."""
     adjacency = _neighbours(atoms, bonds)
     init = [(a, len(nbrs), total, MAX_VALENCE[a] - total)
             for a, nbrs, total in zip(atoms, adjacency, sums)]

@@ -400,6 +400,7 @@ def ga_step(genes, fitness, bounds, rng):
 
 @dataclass
 class RunHistory:
+    """Every score of a run, in order, and from run_bo each score's point."""
     points: list
     scores: list
 
@@ -416,8 +417,8 @@ def _make_stop(stop):
 
 def run_ga(objective, bounds, n_dims, stop, seed=0):
     """GA maximization over the box bounds = (lo, hi), two arrays of shape
-    (n_dims,); history holds every point scored, in order, including those
-    answered from the cache. One DEBUG line on return gives the generations
+    (n_dims,); history holds every score, in order, cache answers included,
+    and no points. One DEBUG line on return gives the generations
     evaluated, the objective calls and the points answered from the cache."""
     lo, hi = as_box(bounds, n_dims, DimensionMismatch)
     stop_fn = _make_stop(stop)
@@ -440,7 +441,6 @@ def run_ga(objective, bounds, n_dims, stop, seed=0):
             if key not in cache:
                 cache[key] = float(objective(z))
             fits[i] = cache[key]
-            history.points.append(z.copy())
             history.scores.append(fits[i])
         return fits
 

@@ -1,5 +1,9 @@
 import dataclasses
+import functools
 import logging
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -29,6 +33,59 @@ def gaussian_cloud(seed, n=100, d=4):
 
 
 class TestFit:
+    def test_bits_independent_of_blas_threads(self):
+        # OpenBLAS splits a product between its threads, which rounds some
+        # entries another way: without one thread for the fit's products,
+        # these fits gave other alphas on 2 threads than on 1
+        script = ("import hashlib, numpy as np\n"
+                  "from moldesign.adomain import fit_svm\n"
+                  "for n in (300, 1500):\n"
+                  "    x = np.random.default_rng(0).standard_normal((n, 32))\n"
+                  "    s = fit_svm(x)\n"
+                  "    print(hashlib.sha256(s.alphas.tobytes() + "
+                  "s.support_vectors.tobytes() + "
+                  "np.float64(s.rho).tobytes()).hexdigest())\n")
+        src = os.path.dirname(os.path.dirname(adomain.__file__))
+        outs = [subprocess.run(
+            [sys.executable, "-c", script], check=True, capture_output=True,
+            text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=t))
+            for t in ("1", "2")]
+        assert len(outs[0].stdout.split()) == 2
+        assert outs[0].stdout == outs[1].stdout
+        assert outs[0].stderr == outs[1].stderr == ""
+
+    def test_products_on_one_blas_thread_then_count_restored(
+            self, monkeypatch):
+        get, set_ = adomain._openblas_threads()
+        seen = []
+
+        def kernel(*args):
+            seen.append(get())
+            return rbf_kernel(*args)
+
+        monkeypatch.setattr(adomain, "rbf_kernel", kernel)
+        count = get()
+        set_(2)
+        try:
+            fit_svm(gaussian_cloud(0), nu=0.1)
+            assert (seen, get()) == ([1], 2)
+        finally:
+            set_(count)
+
+    def test_missing_blas_control_warns_once(self, caplog, monkeypatch):
+        # a numpy build without the bundled OpenBLAS: the fit goes on
+        monkeypatch.setattr(adomain.glob, "glob", lambda pattern: [])
+        monkeypatch.setattr(adomain, "_openblas_threads", functools.cache(
+            adomain._openblas_threads.__wrapped__))
+        x = gaussian_cloud(0)
+        with caplog.at_level(logging.WARNING, logger="moldesign"):
+            fits = [fit_svm(x, nu=0.1) for _ in range(2)]
+        [rec] = caplog.records
+        assert rec.levelno == logging.WARNING
+        assert "thread" in rec.getMessage()
+        assert np.array_equal(fits[0].alphas, fits[1].alphas)
+
     def test_pass_cap_warns(self, caplog, monkeypatch):
         x = gaussian_cloud(0)
         with caplog.at_level(logging.WARNING, logger="moldesign"):

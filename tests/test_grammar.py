@@ -301,11 +301,13 @@ class TestEnumerate:
             "9cb87de0413e8189b471241cdb48aaf8ea59ff3394b36400a1e430973902fbb3")
 
     def test_every_cell_row_decodes_as_pinned(self, small):
-        # every row of the decision space, atoms in build order
+        # every row of the decision space, atoms in build order, bonds as
+        # a MolecularGraph of the built state sorts them
         rows = itertools.product(*map(range, small.choices_per_slot))
+        graphs = (molgraph.MolecularGraph(*decode_cells(list(c), small)[:2])
+                  for c in rows)
         dump = json.dumps([[list(g.atoms), [list(b) for b in g.bonds]]
-                           for g in (decode_cells(list(cells), small)
-                                     for cells in rows)])
+                           for g in graphs])
         assert hashlib.sha256(dump.encode()).hexdigest() == (
             "21aae84a083803851737a400de660a4af50a0fdd5dd1f3dfdf803b676d634898")
 

@@ -5,10 +5,11 @@ import logging
 import numpy as np
 import pytest
 
-from moldesign import loop, optimizers
+from moldesign import grammar as grammar_mod, loop, molgraph, optimizers
 from moldesign.adomain import AdEnsemble, ad_vote, fit_ad_ensemble, \
     scale_gamma
-from moldesign.gnn import GnnConfig, GnnEnsemble, PropertyPrediction
+from moldesign.gnn import GnnConfig, GnnEnsemble, PropertyPrediction, \
+    graph_arrays
 from moldesign.grammar import (
     FragmentGrammar,
     cell_map,
@@ -31,7 +32,8 @@ from moldesign.loop import (
     summarize,
     write_records,
 )
-from moldesign.molgraph import canonical_smiles, parse_smiles
+from moldesign.molgraph import MolecularGraph, atom_features, canonical_form, \
+    canonical_form_trusted, canonical_smiles, parse_smiles
 from moldesign.optimizers import DimensionMismatch
 
 from graph_helpers import constant_svm
@@ -51,8 +53,8 @@ class _StubEnsemble:
         self.n_models = 3
 
     def predict(self, g):
-        from moldesign.molgraph import canonical_smiles
-
+        # g is a MolecularGraph or a built grammar.State
+        g = MolecularGraph(g.atoms, g.bonds)
         vals = self.table.get(canonical_smiles(g), self.default)
         return PropertyPrediction(*vals)
 
@@ -332,6 +334,26 @@ class TestRun:
                                bounds=(np.zeros(4), np.ones(4)))
         assert summary["n_unique"] >= 5
         assert len(records) < 5000
+
+    @pytest.mark.parametrize("method", ["ga", "bo"])
+    def test_each_record_from_evaluate_candidate_by_module_name(
+            self, monkeypatch, grammar, tiny_ensemble, method):
+        # the benchmark times each evaluation by replacing
+        # loop.evaluate_candidate: run must look it up by that name
+        calls = []
+
+        def counting(z, ctx):
+            calls.append(len(ctx.records))
+            return evaluate_candidate(z, ctx)
+
+        monkeypatch.setattr(loop, "evaluate_candidate", counting)
+        corpus = [parse_smiles(s) for s in ["C", "CC", "CCO", "CC(C)O"]]
+        inputs = {"corpus": corpus} if method == "bo" \
+            else {"bounds": (np.zeros(4), np.ones(4))}
+        cfg = RunConfig(method=method, seed=0, max_total=40,
+                        ad_enabled=False)
+        records, _ = run(cfg, grammar, tiny_ensemble, **inputs)
+        assert calls == list(range(len(records))) == list(range(40))
 
     def test_bo_with_pca_from_corpus(self, grammar, tiny_ensemble):
         corpus = [parse_smiles(s) for s in
@@ -650,10 +672,12 @@ class TestCellCache:
         records, _ = run(cfg, grammar, counting, ad=ad, bounds=bounds)
         cells = {tuple(cell_map(grammar, bounds)(r.latent_full))
                  for r in records}
-        graphs = {decode_cells(c, grammar) for c in cells}
-        # one ensemble pass per distinct built graph
-        assert len(counting.calls) == len(set(counting.calls)) == len(graphs)
-        assert set(counting.calls) == graphs
+        graphs = {MolecularGraph(*decode_cells(c, grammar)[:2]) for c in cells}
+        # one ensemble pass per distinct built graph; each pass gets the
+        # built grammar.State, compared here as a MolecularGraph
+        passed = [MolecularGraph(s.atoms, s.bonds) for s in counting.calls]
+        assert len(passed) == len(set(passed)) == len(graphs)
+        assert set(passed) == graphs
         # some graph is built from more than one cell tuple
         assert len(graphs) < len(cells) < len(records)
 
@@ -674,3 +698,62 @@ class TestCellCache:
                 for r in records}
         assert len(decoded) == len(set(decoded)) == len(rows) < len(records)
         assert set(decoded) == rows
+
+
+class TestStatePath:
+    """The loop scores each decoded grammar.State as the builder made it,
+    with no MolecularGraph or validation: for every molecule of the
+    n_dims=6 enumeration, its first built state must give what its
+    MolecularGraph gives."""
+
+    @pytest.fixture(scope="class")
+    def first_states(self):
+        """(State, MolecularGraph) of each molecule's first built state,
+        with the builder's own bond order and sums."""
+        built = {}
+        firsts = []
+
+        def keep(state):
+            if state is not None:
+                built[id(state[1])] = state
+            return state
+
+        def first_graph(atoms, bonds):
+            firsts.append(grammar_mod.State(*built[id(bonds)]))
+            return MolecularGraph(atoms, bonds)
+
+        attach, scaffold = grammar_mod._attach, grammar_mod._scaffold
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(grammar_mod, "_attach", lambda *a: keep(attach(*a)))
+            m.setattr(grammar_mod, "_scaffold",
+                      lambda *a: keep(scaffold(*a)))
+            m.setattr(grammar_mod, "MolecularGraph", first_graph)
+            molecules = enumerate_grammar(FragmentGrammar(n_dims=6))
+        assert len(firsts) == len(molecules) == 2324
+        return [(s, MolecularGraph(s.atoms, s.bonds)) for s in firsts]
+
+    def test_first_states_as_built(self, first_states):
+        # the states keep the builder's bond order and directions, which
+        # a MolecularGraph sorts away
+        assert sum(list(s.bonds) != list(g.bonds)
+                   for s, g in first_states) > 1000
+        for s, g in first_states:
+            assert molgraph._validate(g) == (molgraph.OK, s.sums)
+
+    def test_canonical_form(self, first_states):
+        for s, g in first_states:
+            assert canonical_form_trusted(*s) == canonical_form(g)
+
+    def test_features_and_adjacency(self, first_states):
+        for s, g in first_states:
+            for a, b in zip(graph_arrays(s), graph_arrays(g)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert atom_features(s).tobytes() == atom_features(g).tobytes()
+
+    def test_ensemble_bits(self, first_states, tiny_ensemble):
+        for s, g in first_states:
+            (fp_s, pred_s), (fp_g, pred_g) = (tiny_ensemble.evaluate(s),
+                                              tiny_ensemble.evaluate(g))
+            assert fp_s.tobytes() == fp_g.tobytes()
+            assert np.array([pred_s.ron, pred_s.mon, pred_s.dcn]).tobytes() \
+                == np.array([pred_g.ron, pred_g.mon, pred_g.dcn]).tobytes()

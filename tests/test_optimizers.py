@@ -630,6 +630,8 @@ class TestDrivers:
                       stop=2000, seed=0)
         assert len(hist) == 2000
         assert max(hist.scores) > -0.05
+        # the GA keeps its scores only: its caller reads no points
+        assert hist.points == []
 
     def test_run_bo_quadratic_2d(self):
         objective = lambda z: -float(np.sum((z - 0.5) ** 2))
