@@ -18,8 +18,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .checks import as_box, check_keys, is_int, read_json
-from .molgraph import (MAX_VALENCE, MolecularGraph, _find,
-                       canonical_form_trusted, canonical_smiles)
+from .molgraph import (MAX_RINGS, MAX_VALENCE, MolecularGraph, _find,
+                       _neighbours, _validate, canonical_form_trusted,
+                       canonical_smiles)
 
 log = logging.getLogger("moldesign")
 
@@ -48,32 +49,17 @@ def _ring_blocks(atoms, bonds):
     that is a simple cycle, and one ("ring", atoms, bonds) part per block
     that is not (fused, bridged or spiro rings).
 
-    Each bond outside a spanning forest closes a cycle with the forest
-    path between its ends; the atoms on such cycles, joined, are the
-    blocks, and a bond lies in a block when both its ends do.
+    A ring bond is one whose ends stay joined without it; the ring bonds'
+    ends, joined, are the blocks, and a bond lies in a block when both its
+    ends do. This takes O(bonds^2), once per piece and per encode target.
     """
-    adj = [[] for _ in atoms]
-    for k, (u, v, _) in enumerate(bonds):
-        adj[u].append((v, k))
-        adj[v].append((u, k))
-    depth, up = [0] * len(atoms), [None] * len(atoms)  # up: (parent, bond)
-    for root in range(len(atoms)):
-        if not depth[root]:
-            depth[root], frontier = 1, [root]
-            for a in frontier:
-                for b, k in adj[a]:
-                    if not depth[b]:
-                        depth[b], up[b] = depth[a] + 1, (a, k)
-                        frontier.append(b)
-    tree = {step[1] for step in up if step}
     block = list(range(len(atoms)))   # union-find over atoms
     for k, (u, v, _) in enumerate(bonds):
-        if k not in tree:
-            while u != v:
-                if depth[u] < depth[v]:
-                    u, v = v, u
-                block[_find(block, u)] = _find(block, up[u][0])
-                u = up[u][0]
+        rest = list(range(len(atoms)))   # union-find without bond k
+        for a, b, _ in bonds[:k] + bonds[k + 1:]:
+            rest[_find(rest, a)] = _find(rest, b)
+        if _find(rest, u) == _find(rest, v):
+            block[_find(block, u)] = _find(block, v)
     n_bonds = Counter(_find(block, u) for u, v, _ in bonds
                       if _find(block, u) == _find(block, v))
     n_atoms = Counter(_find(block, a) for a in range(len(atoms)))
@@ -100,23 +86,22 @@ class _Piece(NamedTuple):
 
 
 def _piece(atoms, bonds, order=None):
-    sums = [0] * len(atoms)
-    for u, v, o in bonds:
-        sums[u] += o
-        sums[v] += o
+    sums = _validate(MolecularGraph(atoms, bonds))[1]
     return _Piece(tuple(atoms), tuple(bonds), tuple(sums),
                   tuple(_parts(atoms, bonds)), order)
 
 
 def _ring(k):
-    return _piece(["C"] * k, [(i, (i + 1) % k, 1) for i in range(k)])
+    return _piece(["C"] * k,
+                  [(i, i + 1, 1) for i in range(k - 1)] + [(0, k - 1, 1)])
 
 
 # each piece is built once here, as it does not depend on the grammar. A
 # fragment is connected and hangs on the one bond to its site, a bridge,
 # so a state's ring blocks are those of its scaffold and fragments and
 # carry over unchanged into every descendant; a piece's parts are then
-# exactly what it adds to a state's, the bond to the site aside.
+# exactly what it adds to a state's, the bond to the site aside. Every
+# bond is written low atom first, and so is each bond `_attach` adds.
 _SCAFFOLDS = {
     "C": _piece(["C"], []),
     "CC": _piece(["C", "C"], [(0, 1, 1)]),
@@ -136,7 +121,7 @@ _FRAGMENTS = {
     "tert_butyl": _piece(["C"] * 4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)], 1),
     "cyclopropyl": _piece(["C"] * 3, [(0, 1, 1), (0, 2, 1), (1, 2, 1)], 1),
     "phenyl": _piece(["C"] * 6, [(0, 1, 2), (1, 2, 1), (2, 3, 2), (3, 4, 1),
-                                 (4, 5, 2), (5, 0, 1)], 1),
+                                 (4, 5, 2), (0, 5, 1)], 1),
 }
 
 DEFAULT_FRAGMENTS = tuple(_FRAGMENTS)
@@ -165,6 +150,17 @@ class FragmentGrammar:
         for s in self.scaffolds:
             if not (isinstance(s, str) and s in _SCAFFOLDS):
                 raise GrammarError("unknown scaffold %r" % s)
+        # a state has one ring per ring piece (each holds at most one, and
+        # fragments hang by a bridge), and SMILES numbers MAX_RINGS closures
+        scaf, frag = ([len(lib[n].atoms) for n in names
+                       if len(lib[n].bonds) >= len(lib[n].atoms)]
+                      for lib, names in ((_SCAFFOLDS, self.scaffolds),
+                                         (_FRAGMENTS, self.fragments)))
+        slots = bool(scaf) + bool(frag) * (self.n_dims - 1)
+        fit = self.max_heavy_atoms // min(scaf + frag) if slots else 0
+        if min(slots, fit) > MAX_RINGS:
+            raise GrammarError("a path could build more than %d rings, which "
+                               "SMILES cannot number" % MAX_RINGS)
 
     @property
     def choices_per_slot(self):
@@ -343,16 +339,10 @@ def _spend(budget, parts):
     return budget
 
 
-def _signature(atoms, bonds):
+def _signature(atoms, bonds, sums):
     """The sorted (element, degree, bond-order sum) of every atom: equal
     for isomorphic graphs."""
-    degree, sums = [0] * len(atoms), [0] * len(atoms)
-    for u, v, o in bonds:
-        degree[u] += 1
-        degree[v] += 1
-        sums[u] += o
-        sums[v] += o
-    return sorted(zip(atoms, degree, sums))
+    return sorted(zip(atoms, map(len, _neighbours(atoms, bonds)), sums))
 
 
 def encode_cells(g, grammar):
@@ -393,9 +383,11 @@ def encode_cells(g, grammar):
     The surviving states are met in the unpruned walk's order, so the
     result is the unpruned walk's.
     """
+    if g.n_rings > MAX_RINGS:   # FragmentGrammar refuses to build that many
+        raise NotExpressible("%d rings, over %d" % (g.n_rings, MAX_RINGS))
     target = canonical_smiles(g)
     full = Counter(_parts(g.atoms, g.bonds))
-    t_signature = _signature(g.atoms, g.bonds)
+    t_signature = _signature(g.atoms, g.bonds, _validate(g)[1])
     usable = [(c, f, _FRAGMENTS[f].parts)
               for c, f in enumerate(grammar.fragments, start=1)
               if _spend(full, _FRAGMENTS[f].parts) is not None]
@@ -416,7 +408,7 @@ def encode_cells(g, grammar):
                 or any(budget[p] for p in unsupplied):
             return None
         if len(atoms) == g.n_atoms:
-            if _signature(atoms, bonds) == t_signature \
+            if _signature(atoms, bonds, sums) == t_signature \
                     and canonical_form_trusted(atoms, bonds, sums)[0] == target:
                 return [0] if slots_left > 0 else []
             return None

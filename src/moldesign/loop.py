@@ -9,7 +9,7 @@ decoded once per run, and each built grammar.State is canonicalised
 (trusted: the builder keeps it valid) and run through the ensemble once
 per run; later points reuse those results. Many cell rows build one graph,
 because an illegal attachment acts as a stop. Results are keyed on the
-graph as built (atoms in build order and the set of bonds), not on SMILES:
+graph as built (atoms in build order, bonds low atom first), not SMILES:
 one molecule built with a different atom order can get predictions that
 differ in the last bit, while the same graph always gets the same bits.
 """
@@ -47,7 +47,7 @@ class ConfigError(LoopError, checks.ConfigError):
     pass
 
 
-class NoExpressibleMolecules(LoopError):
+class NoExpressibleMolecules(LoopError, checks.ConfigError):
     pass
 
 
@@ -158,7 +158,7 @@ class EvaluationContext:
         self.seen = set()      # unique-budget set: non-penalized molecules
         self.observed = set()  # every decoded molecule, for duplicate flags
         self.records = []
-        # (atoms, bond set) of each built graph -> its _evaluate_graph result
+        # (atoms, set of (low, high, order) bonds) -> _evaluate_graph result
         self.cache = {}
         self.by_cells = {}     # cell row (tuple) -> its graph's cache entry
 
@@ -184,8 +184,7 @@ def evaluate_candidate(z, ctx):
     row = tuple(ctx.cells(z_full))
     if row not in ctx.by_cells:
         state = decode_cells(row, ctx.grammar)
-        key = state.atoms, frozenset([(u, v, o) if u < v else (v, u, o)
-                                      for u, v, o in state.bonds])
+        key = state.atoms, frozenset(state.bonds)
         if key not in ctx.cache:
             ctx.cache[key] = _evaluate_graph(state, ctx)
         ctx.by_cells[row] = ctx.cache[key]
@@ -257,9 +256,9 @@ def run(config, grammar, ensemble, ad=None, corpus=None, bounds=None):
     search_bounds = (lo, hi)
     n_dims = grammar.n_dims
     if bo:
-        if len(corpus_cells) < 2:
-            raise NoExpressibleMolecules("not enough expressible molecules "
-                                         "for PCA")
+        if len(set(map(tuple, corpus_cells))) < 2:
+            raise NoExpressibleMolecules("BO's PCA needs 2 distinct "
+                                         "expressible corpus molecules")
         latents = [cell_center(c, grammar, (lo, hi)) for c in corpus_cells]
         pca = optimizers.pca_fit(latents)
         reduced = pca.project(np.array(latents))

@@ -8,11 +8,11 @@ each atom's implicit H count is whatever valence is left over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 MAX_VALENCE = {"C": 4, "O": 2}
+MAX_RINGS = 9   # a SMILES string numbers its ring closures 1-9
 
 # validate() verdicts
 OK = "ok"
@@ -71,20 +71,6 @@ class MolecularGraph:
     def n_rings(self):
         # cyclomatic number; equals ring count for connected graphs
         return len(self.bonds) - len(self.atoms) + 1
-
-    @cached_property
-    def adjacency(self):
-        """List of (neighbor, order) per atom."""
-        return [tuple(a) for a in _neighbours(self.atoms, self.bonds)]
-
-    def degree(self, i):
-        return len(self.adjacency[i])
-
-    def bond_order_sum(self, i):
-        return sum(order for _, order in self.adjacency[i])
-
-    def implicit_h(self, i):
-        return MAX_VALENCE[self.atoms[i]] - self.bond_order_sum(i)
 
     def count(self, element):
         return sum(1 for a in self.atoms if a == element)
@@ -550,7 +536,7 @@ def _emit(atoms, adjacency, ranks):
                 out.append(")")
             elif slot[u] < slot[v]:
                 counter += 1
-                if counter > 9:
+                if counter > MAX_RINGS:
                     raise MolGraphError("more than 9 ring closures")
                 digit = _BOND_SYMS[order] + str(counter)
                 out[slot[u]] += digit

@@ -4,12 +4,12 @@ import numpy as np
 
 from moldesign.adomain import OneClassSvm
 from moldesign.gnn import TASKS, GraphBatch
-from moldesign.molgraph import MolecularGraph, canonical_smiles
+from moldesign.molgraph import MolecularGraph, atom_features, canonical_smiles
 
 
 def total_h(g):
     """Implicit hydrogens summed over the atoms of g."""
-    return sum(g.implicit_h(i) for i in range(g.n_atoms))
+    return int(atom_features(g)[:, 2].sum())
 
 
 def permuted(g, perm):

@@ -717,6 +717,52 @@ class TestRunLoop:
         err = capsys.readouterr().err
         assert "error[E_CONFIG]" in err and "line 2" in err
 
+    def run_on(self, workdir, tmp_path, corpus, grammar=None, **loop_kw):
+        """run-loop on the corpus text, and on the grammar config if one
+        is given, with the fixture checkpoint."""
+        cfg = json.loads(open(loop_config(workdir, **loop_kw)).read())
+        cfg["corpus"] = str(tmp_path / "corpus.smi")
+        (tmp_path / "corpus.smi").write_text(corpus)
+        if grammar is not None:
+            cfg["grammar"] = str(tmp_path / "grammar.json")
+            (tmp_path / "grammar.json").write_text(json.dumps(grammar))
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(cfg))
+        return main(["run-loop", "--config", str(path),
+                     "--out", str(tmp_path / "run")])
+
+    def test_ten_ring_corpus_molecule_skipped(self, workdir, tmp_path,
+                                              caplog):
+        # a SMILES string numbers at most 9 ring closures
+        with caplog.at_level(logging.WARNING, logger="moldesign"):
+            rc = self.run_on(workdir, tmp_path, CORPUS + "C1CC1" * 10 + "\n")
+        assert rc == 0
+        assert "skipped 1 of 6 molecules" in caplog.text
+
+    def test_grammar_with_room_for_ten_rings_refused(self, workdir, tmp_path,
+                                                     capsys):
+        grammar = dict(FragmentGrammar().to_config(), n_dims=12,
+                       max_heavy_atoms=40)
+        rc = self.run_on(workdir, tmp_path, "C1CC1\n", grammar)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[E_CONFIG]") and "more than 9 rings" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("method,corpus,message", [
+        ("ga", "C1CCC1\n", "no corpus molecule is expressible"),
+        ("bo", "C1CCC1\n", "no corpus molecule is expressible"),
+        ("bo", "C\nC1CCC1\n", "2 distinct expressible corpus molecules"),
+        ("bo", "CCO\nCCO\n", "2 distinct expressible corpus molecules"),
+    ])
+    def test_corpus_the_grammar_cannot_use_is_config_error(
+            self, workdir, tmp_path, capsys, method, corpus, message):
+        rc = self.run_on(workdir, tmp_path, corpus, method=method)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[E_CONFIG]") and message in err
+        assert not (tmp_path / "run").exists()
+
 
 class TestReportAndEnumerate:
     def test_report_consistent_with_summary(self, workdir, tmp_path):

@@ -23,7 +23,8 @@ from moldesign.grammar import (
     encode_cells,
     enumerate_grammar,
 )
-from moldesign.molgraph import canonical_smiles, parse_smiles, validate
+from moldesign.molgraph import (MolecularGraph, canonical_smiles, parse_smiles,
+                                validate)
 
 from graph_helpers import is_isomorphic
 
@@ -473,8 +474,8 @@ def assert_encodes_like_reference(g, grammar):
 
 def atom_signature(g):
     """The sorted (element, degree, bond-order sum) of every atom."""
-    return sorted((a, len(adj), sum(o for _, o in adj))
-                  for a, adj in zip(g.atoms, g.adjacency))
+    return sorted((a, len(adj), sum(o for _, o in adj)) for a, adj
+                  in zip(g.atoms, molgraph._neighbours(g.atoms, g.bonds)))
 
 
 @pytest.fixture
@@ -746,6 +747,181 @@ def test_ring_blocks_only_grow_along_a_decode_path(s, cells):
         assert not blocks - final
         assert all(len(b) == 2 for b in blocks)
         assert sum(blocks.values()) == len(bonds) - len(atoms) + 1
+
+
+def reference_ring_blocks(atoms, bonds):
+    """The former `_ring_blocks`: each bond outside a BFS spanning forest
+    closes a cycle with the forest path between its ends; the atoms on
+    such cycles, joined, are the blocks, and a bond lies in a block when
+    both its ends do."""
+    adj = [[] for _ in atoms]
+    for k, (u, v, _) in enumerate(bonds):
+        adj[u].append((v, k))
+        adj[v].append((u, k))
+    depth, up = [0] * len(atoms), [None] * len(atoms)  # up: (parent, bond)
+    for root in range(len(atoms)):
+        if not depth[root]:
+            depth[root], frontier = 1, [root]
+            for a in frontier:
+                for b, k in adj[a]:
+                    if not depth[b]:
+                        depth[b], up[b] = depth[a] + 1, (a, k)
+                        frontier.append(b)
+    tree = {step[1] for step in up if step}
+    block = list(range(len(atoms)))
+    for k, (u, v, _) in enumerate(bonds):
+        if k not in tree:
+            while u != v:
+                if depth[u] < depth[v]:
+                    u, v = v, u
+                block[molgraph._find(block, u)] = molgraph._find(
+                    block, up[u][0])
+                u = up[u][0]
+    n_bonds = Counter(molgraph._find(block, u) for u, v, _ in bonds
+                      if molgraph._find(block, u) == molgraph._find(block, v))
+    n_atoms = Counter(molgraph._find(block, a) for a in range(len(atoms)))
+    return [("ring", n_atoms[r]) if n_atoms[r] == m
+            else ("ring", n_atoms[r], m) for r, m in n_bonds.items()]
+
+
+def assert_parts_like_reference(atoms, bonds):
+    expected = [*atoms, *(grammar_mod._bond_type(atoms, b) for b in bonds),
+                *reference_ring_blocks(atoms, bonds)]
+    assert Counter(grammar_mod._parts(atoms, bonds)) == Counter(expected)
+
+
+@st.composite
+def simple_graphs(draw):
+    """A random simple graph of 2-9 carbons, each bond written either way
+    round, so fused, spiro and bridged blocks all arise, and several
+    components may."""
+    n = draw(st.integers(2, 9))
+    pairs = draw(st.lists(st.sampled_from(
+        [(u, v) for v in range(n) for u in range(v)]), max_size=14,
+        unique=True))
+    return ("C",) * n, [(v, u, 1) if draw(st.booleans()) else (u, v, 1)
+                        for u, v in pairs]
+
+
+class TestRingBlocksAgainstReference:
+    """`_parts` holds the former spanning-forest ring blocks, as a
+    multiset."""
+
+    def test_on_the_n_dims_6_enumeration(self):
+        molecules = enumerate_grammar(FragmentGrammar(n_dims=6))
+        assert len(molecules) == 2324
+        for g in molecules.values():
+            assert_parts_like_reference(g.atoms, g.bonds)
+
+    @pytest.mark.parametrize("smiles", [
+        "C1CCC2CCCCC2C1",       # fused
+        "C1CC2CC1C2",           # bridged
+        "C1CCC2(CC1)CC2",       # spiro
+        "C12C3C1C4C5C2C3C45",   # cubic, one block
+        "C1CC1C1CCC2CC2C1",
+    ])
+    def test_on_fused_spiro_and_bridged_rings(self, smiles):
+        g = parse_smiles(smiles)
+        assert_parts_like_reference(g.atoms, g.bonds)
+
+    @settings(max_examples=500, deadline=None)
+    @given(graph=simple_graphs())
+    def test_on_random_graphs(self, graph):
+        assert_parts_like_reference(*graph)
+
+
+def test_every_bond_low_atom_first(monkeypatch):
+    # each piece, and so every state built from them, writes each bond
+    # low atom first, which the loop's cache key relies on
+    for piece in [*grammar_mod._SCAFFOLDS.values(),
+                  *grammar_mod._FRAGMENTS.values()]:
+        assert all(u < v for u, v, _ in piece.bonds)
+    states = []
+    attach, scaffold = grammar_mod._attach, grammar_mod._scaffold
+
+    def keep(state):
+        if state is not None:
+            states.append(state)
+        return state
+
+    monkeypatch.setattr(grammar_mod, "_attach", lambda *a: keep(attach(*a)))
+    monkeypatch.setattr(grammar_mod, "_scaffold",
+                        lambda *a: keep(scaffold(*a)))
+    assert len(enumerate_grammar(FragmentGrammar(n_dims=6))) == 2324
+    assert len(states) > 2324
+    for _, bonds, _ in states:
+        assert all(u < v for u, v, _ in bonds)
+
+
+class TestRingCap:
+    """A SMILES string numbers at most 9 ring closures, so a grammar that
+    could build a tenth ring is refused, and encode refuses a target with
+    ten before it canonicalises it."""
+
+    @pytest.mark.parametrize("kwargs,refused", [
+        # ring slots: 1 for a ring scaffold, n_dims - 1 for ring fragments;
+        # at most max_heavy_atoms // 3 rings of 3 atoms
+        ({"n_dims": 12, "max_heavy_atoms": 40}, True),
+        ({"n_dims": 10, "max_heavy_atoms": 40}, True),
+        ({"n_dims": 9, "max_heavy_atoms": 40}, False),
+        ({"n_dims": 32, "max_heavy_atoms": 30}, True),
+        ({"n_dims": 32, "max_heavy_atoms": 29}, False),
+        ({"n_dims": 40, "max_heavy_atoms": 100, "fragments": ("methyl",)},
+         False),
+        ({"n_dims": 10, "max_heavy_atoms": 100, "scaffolds": ("CC",)},
+         False),
+        ({"n_dims": 11, "max_heavy_atoms": 100, "scaffolds": ("CC",)},
+         True),
+        ({"n_dims": 11, "max_heavy_atoms": 59, "scaffolds": ("CC",),
+          "fragments": ("phenyl",)}, False),
+        ({"n_dims": 11, "max_heavy_atoms": 60, "scaffolds": ("CC",),
+          "fragments": ("phenyl",)}, True),
+    ])
+    def test_grammar_refused_when_a_path_could_build_ten_rings(self, kwargs,
+                                                               refused):
+        if refused:
+            with pytest.raises(GrammarError, match="more than 9 rings"):
+                FragmentGrammar(**kwargs)
+        else:
+            FragmentGrammar(**kwargs)
+
+    def test_nine_rings_built_and_written(self):
+        grammar = FragmentGrammar(n_dims=9, fragments=("cyclopropyl",),
+                                  scaffolds=("ring3",), max_heavy_atoms=40)
+        g = MolecularGraph(*decode_cells([0] + [1] * 8, grammar)[:2])
+        assert g.n_rings == 9
+        assert canonical_smiles(parse_smiles(canonical_smiles(g))) \
+            == canonical_smiles(g)
+        assert encode_cells(g, grammar) == [0] + [1] * 8
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_dims=st.integers(1, 14), max_heavy=st.integers(1, 45),
+           scaffolds=st.lists(st.sampled_from(grammar_mod.DEFAULT_SCAFFOLDS),
+                              min_size=1, unique=True),
+           fragments=st.lists(st.sampled_from(DEFAULT_FRAGMENTS),
+                              unique=True))
+    def test_accepted_grammars_build_at_most_nine_rings(
+            self, n_dims, max_heavy, scaffolds, fragments):
+        # a path builds the most rings from some scaffold and then its
+        # smallest ring fragment, attached as often as it fits
+        try:
+            grammar = FragmentGrammar(
+                n_dims=n_dims, fragments=tuple(fragments),
+                scaffolds=tuple(scaffolds), max_heavy_atoms=max_heavy)
+        except GrammarError:
+            return
+        for s, name in enumerate(scaffolds):
+            for c, fragment in enumerate(fragments, start=1):
+                state = decode_cells([s] + [c] * (n_dims - 1), grammar)
+                assert len(state.bonds) - len(state.atoms) + 1 <= 9
+
+    def test_encode_refuses_ten_rings_before_canonicalising(self,
+                                                           canonical_calls):
+        g = parse_smiles("C1CC1" * 10)
+        assert g.n_rings == 10
+        with pytest.raises(NotExpressible, match="10 rings"):
+            encode_cells(g, FragmentGrammar())
+        assert canonical_calls == []
 
 
 class TestConfig:

@@ -733,8 +733,8 @@ class TestStatePath:
         return [(s, MolecularGraph(s.atoms, s.bonds)) for s in firsts]
 
     def test_first_states_as_built(self, first_states):
-        # the states keep the builder's bond order and directions, which
-        # a MolecularGraph sorts away
+        # the states keep the builder's bond order, which a MolecularGraph
+        # sorts away; every bond is written low atom first either way
         assert sum(list(s.bonds) != list(g.bonds)
                    for s, g in first_states) > 1000
         for s, g in first_states:

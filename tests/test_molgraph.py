@@ -63,8 +63,7 @@ class TestParse:
     def test_double_bond(self):
         g = parse_smiles("C=O")
         assert g.bonds == ((0, 1, 2),)
-        assert g.implicit_h(0) == 2
-        assert g.implicit_h(1) == 0
+        assert atom_features(g)[:, 2].tolist() == [2.0, 0.0]
 
     def test_triple_bond(self):
         g = parse_smiles("C#C")
@@ -224,11 +223,25 @@ class TestProperties:
 
 # --- test-only reference: the search before it pruned by automorphisms ---
 
+def neighbours(g):
+    """A list of (neighbor, order) pairs per atom of g."""
+    return molgraph._neighbours(g.atoms, g.bonds)
+
+
+def initial_keys(g):
+    """Each atom's (element, degree, bond-order sum, implicit H), from its
+    neighbours and the bond-order sums of a valid g."""
+    sums = molgraph._validate(g)[1]
+    return [(a, len(nbrs), total, MAX_VALENCE[a] - total)
+            for a, nbrs, total in zip(g.atoms, neighbours(g), sums)]
+
+
 def _reference_refine(g, ranks):
     """The former refinement: (order, rank) pair signatures for every atom."""
+    adjacency = neighbours(g)
     while True:
         keys = [(ranks[i], tuple(sorted((order, ranks[u])
-                                        for u, order in g.adjacency[i])))
+                                        for u, order in adjacency[i])))
                 for i in range(g.n_atoms)]
         new = molgraph._rank(keys)
         if new == ranks:
@@ -297,7 +310,7 @@ def _reference_candidates(g, ranks):
         cells.setdefault(r, []).append(i)
     tied = [cells[r] for r in sorted(cells) if len(cells[r]) > 1]
     if not tied:
-        yield reference_emit(g.atoms, g.adjacency, ranks)[0]
+        yield reference_emit(g.atoms, neighbours(g), ranks)[0]
         return
     for atom in tied[0]:
         branched = [2 * r for r in ranks]
@@ -307,9 +320,7 @@ def _reference_candidates(g, ranks):
 
 def reference_canonical_smiles(g):
     """The former canonicaliser: the minimum over the exhaustive search."""
-    init = [(g.atoms[i], g.degree(i), g.bond_order_sum(i), g.implicit_h(i))
-            for i in range(g.n_atoms)]
-    return min(_reference_candidates(g, molgraph._rank(init)))
+    return min(_reference_candidates(g, molgraph._rank(initial_keys(g))))
 
 
 # Cubic 8-carbon graphs on which refinement ties atoms of different orbits
@@ -352,10 +363,11 @@ def doubled_trees(draw):
     ties."""
     g = draw(co_trees(max_atoms=8))
     n = g.n_atoms
-    open_atoms = [i for i in range(n) if g.implicit_h(i) > 0]
+    free = atom_features(g)[:, 2].astype(int).tolist()   # implicit H
+    open_atoms = [i for i in range(n) if free[i] > 0]
     assume(open_atoms)
     joint = draw(st.sampled_from(open_atoms))
-    order = draw(st.integers(1, min(3, g.implicit_h(joint))))
+    order = draw(st.integers(1, min(3, free[joint])))
     bonds = list(g.bonds) + [(u + n, v + n, o) for u, v, o in g.bonds] \
         + [(joint, joint + n, order)]
     doubled = MolecularGraph(g.atoms * 2, bonds)
@@ -368,21 +380,19 @@ decoded_trees = latents6.map(lambda z: decode(z, GRAMMAR6, UNIT6)).filter(
 
 def refined_ranks(g):
     """g's atoms ranked by the canonicaliser's initial key, then refined."""
-    init = [(a, g.degree(i), g.bond_order_sum(i), g.implicit_h(i))
-            for i, a in enumerate(g.atoms)]
-    return molgraph._refine(g.adjacency, molgraph._rank(init))
+    return molgraph._refine(neighbours(g), molgraph._rank(initial_keys(g)))
 
 
 def descent_form(g):
     """The form trees were written in before they skipped the descent:
     refine, then individualise the first atom of the first tied cell and
     refine again until no two atoms tie, and write that leaf."""
-    ranks = refined_ranks(g)
+    ranks, adjacency = refined_ranks(g), neighbours(g)
     while max(ranks) < g.n_atoms - 1:
         atom = molgraph._first_tied_cell(ranks)[0]
-        ranks = molgraph._refine(g.adjacency,
+        ranks = molgraph._refine(adjacency,
                                  molgraph._individualise(ranks, atom))
-    return molgraph._emit(g.atoms, g.adjacency, ranks)
+    return molgraph._emit(g.atoms, adjacency, ranks)
 
 
 @st.composite
@@ -569,13 +579,13 @@ class TestWriter:
     @given(g=graphs, data=st.data())
     def test_one_pass_writer(self, g, data):
         ranks = data.draw(st.permutations(range(g.n_atoms)))
-        assert molgraph._emit(g.atoms, g.adjacency, ranks) \
-            == reference_emit(g.atoms, g.adjacency, ranks)
+        assert molgraph._emit(g.atoms, neighbours(g), ranks) \
+            == reference_emit(g.atoms, neighbours(g), ranks)
         if len(g.bonds) < g.n_atoms:
             # trees are written at their refined ranks, which may tie
             ranks = refined_ranks(g)
-            assert molgraph._emit(g.atoms, g.adjacency, ranks) \
-                == reference_emit(g.atoms, g.adjacency, ranks)
+            assert molgraph._emit(g.atoms, neighbours(g), ranks) \
+                == reference_emit(g.atoms, neighbours(g), ranks)
 
     def test_more_than_nine_ring_closures_refused(self):
         g = prism(9)
