@@ -6,12 +6,13 @@ unique-molecule budget. The objective is RON + OS = 2 RON - MON.
 
 Each point is mapped to its decision cells. Each distinct cell row is
 decoded once per run, and each built grammar.State is canonicalised
-(trusted: the builder keeps it valid) and run through the ensemble once
-per run; later points reuse those results. Many cell rows build one graph,
-because an illegal attachment acts as a stop. Results are keyed on the
-graph as built (atoms in build order, bonds low atom first), not SMILES:
-one molecule built with a different atom order can get predictions that
-differ in the last bit, while the same graph always gets the same bits.
+(trusted: the builder keeps it valid), scored and gated once per run by
+`_evaluate_graph`, which decides the penalty; its cache entry is the
+graph's record fields that no point changes. Many cell rows build one
+graph, because an illegal attachment acts as a stop. Entries are keyed on
+the graph as built (atoms in build order, bonds low atom first), not
+SMILES: one molecule built with another atom order can get predictions
+that differ in the last bit, while one graph always gets the same bits.
 """
 
 from __future__ import annotations
@@ -145,8 +146,9 @@ class EvaluationContext:
     """Shared state for scoring candidates within one run. ad gates each
     new graph (None scores every candidate); pca, when given, lifts search
     points to the full latent space. cells maps a full-space point to its
-    decision cells in bounds, prepared once for the run. by_cells indexes
-    cache by cell row, so a row seen before is not decoded again."""
+    decision cells in bounds, prepared once for the run. cache holds each
+    built graph's record fields, as `_evaluate_graph` decides them, and
+    by_cells indexes it by cell row: a row seen before is not decoded."""
 
     def __init__(self, grammar, bounds, ensemble, ad=None, pca=None):
         self.grammar = grammar
@@ -158,7 +160,7 @@ class EvaluationContext:
         self.seen = set()      # unique-budget set: non-penalized molecules
         self.observed = set()  # every decoded molecule, for duplicate flags
         self.records = []
-        # (atoms, set of (low, high, order) bonds) -> _evaluate_graph result
+        # (atoms, set of (low, high, order) bonds) -> that graph's fields
         self.cache = {}
         self.by_cells = {}     # cell row (tuple) -> its graph's cache entry
 
@@ -175,12 +177,11 @@ def evaluate_candidate(z, ctx):
     """Decode, gate through the AD, predict, and score one latent point.
 
     A point whose cell row, or else whose built graph, was evaluated before
-    in this run reuses that result; its record is still its own (latent,
-    index, duplicate).
+    in this run takes that graph's cached record fields; its index, latents
+    and duplicate flag are its own.
     """
     z = np.asarray(z, dtype=float)
-    z_reduced, z_full = (z, ctx.pca.lift(z)) if ctx.pca is not None \
-        else (None, z)
+    z_full = z if ctx.pca is None else ctx.pca.lift(z)
     row = tuple(ctx.cells(z_full))
     if row not in ctx.by_cells:
         state = decode_cells(row, ctx.grammar)
@@ -188,41 +189,33 @@ def evaluate_candidate(z, ctx):
         if key not in ctx.cache:
             ctx.cache[key] = _evaluate_graph(state, ctx)
         ctx.by_cells[row] = ctx.cache[key]
-    smiles, in_ad, vote_sum, pred = ctx.by_cells[row]
-
-    duplicate = smiles in ctx.observed
-    ctx.observed.add(smiles)
-    penalized = pred is None
-    if not penalized:
-        ctx.seen.add(smiles)
-    rec = RunRecord(
-        index=len(ctx.records),
-        latent_full=z_full.tolist(),
-        latent_reduced=None if z_reduced is None else z_reduced.tolist(),
-        smiles=smiles,
-        ron=None if penalized else float(pred.ron),
-        mon=None if penalized else float(pred.mon),
-        dcn=None if penalized else float(pred.dcn),
-        os=None if penalized else float(pred.os),
-        score=float(PENALTY if penalized else pred.score),
-        in_ad=in_ad,
-        vote_sum=vote_sum,
-        duplicate=duplicate,
-        penalty_applied=penalized,
-    )
+    fields = ctx.by_cells[row]
+    rec = RunRecord(len(ctx.records), z_full.tolist(),
+                    None if ctx.pca is None else z.tolist(),
+                    duplicate=fields["smiles"] in ctx.observed, **fields)
+    ctx.observed.add(rec.smiles)
     ctx.records.append(rec)
     return rec
 
 
 def _evaluate_graph(state, ctx):
-    """(smiles, in_ad, vote_sum, prediction) of one built grammar.State,
-    from one ensemble pass; the prediction is None when the AD rejects."""
+    """The RunRecord fields of a built grammar.State that no point changes,
+    from one ensemble pass: the one place that decides the penalty. An AD
+    rejection gets null properties and the PENALTY score, a run without an
+    AD a null in_ad and vote_sum; an unpenalized graph joins ctx.seen."""
     smiles = canonical_form_trusted(*state)[0]
     fingerprints, pred = ctx.ensemble.evaluate(state)
-    if ctx.ad is None:
-        return smiles, None, None, pred
-    in_ad, vote_sum = ad_vote(fingerprints, ctx.ad)
-    return smiles, in_ad, vote_sum, pred if in_ad else None
+    in_ad, vote_sum = (None, None) if ctx.ad is None \
+        else ad_vote(fingerprints, ctx.ad)
+    fields = dict(smiles=smiles, in_ad=in_ad, vote_sum=vote_sum,
+                  penalty_applied=ctx.ad is not None and not in_ad,
+                  score=float(PENALTY), ron=None, mon=None, dcn=None, os=None)
+    if not fields["penalty_applied"]:
+        ctx.seen.add(smiles)
+        fields.update(ron=float(pred.ron), mon=float(pred.mon),
+                      dcn=float(pred.dcn), os=float(pred.os),
+                      score=float(pred.score))
+    return fields
 
 
 def run(config, grammar, ensemble, ad=None, corpus=None, bounds=None):
@@ -276,10 +269,9 @@ def run(config, grammar, ensemble, ad=None, corpus=None, bounds=None):
             return True
         if config.max_unique is not None and ctx.n_unique >= config.max_unique:
             return True
-        if config.time_limit_s is not None \
-                and time.monotonic() - start > config.time_limit_s:
-            return True
-        return False
+        # a run scores its first point whatever the time budget
+        return config.time_limit_s is not None and bool(ctx.records) \
+            and time.monotonic() - start > config.time_limit_s
 
     def objective(z):
         return evaluate_candidate(z, ctx).score
@@ -350,8 +342,9 @@ _REALS = "a list of finite numbers", \
     lambda x: isinstance(x, list) and all(map(is_real, x))
 _FLAG = "true or false", lambda x: isinstance(x, bool)
 
-# RunRecord field -> (what evaluate_candidate writes there, its check);
-# vote_sum is below 0 when most AD members vote outside
+# RunRecord field -> (what evaluate_candidate writes there, its check); a
+# graph's cache entry (_evaluate_graph decides its penalty) holds all but
+# index, latents and duplicate. vote_sum < 0: most AD members vote out
 _RECORD_VALUES = {
     "index": ("an integer >= 0", lambda x: is_int(x, 0)),
     "latent_full": _REALS, "latent_reduced": _or_null(_REALS),

@@ -327,7 +327,7 @@ def canonical_form_trusted(atoms, bonds, sums):
     grammar builds it, and `canonical_form`'s after it validates. Nothing
     is checked: an invalid graph gives no defined result."""
     adjacency = _neighbours(atoms, bonds)
-    init = [(a, len(nbrs), total, MAX_VALENCE[a] - total)
+    init = [(a, len(nbrs), total)
             for a, nbrs, total in zip(atoms, adjacency, sums)]
     return min(_canonical_candidates(atoms, bonds, adjacency, _rank(init)))
 
@@ -512,37 +512,44 @@ def _emit(atoms, adjacency, ranks):
     next ring-closure digit, appended with its bond symbol to both atoms'
     tokens. Digits are numbered as the rings close, so each token gets
     them in increasing order. Ranks may tie on a tree, which has no
-    closures; tied children go in index order."""
+    closures; tied children go in index order. The DFS keeps its own stack
+    (atom, neighbours to do, its last child's "(" token), so the writer
+    has no depth limit."""
     start = ranks.index(0)
     out = [atoms[start]]
     slot = [-1] * len(atoms)    # each written atom's token in out
     slot[start] = 0
-    written = []
+    written = [start]
     counter = 0
 
-    def visit(v, parent):
-        nonlocal counter
-        written.append(v)
-        last = -1
-        for _, u, order in sorted([(ranks[u], u, order)
-                                   for u, order in adjacency[v]
-                                   if u != parent]):
+    def frame(v, parent):
+        return [v, iter(sorted([(ranks[u], u, order) for u, order
+                                in adjacency[v] if u != parent])), -1]
+
+    stack = [frame(start, -1)]
+    while stack:
+        top = stack[-1]
+        v, todo, _ = top
+        for _, u, order in todo:
             if slot[u] < 0:
-                last = len(out)
+                top[2] = len(out)
                 out.append("(")
-                slot[u] = last + 1
+                slot[u] = len(out)
                 out.append(_BOND_SYMS[order] + atoms[u])
-                visit(u, v)
-                out.append(")")
-            elif slot[u] < slot[v]:
+                written.append(u)
+                stack.append(frame(u, v))
+                break
+            if slot[u] < slot[v]:
                 counter += 1
                 if counter > MAX_RINGS:
                     raise MolGraphError("more than 9 ring closures")
                 digit = _BOND_SYMS[order] + str(counter)
                 out[slot[u]] += digit
                 out[slot[v]] += digit
-        if last >= 0:
-            out[last] = out[-1] = ""
-
-    visit(start, -1)
+        else:
+            stack.pop()
+            if top[2] >= 0:
+                out[top[2]] = out[-1] = ""
+            if stack:
+                out.append(")")
     return "".join(out), written

@@ -1,5 +1,8 @@
 """Graph, GNN and AD helpers that only the tests use."""
 
+import contextlib
+import sys
+
 import numpy as np
 
 from moldesign.adomain import OneClassSvm
@@ -10,6 +13,24 @@ from moldesign.molgraph import MolecularGraph, atom_features, canonical_smiles
 def total_h(g):
     """Implicit hydrogens summed over the atoms of g."""
     return int(atom_features(g)[:, 2].sum())
+
+
+@contextlib.contextmanager
+def recursion_limit(limit):
+    """Python's recursion limit set to limit inside the block, so a graph
+    deeper than the limit needs only a few hundred atoms."""
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(before)
+
+
+def deeper_than_recursion_limit(unit):
+    """unit ("C" for a chain, "C(C)" for a comb) repeated 200 times more
+    than the recursion limit: a SMILES whose DFS path runs past it."""
+    return unit * (sys.getrecursionlimit() + 200)
 
 
 def permuted(g, perm):

@@ -134,6 +134,16 @@ CHECKPOINT_DAMAGE = {
 }
 
 
+def run_cli(args, **env):
+    """The finished `python -m moldesign.cli` process on args, with env
+    added to this one's and RuntimeWarning an error, as in this suite."""
+    src = os.path.dirname(os.path.dirname(gnn.__file__))
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "moldesign.cli",
+         *args], env=dict(os.environ, PYTHONPATH=src, **env),
+        capture_output=True, text=True, timeout=120)
+
+
 def loop_config(workdir, **loop_kw):
     cfg = {
         "schema_version": 1,
@@ -474,12 +484,9 @@ class TestTrainAndFit:
         cfg.write_text(json.dumps({"dataset": str(data), "n_models": 2,
                                    "train": {"epochs": 5,
                                              "learning_rate": 1e300}}))
-        src = os.path.dirname(os.path.dirname(gnn.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-m", "moldesign.cli", "train-gnn", "--config",
-             str(cfg), "--out", str(tmp_path / "o.ckpt")],
-            env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="always"),
-            capture_output=True, text=True, timeout=120)
+        proc = run_cli(["train-gnn", "--config", str(cfg),
+                        "--out", str(tmp_path / "o.ckpt")],
+                       PYTHONWARNINGS="always")
         assert proc.returncode == 2
         assert proc.stderr == (
             "error[E_RUNTIME]: training loss became non-finite at epoch 2\n")
@@ -493,12 +500,9 @@ class TestTrainAndFit:
             "dataset": str(workdir / "dataset.csv"), "n_models": 3,
             "gnn": {"hidden_dim": 8, "fp_dim": 8, "mlp_hidden": 4},
             "train": {"epochs": 10}}))
-        src = os.path.dirname(os.path.dirname(gnn.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-m", "moldesign.cli", "train-gnn", "--config",
-             str(cfg), "--seed", "4", "--out", str(tmp_path / "o.ckpt")],
-            env=dict(os.environ, PYTHONPATH=src, MOLDESIGN_LOG="INFO"),
-            capture_output=True, text=True, timeout=120)
+        proc = run_cli(["train-gnn", "--config", str(cfg), "--seed", "4",
+                        "--out", str(tmp_path / "o.ckpt")],
+                       MOLDESIGN_LOG="INFO")
         assert proc.returncode == 0
         losses = json.loads((tmp_path / "o.ckpt.losses.json").read_text())
         lines = proc.stderr.splitlines()
@@ -569,6 +573,17 @@ class TestRunLoop:
         meta = json.loads((tmp_path / "run" / "metadata.json").read_text())
         assert set(meta) == {"started_unix", "elapsed_s"}
         assert meta["elapsed_s"] >= 0.0
+
+    @pytest.mark.parametrize("method", ["ga", "bo"])
+    def test_time_budget_shorter_than_one_evaluation(self, workdir, tmp_path,
+                                                     method):
+        rc = main(["run-loop", "--config",
+                   loop_config(workdir, method=method, time_limit_s=1e-9,
+                               max_total=None, max_unique=None),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 0
+        lines = (tmp_path / "run" / "records.jsonl").read_text().splitlines()
+        assert len(lines) == 1
 
     def test_rerun_byte_identical(self, workdir, tmp_path):
         cfg = loop_config(workdir)

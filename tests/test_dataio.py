@@ -10,6 +10,8 @@ from moldesign.dataio import (
 )
 from moldesign.molgraph import canonical_smiles
 
+from graph_helpers import deeper_than_recursion_limit, recursion_limit
+
 
 def write(tmp_path, text, name="data.csv"):
     p = tmp_path / name
@@ -27,6 +29,14 @@ class TestIngest:
         assert row.mon == 101.0
         assert row.dcn is None
         assert row.labels() == {"ron": 118.0, "mon": 101.0, "dcn": None}
+
+    def test_row_deeper_than_the_recursion_limit_kept(self, tmp_path):
+        # every row is canonicalised, whatever its depth
+        with recursion_limit(400):
+            smiles = deeper_than_recursion_limit("C")
+            data = ingest_dataset(write(tmp_path, "smiles,ron,mon,dcn\n"
+                                        "%s,100,,\nCC,90,,\n" % smiles))
+        assert [row.smiles for row in data.rows] == [smiles, "CC"]
 
     def test_header_mismatch(self, tmp_path):
         path = write(tmp_path, "name,ron,mon,dcn\nCC,1,2,3\n")

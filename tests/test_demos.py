@@ -11,16 +11,19 @@ DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_demo(name):
-    """The finished process of one demo script, run on this package."""
+    """The finished process of one demo script, run on this package with
+    RuntimeWarning an error, as in this suite."""
     src = os.path.dirname(os.path.dirname(moldesign.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, os.path.join(DEMOS, name)],
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           os.path.join(DEMOS, name)],
                           env=env, capture_output=True, text=True, timeout=300)
 
 
 def test_parse_and_enumerate_demo_runs():
     out = run_demo("01_parse_and_enumerate.py")
     assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
     assert "OCC and CCO agree: True" in out.stdout.splitlines()
 
 
@@ -32,4 +35,5 @@ def test_parse_and_enumerate_demo_runs():
 def test_demo_runs(name, first_line):
     out = run_demo(name)
     assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
     assert out.stdout.splitlines()[0] == first_line

@@ -160,6 +160,20 @@ class TestEvaluate:
         assert (a.duplicate, b.duplicate) == (False, True)
         assert (a.index, b.index) == (0, 1)
 
+    @pytest.mark.parametrize("decisions", [None, [1.0, 1.0, -1.0],
+                                           [-1.0, -1.0, 1.0]],
+                             ids=["no-ad", "inside", "outside"])
+    def test_cache_entry_is_the_graphs_record_fields(self, grammar,
+                                                     decisions):
+        ctx = make_ctx(grammar, ad=decisions and stub_ad(decisions))
+        for z in (np.zeros(4), np.full(4, 0.01)):   # one cell row
+            rec = evaluate_candidate(z, ctx)
+        (fields,) = ctx.cache.values()
+        assert ctx.by_cells[tuple(ctx.cells(np.zeros(4)))] is fields
+        per_point = ("index", "latent_full", "latent_reduced", "duplicate")
+        assert fields == {k: v for k, v in vars(rec).items()
+                          if k not in per_point}
+
     def test_rejected_cell_stays_penalized(self, grammar):
         ctx = make_ctx(grammar, ad=stub_ad([-1.0, -1.0, 1.0]))
         for _ in range(2):
@@ -334,6 +348,19 @@ class TestRun:
                                bounds=(np.zeros(4), np.ones(4)))
         assert summary["n_unique"] >= 5
         assert len(records) < 5000
+
+    @pytest.mark.parametrize("method", ["ga", "bo"])
+    def test_time_budget_shorter_than_one_evaluation(self, grammar,
+                                                     tiny_ensemble, method):
+        # the budget is spent before the first point: the run still
+        # scores that one, so it has a record to summarize
+        corpus = [parse_smiles(s) for s in ["C", "CC", "CCO", "CC(C)O"]]
+        inputs = {"corpus": corpus} if method == "bo" \
+            else {"bounds": (np.zeros(4), np.ones(4))}
+        cfg = RunConfig(method=method, seed=0, time_limit_s=1e-9,
+                        max_unique=None, max_total=None, ad_enabled=False)
+        records, summary = run(cfg, grammar, tiny_ensemble, **inputs)
+        assert len(records) == 1 and summary["n_total"] == 1
 
     @pytest.mark.parametrize("method", ["ga", "bo"])
     def test_each_record_from_evaluate_candidate_by_module_name(

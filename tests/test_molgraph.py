@@ -16,7 +16,8 @@ from moldesign.molgraph import (
     validate,
 )
 
-from graph_helpers import is_isomorphic, permuted, total_h
+from graph_helpers import deeper_than_recursion_limit, is_isomorphic, \
+    permuted, recursion_limit, total_h
 
 # the 16 promising commercially available molecules used as a corpus fixture
 CORPUS = [
@@ -573,7 +574,7 @@ def prism(k):
 
 class TestWriter:
     """The one-pass writer gives the two-pass reference's string and atom
-    order, and refuses a tenth ring closure."""
+    order, has no depth limit, and refuses a tenth ring closure."""
 
     @settings(max_examples=300, deadline=None)
     @given(g=graphs, data=st.data())
@@ -600,6 +601,16 @@ class TestWriter:
         smiles = canonical_smiles(g)
         assert "9" in smiles
         assert canonical_smiles(parse_smiles(smiles)) == smiles
+
+    @pytest.mark.parametrize("unit", ["C", "C(C)"], ids=["chain", "comb"])
+    def test_deeper_than_the_recursion_limit(self, unit):
+        with recursion_limit(400):
+            g = parse_smiles(deeper_than_recursion_limit(unit))
+            smiles = canonical_smiles(g)
+            assert canonical_smiles(parse_smiles(smiles)) == smiles
+        assert smiles.count("C") == g.n_atoms
+        if unit == "C":
+            assert smiles == "C" * g.n_atoms
 
 
 class TestCanonicalForm:
